@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -217,7 +216,7 @@ def cmd_tau(args, ring, timings):
     query = {"subcommand": "tau", "f": f.to_str(), "t": str(t),
              "convention": args.convention}
     with _timed(timings, "compute"):
-        res = tau(M, f, t, c, convention=args.convention)
+        res = tau(M, f, t, c, convention=args.convention, e_cap=args.max_e)
     result = {"generators": _sub_payload(res.value)}
     return query, result, res.certified, res.stabilized_at_e, True
 
@@ -226,7 +225,8 @@ def cmd_fpt(args, ring, timings):
     f = parse_polynomial(args.f, ring)
     query = {"subcommand": "fpt", "f": f.to_str()}
     with _timed(timings, "compute"):
-        res = fpt(ring, f, max_denominator=args.max_denominator, e_nu=args.e_nu)
+        res = fpt(ring, f, max_denominator=args.max_denominator, e_nu=args.e_nu,
+                  e_cap=args.max_e)
     result = {"fpt": str(res.value),
               "nu_interval": [str(res.nu_lower), str(res.nu_upper)],
               "nu_level": res.nu_level}
@@ -241,7 +241,7 @@ def cmd_jumps(args, ring, timings):
     query = {"subcommand": "jumps", "f": f.to_str(), "range": f"{lo}..{hi}",
              "max_denominator": args.max_denominator}
     with _timed(timings, "compute"):
-        scan = jumping_numbers(M, f, lo, hi, args.max_denominator, c)
+        scan = jumping_numbers(M, f, lo, hi, args.max_denominator, c, e_cap=args.max_e)
     result = {"jumps": [str(j) for j in scan.jumps],
               "values": [_sub_payload(v) for v in scan.values],
               "baseline": _sub_payload(scan.baseline)}
@@ -256,7 +256,8 @@ def cmd_vfilt(args, ring, timings):
     query = {"subcommand": "vfilt", "f": f.to_str(), "t_max": str(t_max),
              "max_denominator": args.max_denominator}
     with _timed(timings, "compute"):
-        table = compute_vfiltration(M, f, t_max, args.max_denominator, c)
+        table = compute_vfiltration(M, f, t_max, args.max_denominator, c,
+                                    e_cap=args.max_e)
     with _timed(timings, "verify"):
         report = verify_axioms(M, table, c)
     result = {"v0": _sub_payload(table.v0),
@@ -276,7 +277,8 @@ def cmd_gr(args, ring, timings):
              "convention": args.convention,
              "max_denominator": args.max_denominator}
     with _timed(timings, "compute"):
-        table = compute_vfiltration(M, f, hi, args.max_denominator, c)
+        table = compute_vfiltration(M, f, hi, args.max_denominator, c,
+                                    e_cap=args.max_e)
         pieces = []
         for j in table.jumps:
             if j <= lo:
@@ -405,12 +407,14 @@ def _add_ring_args(sub, module=True):
         sub.add_argument("--c", help="test element (required for subquotients)")
 
 
-def _add_output_args(sub):
+def _add_output_args(sub, max_e=True):
     sub.add_argument("--json", action="store_true", help="JSON report on stdout")
     sub.add_argument("--timings", action="store_true",
                      help="include wall-clock phase timings in the report")
-    sub.add_argument("--max-e", type=int, default=None,
-                     help="override the stabilization level cap")
+    if max_e:
+        sub.add_argument("--max-e", type=int, default=None,
+                         help="level cap for this computation (default: "
+                              "CARTIER_MAX_E, else 6)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -468,13 +472,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help=f"suites to run (default all): {', '.join(SUITES)}")
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--cases", type=int, default=None)
-    _add_output_args(p_check)
+    _add_output_args(p_check, max_e=False)
     p_check.set_defaults(func=cmd_check, needs_ring=False)
 
     p_repro = subs.add_parser("repro", help="reproduce a worked example "
                                             "against its expected outcome")
     p_repro.add_argument("scenario", choices=sorted(REPROS))
-    _add_output_args(p_repro)
+    _add_output_args(p_repro, max_e=False)
     p_repro.set_defaults(func=cmd_repro, needs_ring=False)
 
     return parser
@@ -483,8 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.max_e is not None:
-        os.environ["CARTIER_MAX_E"] = str(args.max_e)
     timings = {} if args.timings else None
     try:
         with _timed(timings, "parse"):

@@ -23,8 +23,12 @@ from .groebner import FreeSubmodule, Vec
 DEFAULT_LEVEL_CAP = 6
 
 
-def level_cap() -> int:
-    """Max Frobenius level e; override with CARTIER_MAX_E."""
+def level_cap(e_cap: int | None = None) -> int:
+    """Max Frobenius level e: e_cap when given, else CARTIER_MAX_E, else 6."""
+    if e_cap is not None:
+        if e_cap < 1:
+            raise ValueError("level cap must be >= 1")
+        return e_cap
     raw = os.environ.get("CARTIER_MAX_E")
     if raw is None:
         return DEFAULT_LEVEL_CAP
@@ -37,10 +41,10 @@ def level_cap() -> int:
     return cap
 
 
-def _check_level(e: int):
+def _check_level(e: int, e_cap: int | None = None):
     if e < 0:
         raise ValueError("level must be >= 0")
-    cap = level_cap()
+    cap = level_cap(e_cap)
     if e > cap:
         raise LevelCapExceededError(f"level {e} exceeds cap {cap}")
 
@@ -87,13 +91,14 @@ def frobenius_root(W: FreeSubmodule, e: int) -> FreeSubmodule:
 
 
 def scaled_root(W: FreeSubmodule, e: int, u: Poly | None = None, A: int = 0,
-                f: Poly | None = None, B: int = 0) -> FreeSubmodule:
+                f: Poly | None = None, B: int = 0,
+                e_cap: int | None = None) -> FreeSubmodule:
     """(u^A f^B W)^{[1/p^e]} without expanding the big powers.
 
     Per level, u^A f^B = (u^{A//p} f^{B//p})^p * u^{A%p} f^{B%p}, and the
     p-th power factor pulls out of the level-1 root.
     """
-    _check_level(e)
+    _check_level(e, e_cap)
     ring = W.ring
     p = ring.p
     if u is None:

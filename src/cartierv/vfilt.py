@@ -31,17 +31,10 @@ from .cartier_mod import (
     kernel_presentation,
     morphism_check,
 )
-from .errors import NonDegenerateError, NotFRegularError, RingMismatchError
+from .errors import NotFRegularError
 from .field_poly import Poly
 from .groebner import FreeSubmodule, QuotientPresentation
-from .testmod import (
-    is_F_regular,
-    is_regular_element,
-    jumping_numbers,
-    suggest_test_element,
-    tau,
-    tau_left_limit,
-)
+from .testmod import Pair, is_F_regular, tau
 
 GR_CONVENTIONS = ("a", "b")
 
@@ -91,24 +84,22 @@ class FiltrationTable:
 
 
 def compute_vfiltration(M: CartierModule, f: Poly, t_max, max_denominator: int,
-                        c: Poly | None = None) -> FiltrationTable:
+                        c: Poly | None = None, e_cap: int | None = None) -> FiltrationTable:
     """Tabulate V^t = tau(M, f^t) on [0, t_max].
 
     Refuses pairs where f is a zerodivisor and modules that are not
     F-regular for the chosen test element, since the filtration axioms are
-    only guaranteed from that position.
+    only guaranteed from that position.  One `Pair` serves the whole scan;
+    the left limits are the ones the scan confirmed at each jump.
     """
-    if f.ring != M.ring:
-        raise RingMismatchError("f over wrong ring")
-    if not is_regular_element(M, f):
-        raise NonDegenerateError("f is a zerodivisor on the module")
-    c_eff = c if c is not None else suggest_test_element(M, f)
-    if not is_F_regular(M, c_eff):
+    pair = Pair(M, f, c, e_cap)
+    pair.require_regular()
+    if not is_F_regular(M, pair.c):
         raise NotFRegularError("module is not F-regular; filtration not tabulated")
     hi = Fraction(t_max)
-    scan = jumping_numbers(M, f, Fraction(0), hi, max_denominator, c_eff)
-    limits = tuple(tau_left_limit(M, f, j, c_eff).value for j in scan.jumps)
-    return FiltrationTable(f, hi, scan.baseline, scan.jumps, scan.values, limits)
+    scan = pair.jumping_numbers(Fraction(0), hi, max_denominator)
+    return FiltrationTable(f, hi, scan.baseline, scan.jumps, scan.values,
+                           scan.left_limits)
 
 
 @dataclass(frozen=True)

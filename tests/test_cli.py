@@ -6,6 +6,7 @@ import pytest
 from cartierv.cli import main, parse_fraction, parse_polynomial, parse_range
 from cartierv.errors import ParseError
 from cartierv.field_poly import Ring
+from cartierv.frobenius import level_cap
 
 from conftest import random_poly
 
@@ -212,3 +213,18 @@ def test_timings_flag(capsys):
     assert code == 0
     timings = json.loads(out)["timings_ms"]
     assert "compute" in timings and "parse" in timings
+
+
+def test_max_e_stays_with_its_call(capsys, monkeypatch):
+    monkeypatch.delenv("CARTIER_MAX_E", raising=False)
+    jumps = ("jumps", "--p", "2", "--vars", "x,y", "--f", "x^2*y^21",
+             "--range", "0..1/2", "--max-denominator", "12", "--json")
+    before = run_cli(capsys, *jumps)
+    series = ("tau", "--p", "2", "--vars", "x,y", "--f", "x^2*y^3", "--t", "3/4",
+              "--convention", "ceil_pe_minus_1", "--json")
+    code, _, err = run_cli(capsys, *series, "--max-e", "2")
+    assert code == 4
+    assert "level cap 2" in err
+    assert level_cap() == 6
+    assert run_cli(capsys, *series)[0] == 0
+    assert run_cli(capsys, *jumps) == before

@@ -3,7 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from cartierv.cartier_mod import CartierModule, graph_embed, kappa_span, reduce_from_graph
+from cartierv.cartier_mod import (
+    CartierModule,
+    CartierStructure,
+    graph_embed,
+    kappa_span,
+    make_extension,
+    reduce_from_graph,
+    shriek_finite,
+)
 from cartierv.errors import (
     FptDivergenceError,
     NonDegenerateError,
@@ -12,7 +20,7 @@ from cartierv.errors import (
 from cartierv.field_poly import Ring
 from cartierv.groebner import QuotientPresentation, full_module, ideal
 from cartierv.testmod import (
-    PairSpec,
+    Pair,
     exponent_at,
     fpt,
     is_F_regular,
@@ -74,6 +82,17 @@ def test_twisted_line_values():
         got = tau(M, x, t)
         assert got.certified
         assert got.value == want, f"t={t}"
+
+
+def test_fresh_tau_sweep_counts():
+    # counts of the fixed-point iteration over the whole orbit of t; 1/4 and
+    # 3/4 sweep twice although their cycle {1} starts at its fixed point
+    R = Ring(2, ("x",))
+    x = R.var("x")
+    M = CartierModule.over_ring(R)
+    expect = {Fraction(1, 4): 2, Fraction(1, 3): 3, Fraction(1, 2): 2,
+              Fraction(2, 3): 2, Fraction(3, 4): 2, Fraction(1): 1, Fraction(7, 4): 2}
+    assert {t: tau(M, x, t).stabilized_at_e for t in expect} == expect
 
 
 def test_twisted_line_p5():
@@ -246,10 +265,71 @@ def test_graph_pair_matches_base_tau():
 def test_pair_spec_validation():
     R = Ring(3, ("x",))
     x = R.var("x")
-    M = CartierModule.over_ring(R)
+    pair = Pair(CartierModule.over_ring(R), x)
     with pytest.raises(ValueError):
-        PairSpec(M, x, Fraction(-1, 2))
+        pair.tau(Fraction(-1, 2))
     with pytest.raises(ValueError):
-        PairSpec(M, x, Fraction(1, 2), convention="floor")
-    spec = PairSpec(M, x, Fraction(1, 2))
-    assert spec.tau().value == full_module(R, 1)
+        pair.tau(Fraction(1, 2), convention="floor")
+    assert pair.tau(Fraction(1, 2)).value == full_module(R, 1)
+
+
+MEMO_GRID = tuple(sorted({Fraction(0), Fraction(2), Fraction(7, 3)}
+                         | {Fraction(k, d) for d in (1, 2, 3, 4, 6) for k in range(1, 2 * d)}))
+
+
+def assert_pair_matches_fresh(M, f, c, rng, left_probes=3):
+    """One shared Pair answers a shuffled grid (t = 0, t > 1 and left limits
+    included) exactly as fresh calls do."""
+    pair = Pair(M, f, c)
+    grid = list(MEMO_GRID)
+    rng.shuffle(grid)
+    for t in grid:
+        got, want = pair.tau(t), tau(M, f, t, c)
+        assert (got.value, got.certified, got.path) == (want.value, want.certified,
+                                                       want.path), t
+    for t in rng.sample([t for t in grid if t > 0], left_probes):
+        assert pair.left_limit(t) == tau_left_limit(M, f, t, c), t
+    assert Fraction(1, 2) in pair._solved
+
+
+def test_pair_memo_random_twisted():
+    rng = random.Random(41)
+    for p in (2, 3):
+        for names in (("x",), ("x", "y")):
+            R = Ring(p, names)
+            x = R.var("x")
+            u = random_poly(rng, R, 2, nonzero=True)
+            f = x * (random_poly(rng, R, 1) + R.one())
+            c = u * f
+            if not c.is_zero():
+                assert_pair_matches_fresh(CartierModule.over_ring(R, u), f, c, rng)
+
+
+def test_pair_memo_rank_two_permutation():
+    R = Ring(3, ("x",))
+    x = R.var("x")
+    swap = CartierStructure(R, 2, ((R.zero(), R.one()), (R.one(), R.zero())))
+    assert_pair_matches_fresh(CartierModule.free(R, swap), x, x, random.Random(43))
+
+
+def test_pair_memo_cusp_cover_shriek():
+    P = Ring(3, ("x", "y"))
+    x, y = P.gens()
+    ext = make_extension(P, y ** 2 - x ** 3)
+    xb = ext.base.gens()[0]
+    sh = shriek_finite(ext, CartierModule.over_ring(ext.base))
+    assert_pair_matches_fresh(sh, xb, xb, random.Random(47), left_probes=1)
+
+
+def test_pair_back_substitution():
+    # p = 3: 1/2 is a 1-cycle (3/2 - 1 = 1/2) and the orbit of 1/6 runs into it
+    R = Ring(3, ("x", "y"))
+    x, y = R.gens()
+    M = CartierModule.over_ring(R, x + y)
+    f = x ** 2 * y
+    pair = Pair(M, f)
+    assert pair.tau(Fraction(1, 2)) == tau(M, f, Fraction(1, 2))
+    assert set(pair._solved) == {Fraction(1, 2)}
+    assert pair.tau(Fraction(1, 6)) == tau(M, f, Fraction(1, 6))
+    assert set(pair._solved) == {Fraction(1, 6), Fraction(1, 2)}
+    assert pair.tau(Fraction(7, 6)) == tau(M, f, Fraction(7, 6))
