@@ -21,6 +21,7 @@ from .groebner import (
     Vec,
     full_module,
     preimage,
+    unit_vector,
     zero_module,
 )
 
@@ -38,21 +39,12 @@ def vec_mul_poly(v: Vec, g: Poly) -> Vec:
     return tuple(g * f for f in v)
 
 
-def vec_add(v: Vec, w: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(v, w))
-
-
 def vec_sub(v: Vec, w: Vec) -> Vec:
     return tuple(a - b for a, b in zip(v, w))
 
 
 def vec_is_zero(v: Vec) -> bool:
     return all(f.is_zero() for f in v)
-
-
-def unit_vector(ring: Ring, rank: int, i: int, f: Poly | None = None) -> Vec:
-    f = ring.one() if f is None else f
-    return tuple(f if j == i else ring.zero() for j in range(rank))
 
 
 # -- structures ---------------------------------------------------------------
@@ -79,9 +71,6 @@ class CartierStructure:
     def scalar(ring: Ring, u: Poly | None = None) -> "CartierStructure":
         u = ring.one() if u is None else u
         return CartierStructure(ring, 1, ((u,),))
-
-    def is_scalar(self) -> bool:
-        return self.rank == 1
 
     def scalar_twist(self) -> Poly:
         if self.rank != 1:
@@ -209,17 +198,6 @@ def _stability_failure(structure: CartierStructure, sub: FreeSubmodule):
     return None
 
 
-def kappa_apply(M: CartierModule, v: Vec) -> Vec:
-    return M.structure.apply(v)
-
-
-def kappa_image(M: CartierModule, sub: FreeSubmodule | None = None) -> FreeSubmodule:
-    """Span of kappa(sub) as a submodule; defaults to the numerator."""
-    if sub is None:
-        sub = M.pres.W
-    return kappa_span(M.structure, sub)
-
-
 def underline(M: CartierModule) -> tuple[FreeSubmodule, int]:
     """Image-stable part: iterate V <- kappa(V) + N from V = W to the fixed
     point.  Returns (fixed submodule, number of strict descents)."""
@@ -254,209 +232,6 @@ def nilpotence_order(M: CartierModule, e_max: int = MAX_IMAGE_ITERATIONS) -> int
 
 def is_nilpotent(M: CartierModule, e_max: int = MAX_IMAGE_ITERATIONS) -> bool:
     return nilpotence_order(M, e_max) is not None
-
-
-# -- bounded nilpotent part ----------------------------------------------------
-
-
-class _FpSpan:
-    """Echelonized F_p-span of vectors given as dicts keyed by (comp, mon)."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.rows: list[dict] = []
-        self.pivots: list = []
-
-    @staticmethod
-    def _lead(d: dict):
-        return max(d)
-
-    def _reduce(self, d: dict) -> dict:
-        d = dict(d)
-        for row, piv in zip(self.rows, self.pivots):
-            c = d.get(piv)
-            if c:
-                for t, v in row.items():
-                    nv = (d.get(t, 0) - c * v) % self.p
-                    if nv:
-                        d[t] = nv
-                    else:
-                        d.pop(t, None)
-        return d
-
-    def add(self, d: dict) -> bool:
-        """Insert; returns True when the vector was independent."""
-        d = self._reduce(d)
-        if not d:
-            return False
-        piv = self._lead(d)
-        inv = pow(d[piv], self.p - 2, self.p)
-        d = {t: (v * inv) % self.p for t, v in d.items()}
-        self.rows.append(d)
-        self.pivots.append(piv)
-        order = sorted(range(len(self.rows)), key=lambda i: self.pivots[i], reverse=True)
-        self.rows = [self.rows[i] for i in order]
-        self.pivots = [self.pivots[i] for i in order]
-        return True
-
-    def coordinates(self, d: dict) -> list[int] | None:
-        """Coordinates in the row basis, or None if outside the span."""
-        d = dict(d)
-        coords = [0] * len(self.rows)
-        for i, (row, piv) in enumerate(zip(self.rows, self.pivots)):
-            c = d.get(piv, 0)
-            if c:
-                coords[i] = c
-                for t, v in row.items():
-                    nv = (d.get(t, 0) - c * v) % self.p
-                    if nv:
-                        d[t] = nv
-                    else:
-                        d.pop(t, None)
-        if d:
-            return None
-        return coords
-
-
-def _vec_to_flat(v: Vec) -> dict:
-    out = {}
-    for i, f in enumerate(v):
-        for m, c in f.terms.items():
-            out[(i, m)] = c
-    return out
-
-
-def _kernel_mod_p(matrix: list[list[int]], p: int, ncols: int) -> list[list[int]]:
-    """Kernel basis of the stacked matrix over F_p (columns = unknowns)."""
-    rows = [list(r) for r in matrix]
-    nrows = len(rows)
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    basis = []
-    for fc in free_cols:
-        v = [0] * ncols
-        v[fc] = 1
-        for i, pc in enumerate(pivot_cols):
-            v[pc] = (-rows[i][fc]) % p
-        basis.append(v)
-    return basis
-
-
-def nilpotent_kernel_bounded(M: CartierModule, degree_bound: int) -> tuple[FreeSubmodule, bool]:
-    """Span of bounded-degree elements generating nilpotent submodules.
-
-    Sound always; complete (flag True) exactly when the normal-form space of
-    M closes up under variable multiplication within the degree bound, i.e.
-    when M is finite dimensional over F_p with top degree below the bound.
-    """
-    ring = M.ring
-    p = ring.p
-    pres = M.pres
-    span = _FpSpan(p)
-    basis_vecs: list[Vec] = []
-    work = [pres.reduce(w) for w in pres.W.gens]
-    complete = True
-    guard = 0
-    while work:
-        guard += 1
-        if guard > 4096:
-            complete = False
-            break
-        v = work.pop()
-        if vec_is_zero(v):
-            continue
-        if max(f.total_degree() for f in v) > degree_bound:
-            complete = False
-            continue
-        if span.add(_vec_to_flat(v)):
-            basis_vecs.append(v)
-            for i in range(ring.n):
-                mon = tuple(1 if j == i else 0 for j in range(ring.n))
-                work.append(pres.reduce(vec_mul_monomial(v, mon)))
-
-    if not basis_vecs:
-        return zero_module(ring, M.rank).add(pres.N), True
-
-    if not complete:
-        # fall back to per-vector exact cyclic checks; a sum of nilpotent
-        # submodules is nilpotent, so the span returned is still sound
-        good: list[Vec] = []
-        for v in basis_vecs:
-            cyc = FreeSubmodule(ring, M.rank, [v]).add(pres.N)
-            sub = CartierModule(QuotientPresentation(cyc, pres.N), M.structure, check=False)
-            if _kappa_stable(M.structure, cyc) and is_nilpotent(sub):
-                good.append(v)
-        return FreeSubmodule(ring, M.rank, good).add(pres.N), False
-
-    # finite-dimensional case: iterate kernels of the digit-translated maps
-    digit_mons = ring.digit_monomials(1)
-    images: list[list[list[int]]] = []  # per basis vector, per digit, coords
-    for v in basis_vecs:
-        per_digit = []
-        for a in digit_mons:
-            img = pres.reduce(M.structure.apply(vec_mul_monomial(v, a)))
-            coords = span.coordinates(_vec_to_flat(img))
-            if coords is None:
-                raise CartierError("kappa image escaped the closed span")
-            per_digit.append(coords)
-        images.append(per_digit)
-
-    dim = len(basis_vecs)
-    # K_1 = common kernel of the digit-translated maps, K_{i+1} = preimage of
-    # K_i under all of them; the increasing tower stabilizes at the largest
-    # nilpotent part of the finite-dimensional quotient
-    k_rows: list[dict] = []
-    while True:
-        kspan = _FpSpan(p)
-        for row in k_rows:
-            kspan.add(dict(row))
-        constraints: list[list[int]] = []
-        for d_idx in range(len(digit_mons)):
-            reduced = [kspan._reduce({(0, (i,)): c for i, c in enumerate(images[j][d_idx]) if c})
-                       for j in range(dim)]
-            for i in range(dim):
-                constraints.append([reduced[j].get((0, (i,)), 0) for j in range(dim)])
-        kern = _kernel_mod_p(constraints, p, dim)
-        newspan = _FpSpan(p)
-        for row in kern:
-            newspan.add({(0, (i,)): c for i, c in enumerate(row) if c})
-        if len(newspan.rows) == len(k_rows):
-            break
-        k_rows = newspan.rows
-    kernel_rows = [[row.get((0, (i,)), 0) for i in range(dim)] for row in k_rows]
-    out_vecs: list[Vec] = []
-    for row in kernel_rows:
-        acc = tuple(ring.zero() for _ in range(M.rank))
-        for c, v in zip(row, basis_vecs):
-            if c:
-                acc = vec_add(acc, tuple(f.scale(c) for f in v))
-        if not vec_is_zero(acc):
-            out_vecs.append(acc)
-    return FreeSubmodule(ring, M.rank, out_vecs).add(pres.N), True
-
-
-def _kappa_stable(structure: CartierStructure, sub: FreeSubmodule) -> bool:
-    return _stability_failure(structure, sub) is None
 
 
 # -- morphisms ----------------------------------------------------------------
@@ -755,23 +530,13 @@ def pushforward_finite(ext: FiniteExtension, M: CartierModule) -> CartierModule:
     if not M.pres.N.contains(g_full):
         raise CartierError("denominator must absorb g times the free module")
     r = M.rank
-    d = ext.degree
-
-    def push_sub(sub: FreeSubmodule) -> FreeSubmodule:
-        gens = []
-        for w in sub.gens:
-            for j in range(d):
-                yj = ext.y_power(j)
-                gens.append(ext.split(tuple(yj * c for c in w)))
-        return FreeSubmodule(ext.base, d * r, gens).minimal_gens()
-
-    W = push_sub(M.pres.W)
-    N = push_sub(M.pres.N)
+    W = pushforward_submodule(ext, M.pres.W, r)
+    N = pushforward_submodule(ext, M.pres.N, r)
 
     def action(v: Vec) -> Vec:
         return ext.split(ext.reduce_vec(M.structure.apply(ext.unsplit(v, r))))
 
-    structure = semilinear_structure(ext.base, d * r, action)
+    structure = semilinear_structure(ext.base, ext.degree * r, action)
     return CartierModule(QuotientPresentation(W, N), structure)
 
 
@@ -822,12 +587,6 @@ def shriek_finite(ext: FiniteExtension, M: CartierModule) -> CartierModule:
     return CartierModule(QuotientPresentation(W, N), structure)
 
 
-def evaluation_at_one(ext: FiniteExtension, v: Vec, r: int) -> Vec:
-    """Duality trace f_* f^! M -> M: a hom goes to its value at 1, which is
-    the first block of the coordinate vector."""
-    return tuple(v[:r])
-
-
 def pullback_etale(ext: FiniteExtension, M: CartierModule) -> CartierModule:
     """M tensored up to S = P/(g), with the g^{p-1}-lifted structure.
 
@@ -844,12 +603,6 @@ def pullback_etale(ext: FiniteExtension, M: CartierModule) -> CartierModule:
     lift_U = M.structure.map_ring(ext.P)
     structure = lift_U.twisted(ext.g ** (ext.P.p - 1))
     return CartierModule(QuotientPresentation(W, N), structure)
-
-
-def trace_map(ext: FiniteExtension) -> tuple[Poly, ...]:
-    """Trace values Tr(y^j) for j < d; the trace of s is the pairing of
-    these with the y-coordinates of s reduced mod g."""
-    return ext.trace_values
 
 
 def trace_kappa_commutes(ext: FiniteExtension, samples: Iterable[Poly],

@@ -413,8 +413,7 @@ def _add_output_args(sub, max_e=True):
                      help="include wall-clock phase timings in the report")
     if max_e:
         sub.add_argument("--max-e", type=int, default=None,
-                         help="level cap for this computation (default: "
-                              "CARTIER_MAX_E, else 6)")
+                         help="level cap for this computation (default 6)")
 
 
 def build_parser() -> argparse.ArgumentParser:

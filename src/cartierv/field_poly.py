@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator
 
 from .errors import NotPrimeError, RingMismatchError
 
@@ -46,9 +45,6 @@ class PrimeField:
         if not isinstance(p, int) or not _is_prime(p) or p > MAX_CHAR:
             raise NotPrimeError(f"characteristic must be a prime <= 2^20, got {p!r}")
         self.p = p
-
-    def normalize(self, c: int) -> int:
-        return c % self.p
 
     def inv(self, c: int) -> int:
         c %= self.p
@@ -181,12 +177,6 @@ class Poly:
 
     def is_one(self) -> bool:
         return self.terms == {(0,) * self.ring.n: 1}
-
-    def is_constant(self) -> bool:
-        return all(all(e == 0 for e in m) for m in self.terms)
-
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
 
     def total_degree(self) -> int:
         """Max total degree; -1 for the zero polynomial."""
@@ -464,8 +454,3 @@ def twisted_power(u: Poly, f: Poly, e: int) -> Poly:
     for _ in range(e):
         v = cartier_trace(u * v, 1)
     return v
-
-
-def iter_terms_sorted(f: Poly) -> Iterator[tuple[Monomial, int]]:
-    for m in sorted(f.terms, reverse=True):
-        yield m, f.terms[m]

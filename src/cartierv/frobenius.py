@@ -14,8 +14,6 @@ u^{A mod p} f^{B mod p}.
 
 from __future__ import annotations
 
-import os
-
 from .errors import LevelCapExceededError
 from .field_poly import Monomial, Poly, Ring, frobenius_digits
 from .groebner import FreeSubmodule, Vec
@@ -24,21 +22,12 @@ DEFAULT_LEVEL_CAP = 6
 
 
 def level_cap(e_cap: int | None = None) -> int:
-    """Max Frobenius level e: e_cap when given, else CARTIER_MAX_E, else 6."""
-    if e_cap is not None:
-        if e_cap < 1:
-            raise ValueError("level cap must be >= 1")
-        return e_cap
-    raw = os.environ.get("CARTIER_MAX_E")
-    if raw is None:
+    """Max Frobenius level e: e_cap when given, else DEFAULT_LEVEL_CAP."""
+    if e_cap is None:
         return DEFAULT_LEVEL_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"CARTIER_MAX_E must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ValueError("CARTIER_MAX_E must be >= 1")
-    return cap
+    if e_cap < 1:
+        raise ValueError("level cap must be >= 1")
+    return e_cap
 
 
 def _check_level(e: int, e_cap: int | None = None):

@@ -323,7 +323,7 @@ class FreeSubmodule:
         if h.is_zero():
             raise ValueError("colon by zero")
         free_h = FreeSubmodule(self.ring, self.rank,
-                               [_unit_vec(self.ring, self.rank, i, h) for i in range(self.rank)])
+                               [unit_vector(self.ring, self.rank, i, h) for i in range(self.rank)])
         meet = self.intersect(free_h)
         quot = []
         for v in meet.gens:
@@ -350,13 +350,14 @@ class FreeSubmodule:
         return f"<submodule of {self.ring}^{self.rank}: {gens}{more}>"
 
 
-def _unit_vec(ring: Ring, rank: int, i: int, f: Poly) -> Vec:
+def unit_vector(ring: Ring, rank: int, i: int, f: Poly | None = None) -> Vec:
+    f = ring.one() if f is None else f
     return tuple(f if j == i else ring.zero() for j in range(rank))
 
 
 def full_module(ring: Ring, rank: int) -> FreeSubmodule:
     return FreeSubmodule(ring, rank,
-                         [_unit_vec(ring, rank, i, ring.one()) for i in range(rank)])
+                         [unit_vector(ring, rank, i) for i in range(rank)])
 
 
 def zero_module(ring: Ring, rank: int) -> FreeSubmodule:
@@ -404,10 +405,6 @@ def _saturate_ideal(I: FreeSubmodule, h: Poly) -> FreeSubmodule:
     return elim.map_ring(I.ring)
 
 
-def saturate(sub: FreeSubmodule, h: Poly) -> FreeSubmodule:
-    return sub.saturate_element(h)
-
-
 def syzygies(ring: Ring, rank: int, vectors: Sequence[Vec]) -> FreeSubmodule:
     """Syzygy module of the given vectors: {(a_i) : sum a_i v_i = 0} in R^k.
 
@@ -423,7 +420,7 @@ def syzygies(ring: Ring, rank: int, vectors: Sequence[Vec]) -> FreeSubmodule:
     for i, v in enumerate(vectors):
         if len(v) != rank:
             raise RankMismatchError("syzygy input rank mismatch")
-        aug.append(tuple(v) + _unit_vec(ring, k, i, ring.one()))
+        aug.append(tuple(v) + unit_vector(ring, k, i))
     big = FreeSubmodule(ring, aug_rank, aug)
     out: list[Vec] = []
     for w in big.groebner():

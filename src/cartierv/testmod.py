@@ -377,6 +377,8 @@ class Pair:
         lo, hi = Fraction(t_min), Fraction(t_max)
         if lo < 0 or hi <= lo:
             raise ValueError("need 0 <= t_min < t_max")
+        if max_denominator < 1:
+            raise ValueError("max_denominator must be >= 1")
         p = self.M.ring.p
         grid = [q for q in _candidate_grid(p, lo, hi, max_denominator,
                                            ladder_limit=p * max_denominator,
@@ -407,7 +409,7 @@ class Pair:
 def tau(M: CartierModule, f: Poly, t, c: Poly | None = None,
         convention: str = "ceil_pe", e_cap: int | None = None) -> TauResult:
     """tau(M, f^t), exact; see `Pair.tau`.  e_cap overrides the level cap
-    (default CARTIER_MAX_E, else 6)."""
+    (default `frobenius.DEFAULT_LEVEL_CAP`, 6)."""
     return Pair(M, f, c, e_cap).tau(t, convention)
 
 
@@ -506,6 +508,8 @@ class FptResult:
 def nu_interval(ring: Ring, f: Poly, e: int) -> tuple[Fraction, Fraction]:
     """[nu/p^e, (nu+1)/p^e] where nu is the largest r with f^r outside the
     e-th Frobenius power of the maximal ideal; brackets the F-threshold."""
+    if e < 0:
+        raise ValueError("Frobenius level must be >= 0")
     nu = _nu_value(ring, f, e)
     q = ring.p ** e
     return Fraction(nu, q), Fraction(nu + 1, q)
@@ -554,6 +558,8 @@ def fpt(ring: Ring, f: Poly, max_denominator: int | None = None,
     p = ring.p
     if max_denominator is None:
         max_denominator = p * p * (p - 1)
+    if max_denominator < 1:
+        raise ValueError("max_denominator must be >= 1")
     level = _default_nu_level(ring) if e_nu is None else e_nu
     lo, hi = nu_interval(ring, f, level)
     pair = Pair(CartierModule.over_ring(ring), f, e_cap=e_cap)

@@ -34,7 +34,7 @@ from .cartier_mod import (
 from .errors import NotFRegularError
 from .field_poly import Poly
 from .groebner import FreeSubmodule, QuotientPresentation
-from .testmod import Pair, is_F_regular, tau
+from .testmod import Pair, tau
 
 GR_CONVENTIONS = ("a", "b")
 
@@ -89,12 +89,15 @@ def compute_vfiltration(M: CartierModule, f: Poly, t_max, max_denominator: int,
 
     Refuses pairs where f is a zerodivisor and modules that are not
     F-regular for the chosen test element, since the filtration axioms are
-    only guaranteed from that position.  One `Pair` serves the whole scan;
-    the left limits are the ones the scan confirmed at each jump.
+    only guaranteed from that position.  F-regularity is read off the
+    pair's value at 0, the sum over cD: when the sum over cW contains W,
+    W is image-stable, so D = W and the two sums coincide.  One `Pair`
+    serves the whole scan; the left limits are the ones the scan confirmed
+    at each jump.
     """
     pair = Pair(M, f, c, e_cap)
     pair.require_regular()
-    if not is_F_regular(M, pair.c):
+    if not pair.tau(0).value.contains(M.pres.W):
         raise NotFRegularError("module is not F-regular; filtration not tabulated")
     hi = Fraction(t_max)
     scan = pair.jumping_numbers(Fraction(0), hi, max_denominator)

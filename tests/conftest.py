@@ -1,21 +1,1 @@
-from __future__ import annotations
-
-import random
-
-from cartierv.field_poly import Poly, Ring
-
-
-def random_poly(rng: random.Random, ring: Ring, max_deg: int, max_terms: int = 5,
-                nonzero: bool = False) -> Poly:
-    out = ring.zero()
-    for _ in range(rng.randint(1 if nonzero else 0, max_terms)):
-        exps = []
-        left = max_deg
-        for _ in range(ring.n):
-            e = rng.randint(0, left)
-            exps.append(e)
-            left -= e
-        out = out + ring.monomial(tuple(exps), rng.randint(1, ring.p - 1))
-    if nonzero and out.is_zero():
-        return ring.one()
-    return out
+from cartierv.suites import random_poly  # noqa: F401  (shared by the test modules)

@@ -215,8 +215,23 @@ def test_timings_flag(capsys):
     assert "compute" in timings and "parse" in timings
 
 
-def test_max_e_stays_with_its_call(capsys, monkeypatch):
-    monkeypatch.delenv("CARTIER_MAX_E", raising=False)
+@pytest.mark.parametrize("argv", [
+    ("jumps", "--p", "3", "--vars", "x", "--f", "x", "--range", "0..1",
+     "--max-denominator", "0", "--json"),
+    ("gr", "--p", "3", "--vars", "x", "--twist", "x", "--f", "x",
+     "--max-denominator", "-1", "--json"),
+    ("vfilt", "--p", "3", "--vars", "x", "--twist", "x", "--f", "x", "--t-max", "2",
+     "--max-denominator", "0"),
+    ("fpt", "--p", "3", "--vars", "x,y", "--f", "x^2+y^3", "--e-nu", "-1"),
+])
+def test_invalid_scan_parameters_are_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "error [value]" in err
+
+
+def test_max_e_stays_with_its_call(capsys):
     jumps = ("jumps", "--p", "2", "--vars", "x,y", "--f", "x^2*y^21",
              "--range", "0..1/2", "--max-denominator", "12", "--json")
     before = run_cli(capsys, *jumps)

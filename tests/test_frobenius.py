@@ -170,14 +170,12 @@ def test_scaled_root_handles_huge_exponents():
     assert scaled_root(ideal(R, R.one()), e, f=x, B=B) == ideal(R, x**2)
 
 
-def test_level_cap_enforced(monkeypatch):
+def test_level_cap_enforced():
     R = Ring(3, ("x",))
     W = ideal(R, R.var("x"))
     with pytest.raises(LevelCapExceededError):
         frobenius_root(W, 7)
-    monkeypatch.setenv("CARTIER_MAX_E", "8")
-    assert level_cap() == 8
-    frobenius_root(W, 7)  # now allowed
-    monkeypatch.setenv("CARTIER_MAX_E", "x")
+    assert level_cap() == 6
+    assert scaled_root(W, 7, e_cap=8) == ideal(R, R.one())  # an explicit cap allows it
     with pytest.raises(ValueError):
-        level_cap()
+        level_cap(0)

@@ -17,7 +17,6 @@ from cartierv.groebner import (
     full_module,
     ideal,
     preimage,
-    saturate,
     syzygies,
     zero_module,
 )
@@ -225,9 +224,9 @@ def test_eliminate_known():
 def test_saturate_known():
     R = Ring(3, ("x", "y"))
     x, y = R.gens()
-    assert saturate(ideal(R, x * x * y + y * y), y) == ideal(R, x * x + y)
-    assert saturate(ideal(R, x ** 3), x) == ideal(R, R.one())
-    assert saturate(ideal(R, x * y), x + R.one()) == ideal(R, x * y)
+    assert ideal(R, x * x * y + y * y).saturate_element(y) == ideal(R, x * x + y)
+    assert ideal(R, x ** 3).saturate_element(x) == ideal(R, R.one())
+    assert ideal(R, x * y).saturate_element(x + R.one()) == ideal(R, x * y)
 
 
 def test_module_saturation_agrees_with_ideal_path():

@@ -1,12 +1,14 @@
 import functools
+import random
 from fractions import Fraction
 
 import pytest
 
-from cartierv.cartier_mod import CartierModule, CartierMorphism
+from cartierv.cartier_mod import CartierModule, CartierMorphism, CartierStructure, kappa_span
 from cartierv.errors import NonDegenerateError, NotFRegularError
 from cartierv.field_poly import Ring
-from cartierv.groebner import QuotientPresentation, full_module, ideal
+from cartierv.groebner import FreeSubmodule, QuotientPresentation, full_module, ideal
+from cartierv.testmod import Pair, is_F_regular
 from cartierv.vfilt import (
     compare_with_ishriek,
     compute_vfiltration,
@@ -19,6 +21,8 @@ from cartierv.vfilt import (
     mu_f_check,
     verify_axioms,
 )
+
+from conftest import random_poly
 
 
 def twisted_line():
@@ -102,6 +106,46 @@ def test_refuses_zerodivisor():
     M = CartierModule(pres, CartierModule.over_ring(R, x ** 2).structure)
     with pytest.raises(NonDegenerateError):
         compute_vfiltration(M, x, 1, 4)
+
+
+def _stable_hull(structure: CartierStructure, V: FreeSubmodule) -> FreeSubmodule:
+    """V + kappa(V) + kappa^2(V) + ..., the smallest stable submodule over V."""
+    while True:
+        nxt = V.add(kappa_span(structure, V)).minimal_gens()
+        if nxt == V:
+            return V
+        V = nxt
+
+
+def _random_module(rng: random.Random, R: Ring, rank: int) -> CartierModule:
+    """A free module, or W/gW for a stable W with the structure twisted by
+    g^{p-1}, which keeps gW stable: kappa(g^{p-1} g w) = g kappa(w)."""
+    U = [[random_poly(rng, R, 2, max_terms=2) for _ in range(rank)] for _ in range(rank)]
+    structure = CartierStructure(R, rank, U)
+    if rng.random() < 0.3:
+        return CartierModule.free(R, structure)
+    W = full_module(R, rank)
+    if rng.random() < 0.5:
+        W = _stable_hull(structure, FreeSubmodule(R, rank, [
+            tuple(random_poly(rng, R, 2, max_terms=2) for _ in range(rank))]))
+    g = random_poly(rng, R, 2, max_terms=2, nonzero=True)
+    return CartierModule(QuotientPresentation(W, W.scaled(g)),
+                         structure.twisted(g ** (R.p - 1)))
+
+
+def test_f_regularity_read_off_the_value_at_zero():
+    # compute_vfiltration's F-regularity check: the sum over cD contains W
+    # exactly when the sum over cW does
+    rng = random.Random(53)
+    verdicts = []
+    for _ in range(60):
+        R = Ring(rng.choice((2, 3, 5)), rng.choice((("x",), ("x", "y"))))
+        M = _random_module(rng, R, rng.randint(1, 2))
+        c = random_poly(rng, R, 2, max_terms=2, nonzero=True)
+        expected = is_F_regular(M, c)
+        assert Pair(M, R.var("x"), c).tau(0).value.contains(M.pres.W) == expected
+        verdicts.append(expected)
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_gr_twist_exponent():
