@@ -26,6 +26,7 @@ from .groebner import (
 )
 
 MAX_IMAGE_ITERATIONS = 256
+GRAPH_VAR = "s"
 
 
 # -- vector helpers -----------------------------------------------------------
@@ -45,6 +46,18 @@ def vec_sub(v: Vec, w: Vec) -> Vec:
 
 def vec_is_zero(v: Vec) -> bool:
     return all(f.is_zero() for f in v)
+
+
+def _mat_vec(ring: Ring, rows: Sequence[Sequence[Poly]], v: Vec) -> list[Poly]:
+    """rows * v, skipping zero entries."""
+    out = []
+    for row in rows:
+        acc = ring.zero()
+        for entry, comp in zip(row, v):
+            if entry.terms and comp.terms:
+                acc = acc + entry * comp
+        out.append(acc)
+    return out
 
 
 # -- structures ---------------------------------------------------------------
@@ -80,14 +93,7 @@ class CartierStructure:
     def apply(self, v: Vec) -> Vec:
         if len(v) != self.rank:
             raise RankMismatchError(f"vector of length {len(v)}, rank {self.rank}")
-        out = []
-        for row in self.U:
-            acc = self.ring.zero()
-            for entry, comp in zip(row, v):
-                if entry.terms and comp.terms:
-                    acc = acc + entry * comp
-            out.append(cartier_trace(acc, 1))
-        return tuple(out)
+        return tuple([cartier_trace(acc, 1) for acc in _mat_vec(self.ring, self.U, v)])
 
     def apply_iter(self, v: Vec, e: int) -> Vec:
         for _ in range(e):
@@ -215,23 +221,24 @@ def is_F_pure(M: CartierModule) -> bool:
     return kappa_span(M.structure, M.pres.W).add(M.pres.N) == M.pres.W
 
 
-def nilpotence_order(M: CartierModule, e_max: int = MAX_IMAGE_ITERATIONS) -> int | None:
+def nilpotence_order(M: CartierModule) -> int | None:
     """Smallest e with kappa^e(M) = 0, or None when the image chain fixes at
-    a nonzero submodule.  The verdict is exact either way."""
+    a nonzero submodule.  The verdict is exact either way; a chain still
+    moving after MAX_IMAGE_ITERATIONS steps raises CartierError."""
     Y = M.pres.W
     N = M.pres.N
-    for step in range(e_max):
+    for step in range(MAX_IMAGE_ITERATIONS):
         if N.contains(Y):
             return step
         nxt = kappa_span(M.structure, Y).add(N)
         if nxt == Y:
             return None
         Y = nxt
-    raise CartierError(f"image chain did not stabilize within {e_max} steps")
+    raise CartierError(f"image chain did not stabilize within {MAX_IMAGE_ITERATIONS} steps")
 
 
-def is_nilpotent(M: CartierModule, e_max: int = MAX_IMAGE_ITERATIONS) -> bool:
-    return nilpotence_order(M, e_max) is not None
+def is_nilpotent(M: CartierModule) -> bool:
+    return nilpotence_order(M) is not None
 
 
 # -- morphisms ----------------------------------------------------------------
@@ -255,14 +262,7 @@ class CartierMorphism:
         self.matrix = rows
 
     def apply(self, v: Vec) -> Vec:
-        out = []
-        for row in self.matrix:
-            acc = self.source.ring.zero()
-            for entry, comp in zip(row, v):
-                if entry.terms and comp.terms:
-                    acc = acc + entry * comp
-            out.append(acc)
-        return tuple(out)
+        return tuple(_mat_vec(self.source.ring, self.matrix, v))
 
     def columns(self) -> list[Vec]:
         return [tuple(self.matrix[i][j] for i in range(self.target.rank))
@@ -333,17 +333,16 @@ def nil_isomorphism_check(phi: CartierMorphism) -> NilIsoReport:
 # -- graph embedding -----------------------------------------------------------
 
 
-def graph_embed(M: CartierModule, f: Poly, var_name: str = "s") -> CartierModule:
+def graph_embed(M: CartierModule, f: Poly) -> CartierModule:
     """Push M forward along the graph of f: same module over R[s], s acts
     as f.  The twist picks up the factor (s - f)^{p-1}; reducing s -> f
-    recovers the original action on representatives."""
+    recovers the original action on representatives.  s is GRAPH_VAR; a
+    ring that already has it raises ValueError."""
     ring = M.ring
     if f.ring != ring:
         raise RingMismatchError("graph element over wrong ring")
-    if var_name in ring.names:
-        raise ValueError(f"variable name {var_name!r} already in use")
-    ext = ring.extend(var_name)
-    s = ext.var(var_name)
+    ext = ring.extend(GRAPH_VAR)
+    s = ext.var(GRAPH_VAR)
     f_ext = f.map_ring(ext)
     W = M.pres.W.map_ring(ext)
     relations = [vec_mul_poly(tuple(c.map_ring(ext) for c in w), s - f_ext)
@@ -354,13 +353,12 @@ def graph_embed(M: CartierModule, f: Poly, var_name: str = "s") -> CartierModule
     return CartierModule(QuotientPresentation(W, N), structure)
 
 
-def reduce_from_graph(sub: FreeSubmodule, base: Ring, f: Poly, var_name: str = "s") -> FreeSubmodule:
+def reduce_from_graph(sub: FreeSubmodule, base: Ring, f: Poly) -> FreeSubmodule:
     """Substitute s -> f in every generator and land back in the base ring."""
-    idx = sub.ring.names.index(var_name)
     f_ext = f.map_ring(sub.ring)
     gens = []
     for v in sub.gens:
-        gens.append(tuple(c.substitute(var_name, f_ext).map_ring(base) for c in v))
+        gens.append(tuple(c.substitute(GRAPH_VAR, f_ext).map_ring(base) for c in v))
     return FreeSubmodule(base, sub.rank, gens)
 
 
@@ -438,12 +436,8 @@ class FiniteExtension:
 
     def split(self, v: Vec) -> Vec:
         """P^r vector (y-reduced) -> base^{d r}, blocks indexed by y-power."""
-        r = len(v)
-        out: list[Poly] = []
-        for j in range(self.degree):
-            for i in range(r):
-                out.append(self._coords(self.reduce(v[i]))[j])
-        return tuple(out)
+        coords = [self._coords(self.reduce(c)) for c in v]
+        return tuple(cs[j] for j in range(self.degree) for cs in coords)
 
     def unsplit(self, w: Vec, r: int) -> Vec:
         """Inverse of split: base^{d r} -> P^r."""

@@ -272,6 +272,8 @@ def cmd_gr(args, ring, timings):
     M = _build_module(args, ring)
     f = parse_polynomial(args.f, ring)
     lo, hi = parse_range(args.range)
+    if lo >= hi:
+        raise ValueError(f"empty range {lo}..{hi}; need lo < hi")
     c = parse_polynomial(args.c, ring) if args.c else None
     query = {"subcommand": "gr", "f": f.to_str(), "range": f"{lo}..{hi}",
              "convention": args.convention,
@@ -436,7 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fpt.add_argument("--f", required=True)
     p_fpt.add_argument("--max-denominator", type=int, default=None)
     p_fpt.add_argument("--e-nu", type=int, default=None,
-                       help="level for the Frobenius bracketing interval")
+                       help="level e for the Frobenius bracketing interval; "
+                            "above 1, p^e must be at most 2^14")
     _add_output_args(p_fpt)
     p_fpt.set_defaults(func=cmd_fpt, needs_ring=True)
 

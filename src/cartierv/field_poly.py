@@ -273,10 +273,11 @@ class Poly:
 
     # -- leading data and division ----------------------------------------
 
-    def leading(self, key=grevlex_key) -> tuple[Monomial, int]:
+    def leading(self) -> tuple[Monomial, int]:
+        """Leading monomial and coefficient in grevlex."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms, key=key)
+        m = max(self.terms, key=grevlex_key)
         return m, self.terms[m]
 
     def div_exact(self, g: "Poly") -> "Poly | None":
@@ -310,18 +311,13 @@ class Poly:
 
     # -- structural maps ----------------------------------------------------
 
-    def map_ring(self, target: Ring, var_map: dict[int, int] | None = None) -> "Poly":
-        """Reinterpret in target ring; var_map sends source index -> target index.
-
-        Defaults to matching variable names.  Unmapped variables must not occur.
-        """
+    def map_ring(self, target: Ring) -> "Poly":
+        """Reinterpret in target ring, each variable sent to the target
+        variable of the same name.  A variable that occurs must have one."""
         if target.p != self.ring.p:
             raise RingMismatchError("characteristic mismatch")
-        if var_map is None:
-            var_map = {}
-            for i, nm in enumerate(self.ring.names):
-                if nm in target.names:
-                    var_map[i] = target.names.index(nm)
+        var_map = {i: target.names.index(nm) for i, nm in enumerate(self.ring.names)
+                   if nm in target.names}
         out: dict[Monomial, int] = {}
         for m, c in self.terms.items():
             exp = [0] * target.n

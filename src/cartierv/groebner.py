@@ -227,11 +227,6 @@ class FreeSubmodule:
     def from_polys(ring: Ring, polys: Iterable[Poly]) -> "FreeSubmodule":
         return FreeSubmodule(ring, 1, [(f,) for f in polys])
 
-    def ideal_gens(self) -> tuple[Poly, ...]:
-        if self.rank != 1:
-            raise RankMismatchError("not an ideal")
-        return tuple(v[0] for v in self.gens)
-
     # -- bases -------------------------------------------------------------
 
     def _basis(self, order: TermOrder = GREVLEX) -> list[tuple[dict, _Term, int]]:
@@ -299,24 +294,17 @@ class FreeSubmodule:
         """Same submodule, generated by its reduced basis."""
         return FreeSubmodule(self.ring, self.rank, self.groebner())
 
-    def map_ring(self, target: Ring, var_map: dict[int, int] | None = None) -> "FreeSubmodule":
+    def map_ring(self, target: Ring) -> "FreeSubmodule":
+        """The same generators in target, variables matched by name."""
         return FreeSubmodule(target, self.rank,
-                             [tuple(f.map_ring(target, var_map) for f in v) for v in self.gens])
+                             [tuple(f.map_ring(target) for f in v) for v in self.gens])
 
     def intersect(self, other: "FreeSubmodule") -> "FreeSubmodule":
         """W cap V, by eliminating t from t*W + (1-t)*V over R[t]."""
         self._compat(other)
-        ext = _fresh_extension(self.ring)
-        t = ext.var(ext.names[-1])
-        one_minus_t = ext.one() - t
-        lifted: list[Vec] = []
-        for v in self.gens:
-            lifted.append(tuple(t * f.map_ring(ext) for f in v))
-        for v in other.gens:
-            lifted.append(tuple(one_minus_t * f.map_ring(ext) for f in v))
-        big = FreeSubmodule(ext, self.rank, lifted)
-        elim = eliminate(big, {ext.n - 1})
-        return elim.map_ring(self.ring)
+        one, zero = self.ring.one(), self.ring.zero()
+        return _eliminate_fresh(self.ring, self.rank,
+                                [(zero, one, self.gens), (one, -one, other.gens)])
 
     def colon_element(self, h: Poly) -> "FreeSubmodule":
         """(self : h) = {v : h v in self}."""
@@ -334,15 +322,14 @@ class FreeSubmodule:
         return FreeSubmodule(self.ring, self.rank, quot)
 
     def saturate_element(self, h: Poly) -> "FreeSubmodule":
-        """(self : h^inf) by iterated colon; Rabinowitsch for ideals."""
-        if self.rank == 1:
-            return _saturate_ideal(self, h)
-        cur = self
-        while True:
-            nxt = cur.colon_element(h)
-            if nxt.contains(cur) and cur.contains(nxt):
-                return cur
-            cur = nxt
+        """(self : h^inf), at every rank by the Rabinowitsch trick: eliminate
+        t from self*R[t] + (1 - t h)*R[t]^rank."""
+        if h.is_zero():
+            raise ValueError("saturation by zero")
+        one = self.ring.one()
+        return _eliminate_fresh(self.ring, self.rank,
+                                [(one, self.ring.zero(), self.gens),
+                                 (one, -h, full_module(self.ring, self.rank).gens)])
 
     def __repr__(self):
         gens = ", ".join("(" + ", ".join(f.to_str() for f in v) + ")" for v in self.gens[:4])
@@ -368,13 +355,6 @@ def ideal(ring: Ring, *polys: Poly) -> FreeSubmodule:
     return FreeSubmodule.from_polys(ring, polys)
 
 
-def _fresh_extension(ring: Ring) -> Ring:
-    i = 0
-    while f"@t{i}" in ring.names:
-        i += 1
-    return ring.extend(f"@t{i}")
-
-
 def eliminate(sub: FreeSubmodule, var_indices: Iterable[int]) -> FreeSubmodule:
     """Intersection with the subring avoiding the given variables.
 
@@ -392,17 +372,21 @@ def eliminate(sub: FreeSubmodule, var_indices: Iterable[int]) -> FreeSubmodule:
     return FreeSubmodule(sub.ring, sub.rank, kept)
 
 
-def _saturate_ideal(I: FreeSubmodule, h: Poly) -> FreeSubmodule:
-    """(I : h^inf) via the extra variable: eliminate t from I + (1 - t h)."""
-    if h.is_zero():
-        raise ValueError("saturation by zero")
-    ext = _fresh_extension(I.ring)
+def _eliminate_fresh(ring: Ring, rank: int,
+                     parts: Sequence[tuple[Poly, Poly, Sequence[Vec]]]) -> FreeSubmodule:
+    """The part inside R^rank of the R[t]-module generated by (a + b t) v
+    for every (a, b, gens) in parts and v in gens, t a fresh variable."""
+    i = 0
+    while f"@t{i}" in ring.names:
+        i += 1
+    ext = ring.extend(f"@t{i}")
     t = ext.var(ext.names[-1])
-    gens = [f.map_ring(ext) for f in I.ideal_gens()]
-    gens.append(ext.one() - t * h.map_ring(ext))
-    big = FreeSubmodule.from_polys(ext, gens)
-    elim = eliminate(big, {ext.n - 1})
-    return elim.map_ring(I.ring)
+    lifted: list[Vec] = []
+    for a, b, gens in parts:
+        m = a.map_ring(ext) + b.map_ring(ext) * t
+        lifted.extend(tuple(m * f.map_ring(ext) for f in v) for v in gens)
+    big = FreeSubmodule(ext, rank, lifted)
+    return eliminate(big, {ext.n - 1}).map_ring(ring)
 
 
 def syzygies(ring: Ring, rank: int, vectors: Sequence[Vec]) -> FreeSubmodule:

@@ -32,6 +32,7 @@ from .cartier_mod import CartierModule, kappa_span, underline
 from .errors import (
     CartierError,
     FptDivergenceError,
+    LevelCapExceededError,
     NonDegenerateError,
     RingMismatchError,
     StabilizationCapExceededError,
@@ -42,8 +43,10 @@ from .groebner import FreeSubmodule, full_module, ideal
 
 CONVENTIONS = ("ceil_pe", "ceil_pe_minus_1")
 MAX_SWEEPS = 64
+LEFT_LIMIT_REFINEMENTS = 8
 MAX_ORBIT = 4096
 MAX_MODULE_SUM_STEPS = 256
+NU_BUDGET = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -340,18 +343,20 @@ class Pair:
             if not exact.contains(J):
                 raise CartierError("root-path sum escapes the exact tau value")
 
-    def left_limit(self, t, k_max: int = 8) -> TauResult:
+    def left_limit(self, t) -> TauResult:
         """Value of tau just below t, found once two refinements agree.
 
         Jumping numbers have denominators of the form p^k (p - 1), so two
-        consecutive agreeing refinements on that ladder pin the left limit.
+        consecutive agreeing refinements t - 1/(p^k (p - 1)) on that ladder
+        pin the left limit.  Raises StabilizationCapExceededError when none
+        agree for k up to LEFT_LIMIT_REFINEMENTS.
         """
         t = Fraction(t)
         if t <= 0:
             raise ValueError("left limit needs t > 0")
         p = self.M.ring.p
         prev = None
-        for k in range(1, k_max + 1):
+        for k in range(1, LEFT_LIMIT_REFINEMENTS + 1):
             delta = Fraction(1, p ** k * (p - 1))
             if t - delta < 0:
                 continue
@@ -360,7 +365,7 @@ class Pair:
                 return TauResult(cur.value, True, k, "left-limit")
             prev = cur
         raise StabilizationCapExceededError(
-            f"left limit at {t} unsettled after {k_max} refinements",
+            f"left limit at {t} unsettled after {LEFT_LIMIT_REFINEMENTS} refinements",
             partial=prev)
 
     def jumping_numbers(self, t_min, t_max, max_denominator: int) -> "JumpScan":
@@ -452,10 +457,9 @@ def verify_test_element(M: CartierModule, f: Poly, t, c: Poly) -> bool:
     return True
 
 
-def tau_left_limit(M: CartierModule, f: Poly, t, c: Poly | None = None,
-                   k_max: int = 8) -> TauResult:
+def tau_left_limit(M: CartierModule, f: Poly, t, c: Poly | None = None) -> TauResult:
     """Value of tau just below t; see `Pair.left_limit`."""
-    return Pair(M, f, c).left_limit(t, k_max)
+    return Pair(M, f, c).left_limit(t)
 
 
 @dataclass(frozen=True)
@@ -507,11 +511,16 @@ class FptResult:
 
 def nu_interval(ring: Ring, f: Poly, e: int) -> tuple[Fraction, Fraction]:
     """[nu/p^e, (nu+1)/p^e] where nu is the largest r with f^r outside the
-    e-th Frobenius power of the maximal ideal; brackets the F-threshold."""
+    e-th Frobenius power of the maximal ideal; brackets the F-threshold.
+    The work grows with p^e, so a level e > 1 with p^e above NU_BUDGET
+    raises LevelCapExceededError."""
     if e < 0:
         raise ValueError("Frobenius level must be >= 0")
-    nu = _nu_value(ring, f, e)
     q = ring.p ** e
+    if e > 1 and q > NU_BUDGET:
+        raise LevelCapExceededError(
+            f"Frobenius level {e} too large: p^e = {q} exceeds {NU_BUDGET}")
+    nu = _nu_value(ring, f, e)
     return Fraction(nu, q), Fraction(nu + 1, q)
 
 
@@ -540,7 +549,7 @@ def _nu_value(ring: Ring, f: Poly, e: int) -> int:
 
 def _default_nu_level(ring: Ring) -> int:
     e = 1
-    while ring.p ** ((e + 1) * max(ring.n, 1)) <= 2 ** 14:
+    while ring.p ** ((e + 1) * max(ring.n, 1)) <= NU_BUDGET:
         e += 1
     return e
 

@@ -33,7 +33,7 @@ from .cartier_mod import (
 )
 from .errors import NotFRegularError
 from .field_poly import Poly
-from .groebner import FreeSubmodule, QuotientPresentation
+from .groebner import FreeSubmodule, QuotientPresentation, unit_vector
 from .testmod import Pair, tau
 
 GR_CONVENTIONS = ("a", "b")
@@ -149,9 +149,9 @@ def verify_axioms(M: CartierModule, table: FiltrationTable,
             failures.append(AxiomFailure("continuity-at-0", first,
                                          "filtration not constant near 0"))
 
+    killed = N.colon_element(f)
     for t in grid:
-        V = table.value_at(t)
-        bad = N.colon_element(f).intersect(V)
+        bad = killed.intersect(table.value_at(t))
         if not N.contains(bad):
             failures.append(AxiomFailure("injectivity", t,
                                          "f kills a nonzero element of V^t"))
@@ -233,9 +233,7 @@ def mu_f_check(M: CartierModule, table: FiltrationTable, t,
     t = Fraction(t)
     src = gr_piece(M, table, t, convention)
     tgt = gr_piece(M, table, t + 1, convention)
-    ring = M.ring
-    matrix = tuple(tuple(table.f if i == j else ring.zero()
-                         for j in range(M.rank)) for i in range(M.rank))
+    matrix = [unit_vector(M.ring, M.rank, i, table.f) for i in range(M.rank)]
     phi = CartierMorphism(src.module, tgt.module, matrix)
     ok, _ = morphism_check(phi)
     return ok
@@ -279,9 +277,7 @@ def compare_with_ishriek(M: CartierModule, table: FiltrationTable,
     quotient = CartierModule(
         QuotientPresentation(M.pres.W, M.pres.N.add(M.pres.W.scaled(f))),
         M.structure.twisted(f ** (M.ring.p - 1)))
-    ring = M.ring
-    identity = tuple(tuple(ring.one() if i == j else ring.zero()
-                           for j in range(M.rank)) for i in range(M.rank))
+    identity = [unit_vector(M.ring, M.rank, i) for i in range(M.rank)]
     phi = CartierMorphism(piece.module, quotient, identity)
     ok, why = morphism_check(phi)
     if not ok:

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -223,12 +224,26 @@ def test_timings_flag(capsys):
     ("vfilt", "--p", "3", "--vars", "x", "--twist", "x", "--f", "x", "--t-max", "2",
      "--max-denominator", "0"),
     ("fpt", "--p", "3", "--vars", "x,y", "--f", "x^2+y^3", "--e-nu", "-1"),
+    ("gr", "--p", "3", "--vars", "x", "--twist", "x", "--f", "x",
+     "--range", "1..1/2", "--json"),
+    ("gr", "--p", "3", "--vars", "x", "--twist", "x", "--f", "x",
+     "--range", "1..1", "--json"),
 ])
 def test_invalid_scan_parameters_are_rejected(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 3
     assert out == ""
     assert "error [value]" in err
+
+
+def test_e_nu_beyond_the_budget_is_a_cap(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "fpt", "--p", "2", "--vars", "x,y",
+                             "--f", "x^2+y^3", "--e-nu", "15")
+    assert time.perf_counter() - start < 1.0
+    assert code == 4
+    assert out == ""
+    assert "error [level-cap-exceeded]" in err
 
 
 def test_max_e_stays_with_its_call(capsys):

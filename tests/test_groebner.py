@@ -229,21 +229,42 @@ def test_saturate_known():
     assert ideal(R, x * y).saturate_element(x + R.one()) == ideal(R, x * y)
 
 
+def _saturate_by_iterated_colon(S: FreeSubmodule, h: Poly) -> FreeSubmodule:
+    cur = S
+    while True:
+        nxt = cur.colon_element(h)
+        if nxt == cur:
+            return cur
+        cur = nxt
+
+
 def test_module_saturation_agrees_with_ideal_path():
+    """saturate_element eliminates at every rank; the iterated colon is the
+    reference, for ideals and for submodules of rank 2 and 3."""
     rng = random.Random(43)
     R = Ring(3, ("x", "y"))
     for _ in range(6):
         gens = [random_poly(rng, R, 3, max_terms=2, nonzero=True) for _ in range(2)]
         h = random_poly(rng, R, 2, max_terms=2, nonzero=True)
         I = ideal(R, *gens)
-        via_rabinowitsch = I.saturate_element(h)
-        cur = I
-        while True:
-            nxt = cur.colon_element(h)
-            if nxt == cur:
-                break
-            cur = nxt
-        assert via_rabinowitsch == cur
+        assert I.saturate_element(h) == _saturate_by_iterated_colon(I, h)
+    grew = 0
+    for p, rank in ((2, 2), (3, 2), (5, 2), (2, 3), (3, 3)):
+        R = Ring(p, ("x", "y"))
+        x, y = R.gens()
+        for _ in range(4):
+            h = rng.choice([x, y, x + y, x * y])
+            gens = [tuple(random_poly(rng, R, 2, max_terms=2) for _ in range(rank))
+                    for _ in range(rank)]
+            # h^2 v in S puts v in the saturation, so it usually grows
+            v = tuple(random_poly(rng, R, 1, max_terms=2) for _ in range(rank))
+            gens.append(tuple(h * h * c for c in v))
+            S = FreeSubmodule(R, rank, gens)
+            sat = S.saturate_element(h)
+            assert sat == _saturate_by_iterated_colon(S, h)
+            assert sat.contains(S) and sat.contains_vector(v)
+            grew += not S.contains(sat)
+    assert grew >= 10
 
 
 def test_intersect_known_and_random():
