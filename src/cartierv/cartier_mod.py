@@ -20,6 +20,7 @@ from .groebner import (
     QuotientPresentation,
     Vec,
     full_module,
+    ideal,
     preimage,
     unit_vector,
     zero_module,
@@ -173,19 +174,9 @@ class CartierModule:
     def rank(self) -> int:
         return self.pres.rank
 
-    @property
-    def W(self) -> FreeSubmodule:
-        return self.pres.W
-
-    @property
-    def N(self) -> FreeSubmodule:
-        return self.pres.N
-
-    def kappa(self, v: Vec) -> Vec:
-        return self.structure.apply(v)
-
     def is_full_free(self) -> bool:
-        return self.N.is_zero() and self.W.contains(full_module(self.ring, self.rank))
+        return self.pres.N.is_zero() and self.pres.W.contains(
+            full_module(self.ring, self.rank))
 
     def __repr__(self):
         return f"<Cartier module {self.structure!r} on W/N in {self.ring}^{self.rank}>"
@@ -460,7 +451,7 @@ class FiniteExtension:
 
     def quotient_module(self, u: Poly | None = None) -> CartierModule:
         W = full_module(self.P, 1)
-        N = FreeSubmodule.from_polys(self.P, [self.g])
+        N = ideal(self.P, self.g)
         return CartierModule(QuotientPresentation(W, N), self.quotient_structure(u))
 
     def __repr__(self):
@@ -624,9 +615,7 @@ def trace_kappa_commutes(ext: FiniteExtension, samples: Iterable[Poly],
 def trace_surjective(ext: FiniteExtension) -> bool:
     """Is Tr: S -> base surjective?  True iff the trace values generate the
     unit ideal."""
-    from .groebner import ideal as _ideal
-
-    I = _ideal(ext.base, *ext.trace_values)
+    I = ideal(ext.base, *ext.trace_values)
     return I.contains_vector((ext.base.one(),))
 
 

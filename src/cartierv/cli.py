@@ -241,10 +241,10 @@ def cmd_jumps(args, ring, timings):
     query = {"subcommand": "jumps", "f": f.to_str(), "range": f"{lo}..{hi}",
              "max_denominator": args.max_denominator}
     with _timed(timings, "compute"):
-        scan = jumping_numbers(M, f, lo, hi, args.max_denominator, c, e_cap=args.max_e)
-    result = {"jumps": [str(j) for j in scan.jumps],
-              "values": [_sub_payload(v) for v in scan.values],
-              "baseline": _sub_payload(scan.baseline)}
+        table = jumping_numbers(M, f, lo, hi, args.max_denominator, c, e_cap=args.max_e)
+    result = {"jumps": [str(j) for j in table.jumps],
+              "values": [_sub_payload(v) for v in table.values],
+              "baseline": _sub_payload(table.v0)}
     return query, result, True, None, True
 
 

@@ -24,14 +24,7 @@ class LevelCapExceededError(CartierError):
 
 
 class StabilizationCapExceededError(CartierError):
-    """A chain did not stabilize within the level cap.
-
-    Carries the partial, uncertified result when one is available.
-    """
-
-    def __init__(self, message: str, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """A chain did not stabilize within the level cap."""
 
 
 class NonDegenerateError(CartierError):
@@ -48,10 +41,8 @@ class FptDivergenceError(CartierError):
 
 
 class ParseError(CartierError):
-    """Polynomial or fraction syntax error, 1-based column attached."""
+    """Polynomial or fraction syntax error; the message ends with the
+    1-based column."""
 
-    def __init__(self, message: str, column: int | None = None):
-        if column is not None:
-            message = f"{message} at column {column}"
-        super().__init__(message)
-        self.column = column
+    def __init__(self, message: str, column: int):
+        super().__init__(f"{message} at column {column}")

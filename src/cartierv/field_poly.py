@@ -306,9 +306,6 @@ class Poly:
                     rem.pop(mm, None)
         return Poly(self.ring, quot)
 
-    def divides(self, other: "Poly") -> bool:
-        return other.div_exact(self) is not None
-
     # -- structural maps ----------------------------------------------------
 
     def map_ring(self, target: Ring) -> "Poly":

@@ -40,11 +40,6 @@ class TermOrder:
     def _base(self, mon: Monomial):
         return mon if self.kind == "lex" else grevlex_key(mon)
 
-    def key(self, mon: Monomial):
-        if self.elim:
-            return (sum(mon[i] for i in self.elim), self._base(mon))
-        return self._base(mon)
-
     def module_key(self, comp: int, mon: Monomial):
         if self.elim:
             return (sum(mon[i] for i in self.elim), -comp, self._base(mon))
@@ -223,10 +218,6 @@ class FreeSubmodule:
         self.gens = tuple(clean)
         self._gb: dict[tuple, list] = {}
 
-    @staticmethod
-    def from_polys(ring: Ring, polys: Iterable[Poly]) -> "FreeSubmodule":
-        return FreeSubmodule(ring, 1, [(f,) for f in polys])
-
     # -- bases -------------------------------------------------------------
 
     def _basis(self, order: TermOrder = GREVLEX) -> list[tuple[dict, _Term, int]]:
@@ -258,14 +249,11 @@ class FreeSubmodule:
         self._compat(other)
         return all(self.contains_vector(v) for v in other.gens)
 
-    def equal(self, other: "FreeSubmodule") -> bool:
-        self._compat(other)
-        return self.groebner() == other.groebner()
-
     def __eq__(self, other):
         if not isinstance(other, FreeSubmodule):
             return NotImplemented
-        return self.ring == other.ring and self.rank == other.rank and self.equal(other)
+        return (self.ring == other.ring and self.rank == other.rank
+                and self.groebner() == other.groebner())
 
     def __hash__(self):
         raise TypeError("FreeSubmodule is not hashable")
@@ -352,7 +340,7 @@ def zero_module(ring: Ring, rank: int) -> FreeSubmodule:
 
 
 def ideal(ring: Ring, *polys: Poly) -> FreeSubmodule:
-    return FreeSubmodule.from_polys(ring, polys)
+    return FreeSubmodule(ring, 1, [(f,) for f in polys])
 
 
 def eliminate(sub: FreeSubmodule, var_indices: Iterable[int]) -> FreeSubmodule:
@@ -443,9 +431,6 @@ class QuotientPresentation:
 
     def reduce(self, v: Vec) -> Vec:
         return self.N.normal_form(v)
-
-    def is_zero_element(self, v: Vec) -> bool:
-        return self.N.contains_vector(v)
 
     def is_zero_module(self) -> bool:
         return self.N.contains(self.W)

@@ -198,6 +198,8 @@ SUITES = {
 
 def run_suites(names=None, seed: int = 0,
                cases: int | None = None) -> list[SuiteResult]:
+    if cases is not None and cases < 1:
+        raise ValueError("cases must be >= 1")
     if names is None:
         names = list(SUITES)
     results = []
@@ -253,7 +255,7 @@ def repro_ex712() -> ReproResult:
         table = compute_vfiltration(M, x, 1, p - 1)
         pa = gr_piece(M, table, t0, "a")
         one = (R.one(),)
-        fixed = pa.module.pres.reduce(pa.module.kappa(one)) == pa.module.pres.reduce(one)
+        fixed = pa.module.pres.reduce(pa.module.structure.apply(one)) == pa.module.pres.reduce(one)
         checks.append(ReproCheck(
             f"p={p}: graded piece at the jump, convention a: generator is fixed",
             fixed and not gr_is_crystal_zero(pa),

@@ -23,7 +23,7 @@ call and drop it when they return.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
@@ -55,6 +55,56 @@ class TauResult:
     certified: bool
     stabilized_at_e: int
     path: str
+
+
+@dataclass(frozen=True)
+class FiltrationTable:
+    """The jumps of t -> tau(M, f^t) on [t_min, t_max], with the value v0
+    at t_min and the value and left limit at each jump, so lookups are
+    piecewise constant and right continuous."""
+
+    f: Poly
+    t_min: Fraction
+    t_max: Fraction
+    v0: FreeSubmodule
+    jumps: tuple[Fraction, ...]
+    values: tuple[FreeSubmodule, ...]
+    left_limits: tuple[FreeSubmodule, ...]
+
+    def _check_range(self, t: Fraction):
+        if t < self.t_min or t > self.t_max:
+            raise ValueError(
+                f"t={t} outside the tabulated range [{self.t_min}, {self.t_max}]")
+
+    def value_at(self, t) -> FreeSubmodule:
+        """V^t: the value at the last jump <= t."""
+        t = Fraction(t)
+        self._check_range(t)
+        out = self.v0
+        for j, v in zip(self.jumps, self.values):
+            if j <= t:
+                out = v
+            else:
+                break
+        return out
+
+    def left_value_at(self, t) -> FreeSubmodule:
+        """V^{t-}: the common value just below t; the value just below
+        t_min was never scanned."""
+        t = Fraction(t)
+        if t <= self.t_min:
+            raise ValueError(f"left value needs t > {self.t_min}")
+        self._check_range(t)
+        for j, lim in zip(self.jumps, self.left_limits):
+            if j == t:
+                return lim
+        return self.value_at(t)
+
+    def replace_value(self, index: int, value: FreeSubmodule) -> "FiltrationTable":
+        """Copy with one stored value swapped out (for corruption tests)."""
+        vals = list(self.values)
+        vals[index] = value
+        return replace(self, values=tuple(vals))
 
 
 def exponent_at(t: Fraction, p: int, e: int, convention: str = "ceil_pe") -> int:
@@ -244,8 +294,7 @@ class Pair:
             if value == exact:
                 return TauResult(value, True, stable, "series+orbit")
             raise StabilizationCapExceededError(
-                f"ceil_pe_minus_1 series not stable within level cap {self.cap}",
-                partial=TauResult(value, False, self.cap, "series"))
+                f"ceil_pe_minus_1 series not stable within level cap {self.cap}")
 
         self._root_cross_check(t, exact)
         return TauResult(exact, True, sweeps, "orbit")
@@ -365,11 +414,11 @@ class Pair:
                 return TauResult(cur.value, True, k, "left-limit")
             prev = cur
         raise StabilizationCapExceededError(
-            f"left limit at {t} unsettled after {LEFT_LIMIT_REFINEMENTS} refinements",
-            partial=prev)
+            f"left limit at {t} unsettled after {LEFT_LIMIT_REFINEMENTS} refinements")
 
-    def jumping_numbers(self, t_min, t_max, max_denominator: int) -> "JumpScan":
-        """Jumping numbers of t -> tau(M, f^t) in (t_min, t_max].
+    def jumping_numbers(self, t_min, t_max, max_denominator: int) -> FiltrationTable:
+        """Table of t -> tau(M, f^t) on [t_min, t_max]: its jumping numbers
+        in (t_min, t_max], with the value and left limit at each.
 
         Scans the candidate grid (all denominators up to the bound, plus the
         p^k (p-1) ladder just past it), locates value changes, and confirms
@@ -389,11 +438,11 @@ class Pair:
                                            ladder_limit=p * max_denominator,
                                            e_cap=self.e_cap)
                 if q > lo]
-        baseline = self.tau(lo).value
+        v0 = self.tau(lo).value
         jumps: list[Fraction] = []
         values: list[FreeSubmodule] = []
         limits: list[FreeSubmodule] = []
-        prev = baseline
+        prev = v0
         for q in grid:
             cur = self.tau(q).value
             if cur == prev:
@@ -408,7 +457,8 @@ class Pair:
             values.append(cur)
             limits.append(left)
             prev = cur
-        return JumpScan(tuple(jumps), tuple(values), baseline, lo, hi, tuple(limits))
+        return FiltrationTable(self.f, lo, hi, v0, tuple(jumps), tuple(values),
+                               tuple(limits))
 
 
 def tau(M: CartierModule, f: Poly, t, c: Poly | None = None,
@@ -462,16 +512,6 @@ def tau_left_limit(M: CartierModule, f: Poly, t, c: Poly | None = None) -> TauRe
     return Pair(M, f, c).left_limit(t)
 
 
-@dataclass(frozen=True)
-class JumpScan:
-    jumps: tuple[Fraction, ...]
-    values: tuple[FreeSubmodule, ...]
-    baseline: FreeSubmodule
-    t_min: Fraction
-    t_max: Fraction
-    left_limits: tuple[FreeSubmodule, ...]
-
-
 def _candidate_grid(p: int, lo: Fraction, hi: Fraction, max_denominator: int,
                     ladder_limit: int | None = None,
                     e_cap: int | None = None) -> list[Fraction]:
@@ -495,9 +535,9 @@ def _candidate_grid(p: int, lo: Fraction, hi: Fraction, max_denominator: int,
 
 def jumping_numbers(M: CartierModule, f: Poly, t_min, t_max,
                     max_denominator: int, c: Poly | None = None,
-                    e_cap: int | None = None) -> JumpScan:
-    """Jumping numbers of t -> tau(M, f^t) in (t_min, t_max], with the left
-    limit confirmed at each; see `Pair.jumping_numbers`."""
+                    e_cap: int | None = None) -> FiltrationTable:
+    """Table of t -> tau(M, f^t) on [t_min, t_max], with the left limit
+    confirmed at each jump; see `Pair.jumping_numbers`."""
     return Pair(M, f, c, e_cap).jumping_numbers(t_min, t_max, max_denominator)
 
 

@@ -1,8 +1,9 @@
 """V-filtrations along a principal element and their graded pieces.
 
-A filtration table stores the jumps of t -> tau(M, f^t) on [0, t_max]
-together with the values and left limits, so V^t lookups are piecewise
-constant and right continuous.  The axioms checked against a table:
+A V-filtration is the `FiltrationTable` of t -> tau(M, f^t) on [0, t_max]:
+its jumps together with the values and left limits, so V^t lookups are
+piecewise constant and right continuous.  The axioms checked against a
+table:
 
   (i)   the value at 0 is the module test submodule and the filtration is
         continuous at 0,
@@ -33,54 +34,10 @@ from .cartier_mod import (
 )
 from .errors import NotFRegularError
 from .field_poly import Poly
-from .groebner import FreeSubmodule, QuotientPresentation, unit_vector
-from .testmod import Pair, tau
+from .groebner import QuotientPresentation, unit_vector
+from .testmod import FiltrationTable, Pair, tau
 
 GR_CONVENTIONS = ("a", "b")
-
-
-@dataclass(frozen=True)
-class FiltrationTable:
-    f: Poly
-    t_max: Fraction
-    v0: FreeSubmodule
-    jumps: tuple[Fraction, ...]
-    values: tuple[FreeSubmodule, ...]
-    left_limits: tuple[FreeSubmodule, ...]
-
-    def _check_range(self, t: Fraction):
-        if t < 0 or t > self.t_max:
-            raise ValueError(f"t={t} outside the tabulated range [0, {self.t_max}]")
-
-    def value_at(self, t) -> FreeSubmodule:
-        """V^t: the value at the last jump <= t."""
-        t = Fraction(t)
-        self._check_range(t)
-        out = self.v0
-        for j, v in zip(self.jumps, self.values):
-            if j <= t:
-                out = v
-            else:
-                break
-        return out
-
-    def left_value_at(self, t) -> FreeSubmodule:
-        """V^{t-}: the common value just below t."""
-        t = Fraction(t)
-        if t <= 0:
-            raise ValueError("left value needs t > 0")
-        self._check_range(t)
-        for j, lim in zip(self.jumps, self.left_limits):
-            if j == t:
-                return lim
-        return self.value_at(t)
-
-    def replace_value(self, index: int, value: FreeSubmodule) -> "FiltrationTable":
-        """Copy with one stored value swapped out (for corruption tests)."""
-        vals = list(self.values)
-        vals[index] = value
-        return FiltrationTable(self.f, self.t_max, self.v0, self.jumps,
-                               tuple(vals), self.left_limits)
 
 
 def compute_vfiltration(M: CartierModule, f: Poly, t_max, max_denominator: int,
@@ -91,18 +48,14 @@ def compute_vfiltration(M: CartierModule, f: Poly, t_max, max_denominator: int,
     F-regular for the chosen test element, since the filtration axioms are
     only guaranteed from that position.  F-regularity is read off the
     pair's value at 0, the sum over cD: when the sum over cW contains W,
-    W is image-stable, so D = W and the two sums coincide.  One `Pair`
-    serves the whole scan; the left limits are the ones the scan confirmed
-    at each jump.
+    W is image-stable, so D = W and the two sums coincide.  The table is
+    the pair's scan of [0, t_max].
     """
     pair = Pair(M, f, c, e_cap)
     pair.require_regular()
     if not pair.tau(0).value.contains(M.pres.W):
         raise NotFRegularError("module is not F-regular; filtration not tabulated")
-    hi = Fraction(t_max)
-    scan = pair.jumping_numbers(Fraction(0), hi, max_denominator)
-    return FiltrationTable(f, hi, scan.baseline, scan.jumps, scan.values,
-                           scan.left_limits)
+    return pair.jumping_numbers(0, t_max, max_denominator)
 
 
 @dataclass(frozen=True)

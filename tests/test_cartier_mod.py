@@ -334,8 +334,8 @@ def test_pushforward_artin_schreier_structure():
     push = pushforward_finite(ext, M)
     assert push.rank == 2
     one, zero = ext.base.one(), ext.base.zero()
-    assert push.kappa((one, zero)) == (zero, zero)
-    assert push.kappa((zero, one)) == (one, zero)
+    assert push.structure.apply((one, zero)) == (zero, zero)
+    assert push.structure.apply((zero, one)) == (one, zero)
     assert is_F_pure(push)
 
 

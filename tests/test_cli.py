@@ -228,6 +228,8 @@ def test_timings_flag(capsys):
      "--range", "1..1/2", "--json"),
     ("gr", "--p", "3", "--vars", "x", "--twist", "x", "--f", "x",
      "--range", "1..1", "--json"),
+    ("check", "prop32", "--cases", "-1", "--json"),
+    ("check", "prop32", "--cases", "0", "--json"),
 ])
 def test_invalid_scan_parameters_are_rejected(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -20,6 +20,7 @@ from cartierv.errors import (
 from cartierv.field_poly import Ring
 from cartierv.groebner import QuotientPresentation, full_module, ideal
 from cartierv.testmod import (
+    FiltrationTable,
     Pair,
     exponent_at,
     fpt,
@@ -33,6 +34,7 @@ from cartierv.testmod import (
     tau_left_limit,
     verify_test_element,
 )
+from cartierv.vfilt import compute_vfiltration
 
 from conftest import random_poly
 
@@ -209,13 +211,15 @@ def test_fpt_known_values():
 
 
 def test_fpt_cusp_p3():
-    R = Ring(3, ("x", "y"))
-    x, y = R.gens()
-    res = fpt(R, x ** 2 + y ** 3)
-    assert res.value == Fraction(2, 3)
-    M = CartierModule.over_ring(R)
-    at_jump = tau(M, x ** 2 + y ** 3, Fraction(2, 3)).value
-    assert at_jump == ideal(R, x, y)
+    # Mustata-Takagi-Watanabe: fpt(x^2 + y^3) is 1/2 at p = 2 and 2/3 at p = 3
+    for p, threshold in ((2, Fraction(1, 2)), (3, Fraction(2, 3))):
+        R = Ring(p, ("x", "y"))
+        x, y = R.gens()
+        res = fpt(R, x ** 2 + y ** 3)
+        assert res.value == threshold
+        M = CartierModule.over_ring(R)
+        at_jump = tau(M, x ** 2 + y ** 3, threshold).value
+        assert at_jump == ideal(R, x, y)
 
 
 def test_fpt_divergence_on_coarse_grid():
@@ -233,9 +237,27 @@ def test_jumping_numbers_twisted_line():
     M = CartierModule.over_ring(R, x)
     scan = jumping_numbers(M, x, Fraction(0), Fraction(2), max_denominator=6)
     assert scan.jumps == (Fraction(1, 2), Fraction(3, 2))
-    assert scan.baseline == full_module(R, 1)
+    assert scan.v0 == full_module(R, 1)
     assert scan.values[0] == ideal(R, x)
     assert scan.values[1] == ideal(R, x ** 2)
+
+
+def test_table_from_a_scan_above_zero():
+    R = Ring(3, ("x",))
+    x = R.var("x")
+    M = CartierModule.over_ring(R, x)
+    table = jumping_numbers(M, x, Fraction(1, 3), Fraction(2), max_denominator=6)
+    assert isinstance(table, FiltrationTable)
+    assert table.t_min == Fraction(1, 3)
+    grid = sorted({Fraction(a, d) for d in range(1, 7) for a in range(2 * d + 1)
+                   if Fraction(1, 3) <= Fraction(a, d)})
+    for t in grid:
+        assert table.value_at(t) == tau(M, x, t).value
+    with pytest.raises(ValueError):
+        table.value_at(Fraction(1, 4))
+    with pytest.raises(ValueError):
+        table.left_value_at(Fraction(1, 3))
+    assert compute_vfiltration(M, x, 2, 6) == jumping_numbers(M, x, 0, 2, 6)
 
 
 def test_tau_left_limit_known():
