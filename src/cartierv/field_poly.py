@@ -13,6 +13,7 @@ and satisfies C_e(g^{p^e} f) = g C_e(f).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import product
 
@@ -63,7 +64,7 @@ class PrimeField:
 
 
 def mon_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def mon_div(a: Monomial, b: Monomial) -> Monomial | None:

@@ -15,7 +15,7 @@ u^{A mod p} f^{B mod p}.
 from __future__ import annotations
 
 from .errors import LevelCapExceededError
-from .field_poly import Monomial, Poly, Ring, frobenius_digits
+from .field_poly import Monomial, Poly, frobenius_digits
 from .groebner import FreeSubmodule, Vec
 
 DEFAULT_LEVEL_CAP = 6

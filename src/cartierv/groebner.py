@@ -1,26 +1,37 @@
 """Groebner bases for ideals and submodules of free modules over F_p[x_1..x_n].
 
-Plain Buchberger with normal pair selection and the product criterion (the
-latter only for ideals, where it is valid), full tail reduction, and unique
-reduced bases used as canonical forms everywhere.  Module terms (component,
-monomial) are compared position-over-term with component 0 strongest; when an
-elimination block is present the block degree dominates everything including
-the component, which is what makes elimination work for submodules too.
+Buchberger's algorithm with normal pair selection, the Gebauer-Moeller pair
+update (Gebauer and Moeller, J. Symb. Comput. 1988), full tail reduction,
+and unique reduced bases used as canonical forms everywhere.  Adding a basis
+element drops the old pairs its lead makes redundant (criterion B) and keeps
+one new pair per minimal lcm (criteria M and F).  The product criterion
+applies to ideals only, where it is valid; every criterion compares leads
+within one component.  Normal forms pop the terms of the work vector from a
+heap, so each term's order key is computed once and the remainder comes out
+in descending order.
+
+Module terms (component, monomial) are compared position-over-term with
+component 0 strongest; when an elimination block is present the block degree
+dominates everything including the component, which is what makes
+elimination work for submodules too.
 
 Vectors are tuples of Poly.  The engine itself works on flat dicts keyed by
-(component, monomial).
+(component, monomial) that list their lead term first.
 """
 
 from __future__ import annotations
 
 import heapq
+from itertools import count, islice
+from operator import le, sub
 from typing import Iterable, Sequence
 
 from .errors import RankMismatchError, RingMismatchError
-from .field_poly import Monomial, Poly, Ring, grevlex_key, mon_div, mon_lcm, mon_mul
+from .field_poly import Monomial, Poly, Ring, mon_lcm, mon_mul
 
 Vec = tuple[Poly, ...]
 _Term = tuple[int, Monomial]
+_Elem = tuple[dict[_Term, int], _Term]  # monic element, its lead term
 
 
 class TermOrder:
@@ -32,21 +43,24 @@ class TermOrder:
         if kind not in ("grevlex", "lex"):
             raise ValueError(f"unknown order kind {kind!r}")
         self.kind = kind
-        self.elim = frozenset(elim)
+        self.elim = tuple(sorted(set(elim)))
 
     def signature(self):
-        return (self.kind, tuple(sorted(self.elim)))
+        return (self.kind, self.elim)
 
-    def _base(self, mon: Monomial):
-        return mon if self.kind == "lex" else grevlex_key(mon)
-
-    def module_key(self, comp: int, mon: Monomial):
+    def key(self, term: _Term) -> tuple:
+        """Sort key of a term (component, monomial): a smaller key is a bigger term."""
+        comp, mon = term
+        if self.kind == "lex":
+            k = (comp,) + tuple([-e for e in mon])
+        else:
+            k = (comp, -sum(mon)) + mon[::-1]
         if self.elim:
-            return (sum(mon[i] for i in self.elim), -comp, self._base(mon))
-        return (-comp, self._base(mon))
+            return (-sum([mon[i] for i in self.elim]),) + k
+        return k
 
     def __repr__(self):
-        return f"TermOrder({self.kind!r}, elim={sorted(self.elim)})"
+        return f"TermOrder({self.kind!r}, elim={list(self.elim)})"
 
 
 GREVLEX = TermOrder("grevlex")
@@ -71,120 +85,133 @@ def _dict_to_vec(ring: Ring, rank: int, d: dict[_Term, int]) -> Vec:
     return tuple(Poly(ring, t) for t in comps)
 
 
-def _lead(d: dict[_Term, int], mk) -> tuple[_Term, int]:
-    t = max(d, key=lambda cm: mk(*cm))
-    return t, d[t]
+def _divides(a: Monomial, b: Monomial) -> bool:
+    return all(map(le, a, b))
 
 
-def _sub_scaled(target: dict[_Term, int], src: dict[_Term, int], mon: Monomial,
-                coeff: int, p: int) -> None:
-    for (i, m), c in src.items():
-        t = (i, mon_mul(m, mon))
-        v = (target.get(t, 0) - coeff * c) % p
-        if v:
-            target[t] = v
-        else:
-            target.pop(t, None)
+def _normal_form_dict(d: dict[_Term, int], basis: Sequence[_Elem], order: TermOrder,
+                      p: int) -> dict[_Term, int]:
+    """Full reduction: every term of the result is outside the leading ideal.
 
-
-def _normal_form_dict(d: dict[_Term, int], basis: list[tuple[dict[_Term, int], _Term, int]],
-                      mk, p: int) -> dict[_Term, int]:
-    """Full reduction: every term of the result is outside the leading ideal."""
-    rem: dict[_Term, int] = {}
+    The result lists its terms in descending order, so its lead is its first
+    key.  Each term's key is computed once, when it first enters the work
+    vector; a term cancelled after it was queued is skipped when popped.
+    Terms only ever enter below the term being reduced, so a popped term never
+    comes back.
+    """
+    key = order.key
     work = dict(d)
-    while work:
-        (comp, mon), c = _lead(work, mk)
-        hit = None
-        for bd, (bcomp, bmon), bcoeff in basis:
-            if bcomp != comp:
-                continue
-            q = mon_div(mon, bmon)
-            if q is not None:
-                hit = (bd, q, (c * pow(bcoeff, p - 2, p)) % p)
+    heap = [(key(t), t) for t in work]
+    heapq.heapify(heap)
+    queued = set(work)
+    rem: dict[_Term, int] = {}
+    while heap:
+        t = heapq.heappop(heap)[1]
+        c = work.pop(t, None)
+        if c is None:
+            continue
+        comp, mon = t
+        for bd, (bcomp, bmon) in basis:
+            if bcomp == comp and all(map(le, bmon, mon)):
                 break
-        if hit is None:
-            rem[(comp, mon)] = c
-            del work[(comp, mon)]
         else:
-            bd, q, factor = hit
-            _sub_scaled(work, bd, q, factor, p)
+            rem[t] = c
+            continue
+        q = tuple(map(sub, mon, bmon))
+        # the reducer is monic and its lead cancels t exactly
+        for (i, m), bc in islice(bd.items(), 1, None):
+            u = (i, mon_mul(m, q))
+            v = (work.get(u, 0) - c * bc) % p
+            if v:
+                work[u] = v
+                if u not in queued:
+                    queued.add(u)
+                    heapq.heappush(heap, (key(u), u))
+            else:
+                del work[u]
     return rem
 
 
+def _monic(d: dict[_Term, int], p: int) -> _Elem:
+    lt = next(iter(d))
+    inv = pow(d[lt], p - 2, p)
+    if inv != 1:
+        d = {t: c * inv % p for t, c in d.items()}
+    return d, lt
+
+
+def _s_vector(a: _Elem, b: _Elem, lcm: Monomial, p: int) -> dict[_Term, int]:
+    """lcm/lead(a) * a - lcm/lead(b) * b; the leads cancel and are left out."""
+    s: dict[_Term, int] = {}
+    for (d, (_, lm)), sign in ((a, 1), (b, -1)):
+        q = tuple(map(sub, lcm, lm))
+        for (i, m), c in islice(d.items(), 1, None):
+            u = (i, mon_mul(m, q))
+            v = (s.get(u, 0) + sign * c) % p
+            if v:
+                s[u] = v
+            else:
+                del s[u]
+    return s
+
+
 def _buchberger(ring: Ring, rank: int, gens: Sequence[dict[_Term, int]],
-                order: TermOrder) -> list[tuple[dict[_Term, int], _Term, int]]:
-    """Returns the reduced basis as (dict, lead term, lead coeff) triples,
-    sorted by decreasing lead key with monic leads."""
+                order: TermOrder) -> list[_Elem]:
+    """Returns the reduced basis as monic (dict, lead term) pairs, sorted by
+    decreasing lead."""
     p = ring.p
-    mk = order.module_key
-    basis: list[tuple[dict[_Term, int], _Term, int]] = []
+    basis: list[_Elem] = []
+    pairs: list[tuple[int, int, Monomial, int, int]] = []  # (deg lcm, n, lcm, i, j)
+    tick = count()
+
+    def update(h: _Elem):
+        """Gebauer-Moeller update of the pair queue for the new element h."""
+        nonlocal pairs
+        j = len(basis)
+        ch, mh = h[1]
+        # criterion B: h's lead divides lcm(i, k) and neither lcm with h equals it
+        kept = []
+        for pr in pairs:
+            _, _, lcm, i, k = pr
+            if (basis[i][1][0] != ch or not _divides(mh, lcm)
+                    or mon_lcm(basis[i][1][1], mh) == lcm or mon_lcm(basis[k][1][1], mh) == lcm):
+                kept.append(pr)
+        # criteria M and F on the new pairs: keep one pair per minimal lcm,
+        # and none for an lcm shared with a pair of coprime leads (ideals only)
+        new = []
+        for i, (_, (ci, mi)) in enumerate(basis):
+            if ci == ch:
+                lcm = mon_lcm(mi, mh)
+                new.append((lcm, i, rank == 1 and sum(lcm) == sum(mi) + sum(mh)))
+        chosen = []
+        for n, (lcm, i, coprime) in enumerate(new):
+            if coprime or not any(_divides(l2, lcm) for l2, _, _ in new[n + 1:]) \
+                    and not any(_divides(l2, lcm) for l2, _, _ in chosen):
+                chosen.append((lcm, i, coprime))
+        kept.extend((sum(lcm), next(tick), lcm, i, j) for lcm, i, coprime in chosen if not coprime)
+        heapq.heapify(kept)
+        pairs = kept
+        basis.append(h)
+
     for g in gens:
-        g = _normal_form_dict(g, basis, mk, p)
+        g = _normal_form_dict(g, basis, order, p)
         if g:
-            lt, lc = _lead(g, mk)
-            basis.append((g, lt, lc))
-
-    pairs: list[tuple[int, int, int, int]] = []
-    counter = 0
-
-    def push_pairs(j: int):
-        nonlocal counter
-        _, (cj, mj), _ = basis[j]
-        for i in range(j):
-            _, (ci, mi), _ = basis[i]
-            if ci != cj:
-                continue
-            lcm = mon_lcm(mi, mj)
-            if rank == 1 and lcm == mon_mul(mi, mj):
-                continue  # product criterion, ideals only
-            heapq.heappush(pairs, (sum(lcm), counter, i, j))
-            counter += 1
-
-    for j in range(len(basis)):
-        push_pairs(j)
-
+            update(_monic(g, p))
     while pairs:
-        _, _, i, j = heapq.heappop(pairs)
-        di, (ci, mi), lci = basis[i]
-        dj, (cj, mj), lcj = basis[j]
-        lcm = mon_lcm(mi, mj)
-        s: dict[_Term, int] = {}
-        _sub_scaled(s, di, mon_div(lcm, mi), pow(lci, p - 2, p), p)
-        _sub_scaled(s, dj, mon_div(lcm, mj), -pow(lcj, p - 2, p) % p, p)
-        r = _normal_form_dict(s, basis, mk, p)
+        _, _, lcm, i, j = heapq.heappop(pairs)
+        r = _normal_form_dict(_s_vector(basis[i], basis[j], lcm, p), basis, order, p)
         if r:
-            lt, lc = _lead(r, mk)
-            basis.append((r, lt, lc))
-            push_pairs(len(basis) - 1)
+            update(_monic(r, p))
 
-    # minimalize: drop elements whose lead is divisible by another kept lead;
-    # for equal leads the earliest element wins
-    minimal: list[tuple[dict[_Term, int], _Term, int]] = []
-    for i, bi in enumerate(basis):
-        _, (ci, mi), _ = bi
-        dominated = False
-        for j, bj in enumerate(basis):
-            if i == j:
-                continue
-            _, (cj, mj), _ = bj
-            if cj == ci and mon_div(mi, mj) is not None and (mi != mj or j < i):
-                dominated = True
-                break
-        if not dominated:
-            minimal.append(bi)
-
-    # tail-reduce each against the others and make leads monic
-    reduced: list[tuple[dict[_Term, int], _Term, int]] = []
-    for i, (d, lt, lc) in enumerate(minimal):
-        others = [minimal[j] for j in range(len(minimal)) if j != i]
-        r = _normal_form_dict(d, others, mk, p)
-        if not r:
-            continue
-        lt2, lc2 = _lead(r, mk)
-        inv = pow(lc2, p - 2, p)
-        r = {t: (c * inv) % p for t, c in r.items()}
-        reduced.append((r, lt2, 1))
-    reduced.sort(key=lambda b: mk(*b[1]), reverse=True)
+    # every element is reduced against the earlier ones, so it is redundant
+    # exactly when a later lead divides its lead
+    minimal = [b for n, b in enumerate(basis)
+               if not any(c == b[1][0] and _divides(m, b[1][1]) for _, (c, m) in basis[n + 1:])]
+    # tail-reduce each against the others
+    reduced = []
+    for n, (d, _) in enumerate(minimal):
+        reduced.append(_monic(_normal_form_dict(d, minimal[:n] + minimal[n + 1:], order, p), p))
+    reduced.sort(key=lambda b: order.key(b[1]))
     return reduced
 
 
@@ -220,7 +247,7 @@ class FreeSubmodule:
 
     # -- bases -------------------------------------------------------------
 
-    def _basis(self, order: TermOrder = GREVLEX) -> list[tuple[dict, _Term, int]]:
+    def _basis(self, order: TermOrder = GREVLEX) -> list[_Elem]:
         sig = order.signature()
         if sig not in self._gb:
             self._gb[sig] = _buchberger(self.ring, self.rank,
@@ -228,13 +255,13 @@ class FreeSubmodule:
         return self._gb[sig]
 
     def groebner(self, order: TermOrder = GREVLEX) -> tuple[Vec, ...]:
-        return tuple(_dict_to_vec(self.ring, self.rank, d) for d, _, _ in self._basis(order))
+        return tuple(_dict_to_vec(self.ring, self.rank, d) for d, _ in self._basis(order))
 
     def normal_form(self, v: Vec, order: TermOrder = GREVLEX) -> Vec:
         v = tuple(v)
         if len(v) != self.rank:
             raise RankMismatchError(f"vector of length {len(v)}, rank {self.rank}")
-        r = _normal_form_dict(_vec_to_dict(v), self._basis(order), order.module_key, self.ring.p)
+        r = _normal_form_dict(_vec_to_dict(v), self._basis(order), order, self.ring.p)
         return _dict_to_vec(self.ring, self.rank, r)
 
     # -- predicates ----------------------------------------------------------

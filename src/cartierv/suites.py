@@ -31,7 +31,7 @@ from .errors import StabilizationCapExceededError
 from .field_poly import Poly, Ring, cartier_trace
 from .frobenius import bracket_power, frobenius_root
 from .groebner import FreeSubmodule, eliminate, full_module, ideal
-from .testmod import jumping_numbers, suggest_test_element, tau
+from .testmod import jumping_numbers, tau
 from .vfilt import compute_vfiltration, gr_is_crystal_zero, gr_piece, verify_axioms
 
 

@@ -75,7 +75,7 @@ class AxiomReport:
 
 
 def _axiom_grid(table: FiltrationTable) -> list[Fraction]:
-    points = {Fraction(0), table.t_max}
+    points = {table.t_min, table.t_max}
     points.update(table.jumps)
     ordered = sorted(points)
     mids = [(a + b) / 2 for a, b in zip(ordered, ordered[1:])]
@@ -85,16 +85,18 @@ def _axiom_grid(table: FiltrationTable) -> list[Fraction]:
 def verify_axioms(M: CartierModule, table: FiltrationTable,
                   c: Poly | None = None) -> AxiomReport:
     """Check the filtration axioms for every tabulated piece, pinpointing
-    the parameter values where a claim fails."""
+    the parameter values where a claim fails.  The table may start at any
+    t_min: V^{t_min} is compared with tau there, and each axiom is checked
+    only where every value it reads lies in [t_min, t_max]."""
     f = table.f
     p = M.ring.p
     N = M.pres.N
     failures: list[AxiomFailure] = []
     grid = _axiom_grid(table)
 
-    base = tau(M, f, Fraction(0), c).value
+    base = tau(M, f, table.t_min, c).value
     if base != table.v0:
-        failures.append(AxiomFailure("zero-value", Fraction(0),
+        failures.append(AxiomFailure("zero-value", table.t_min,
                                      "tabulated V^0 differs from tau at 0"))
     if table.jumps:
         first = table.jumps[0]
@@ -110,7 +112,7 @@ def verify_axioms(M: CartierModule, table: FiltrationTable,
                                          "f kills a nonzero element of V^t"))
 
     for t in grid:
-        if t <= 1:
+        if t <= 1 or t - 1 < table.t_min:
             continue
         expect = table.value_at(t - 1).scaled(f).add(N)
         if table.value_at(t) != expect:

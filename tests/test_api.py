@@ -1,3 +1,4 @@
+import ast
 import importlib
 import runpy
 from pathlib import Path
@@ -36,3 +37,32 @@ def test_tracer_targets_resolve():
         if not found:
             missing.append(f"{module}.{attr}")
     assert not missing
+
+
+def _unread_imports(path: Path) -> list[str]:
+    """Names a module imports and never reads, skipping __future__ and the
+    names it re-exports through __all__."""
+    tree = ast.parse(path.read_text())
+    imported: set[str] = set()
+    exported: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.add(alias.asname or alias.name.split(".")[0])
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported.update(ast.literal_eval(node.value))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{path.name}: {name}" for name in imported - read - exported)
+
+
+def test_no_unread_imports():
+    root = Path(__file__).resolve().parents[1]
+    files = sorted((root / "src" / "cartierv").glob("*.py")) + sorted((root / "tests").glob("*.py"))
+    # conftest re-exports random_poly to the test modules
+    unread = [hit for path in files for hit in _unread_imports(path)
+              if hit != "conftest.py: random_poly"]
+    assert not unread

@@ -6,7 +6,6 @@ from cartierv.cartier_mod import (
     CartierModule,
     CartierMorphism,
     CartierStructure,
-    FiniteExtension,
     cokernel_presentation,
     graph_embed,
     is_F_pure,
@@ -25,7 +24,6 @@ from cartierv.cartier_mod import (
     trace_kappa_commutes,
     trace_surjective,
     underline,
-    vec_mul_monomial,
 )
 from cartierv.errors import CartierError, RankMismatchError
 from cartierv.field_poly import Ring, cartier_trace, twisted_power

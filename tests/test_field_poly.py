@@ -6,8 +6,6 @@ import pytest
 
 from cartierv.errors import NotPrimeError, RingMismatchError
 from cartierv.field_poly import (
-    FrobeniusDigits,
-    Poly,
     PrimeField,
     Ring,
     cartier_trace,

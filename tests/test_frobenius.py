@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from cartierv.errors import LevelCapExceededError
-from cartierv.field_poly import Poly, Ring, frobenius_digits
+from cartierv.field_poly import Ring, frobenius_digits
 from cartierv.frobenius import (
     bracket_power,
     frobenius_root,

@@ -8,11 +8,9 @@ import pytest
 from cartierv.errors import RankMismatchError
 from cartierv.field_poly import Poly, Ring
 from cartierv.groebner import (
-    GREVLEX,
     LEX,
     FreeSubmodule,
     QuotientPresentation,
-    TermOrder,
     eliminate,
     full_module,
     ideal,
@@ -145,6 +143,84 @@ def test_reduced_gb_matches_sympy_lex():
     mine = sorted(v[0].to_str() for v in I.groebner(LEX))
     ref = sorted(f.to_str() for f in sympy_reduced_gb(R, [y**2 - x**3, x * y], order="lex"))
     assert mine == ref
+
+
+def _module_lex_oracle(ring: Ring, rank: int, gens):
+    """LEX module basis (component 0 strongest) via sympy: encode v as
+    sum v_i e_i over (e_0, .., e_{r-1}, x, y) and keep the e-degree-1 part of
+    the reduced lex basis of the encoded generators plus all e_i e_j."""
+    names = tuple(f"e{i}" for i in range(rank))
+    big = Ring(ring.p, names + ring.names)
+    e = big.gens()[:rank]
+    polys = [sum((f.map_ring(big) * e[i] for i, f in enumerate(v)), big.zero()) for v in gens]
+    polys += [e[i] * e[j] for i in range(rank) for j in range(i, rank)]
+    out = []
+    for g in sympy_reduced_gb(big, polys, order="lex"):
+        comps = [{} for _ in range(rank)]
+        for m, c in g.terms.items():
+            if sum(m[:rank]) != 1:
+                break
+            comps[m[:rank].index(1)][m[rank:]] = c
+        else:
+            out.append(tuple(Poly(ring, t).to_str() for t in comps))
+    return sorted(out)
+
+
+def test_module_lex_basis_matches_sympy_encoding():
+    rng = random.Random(29)
+    for p in (2, 3, 5):
+        R = Ring(p, ("x", "y"))
+        for rank in (2, 3):
+            for _ in range(4):
+                gens = [tuple(random_poly(rng, R, 2, max_terms=2) for _ in range(rank))
+                        for _ in range(rank + 1)]
+                W = FreeSubmodule(R, rank, gens)
+                mine = sorted(tuple(f.to_str() for f in v) for v in W.groebner(LEX))
+                assert mine == _module_lex_oracle(R, rank, W.gens)
+
+
+def _cyclic(R: Ring) -> list[Poly]:
+    xs, n = R.gens(), R.n
+    polys = []
+    for k in range(1, n):
+        f = R.zero()
+        for i in range(n):
+            term = R.one()
+            for j in range(k):
+                term = term * xs[(i + j) % n]
+            f = f + term
+        polys.append(f)
+    last = R.one()
+    for x in xs:
+        last = last * x
+    return polys + [last - R.one()]
+
+
+def _katsura(R: Ring) -> list[Poly]:
+    n = R.n - 1
+
+    def u(i: int) -> Poly:
+        return R.gens()[abs(i)] if abs(i) <= n else R.zero()
+
+    polys = [sum((u(i) for i in range(-n, n + 1)), R.zero()) - R.one()]
+    for m in range(n):
+        polys.append(sum((u(i) * u(m - i) for i in range(-n, n + 1)), R.zero()) - u(m))
+    return polys
+
+
+def test_reduced_gb_matches_sympy_where_pair_criteria_fire():
+    """Ideals whose bases drop many pairs by the chain criterion."""
+    cases = [_cyclic(Ring(101, ("a", "b", "c", "d"))), _katsura(Ring(101, ("a", "b", "c", "d")))]
+    rng = random.Random(61)
+    quad = [m for m in product(range(3), repeat=4) if sum(m) <= 2]
+    for p in (5, 7, 5, 7):
+        R = Ring(p, ("x", "y", "z", "w"))
+        cases.append([sum((R.monomial(m, rng.randint(1, p - 1)) for m in quad), R.zero())
+                      for _ in range(4)])
+    for gens in cases:
+        R = gens[0].ring
+        mine = sorted(v[0].to_str() for v in ideal(R, *gens).groebner())
+        assert mine == sorted(f.to_str() for f in sympy_reduced_gb(R, gens))
 
 
 def test_gb_is_reduced_and_idempotent():

@@ -12,11 +12,7 @@ from cartierv.cartier_mod import (
     reduce_from_graph,
     shriek_finite,
 )
-from cartierv.errors import (
-    FptDivergenceError,
-    NonDegenerateError,
-    StabilizationCapExceededError,
-)
+from cartierv.errors import FptDivergenceError, NonDegenerateError
 from cartierv.field_poly import Ring
 from cartierv.groebner import QuotientPresentation, full_module, ideal
 from cartierv.testmod import (

@@ -1,5 +1,6 @@
 import functools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,9 @@ from cartierv.cartier_mod import CartierModule, CartierMorphism, CartierStructur
 from cartierv.errors import NonDegenerateError, NotFRegularError
 from cartierv.field_poly import Ring
 from cartierv.groebner import FreeSubmodule, QuotientPresentation, full_module, ideal
-from cartierv.testmod import Pair, is_F_regular
+from cartierv.testmod import Pair, is_F_regular, jumping_numbers
 from cartierv.vfilt import (
+    AxiomFailure,
     compare_with_ishriek,
     compute_vfiltration,
     gr_is_crystal_zero,
@@ -89,6 +91,25 @@ def test_corrupted_table_pinpoints_failure():
                for fl in report.failures)
     assert any(fl.axiom == "shift" and fl.t == Fraction(3, 2)
                for fl in report.failures)
+
+
+def test_axioms_on_table_starting_above_zero():
+    """A table on [1/3, 2] is checked on the range it has: V^{1/3} against
+    tau at 1/3, and no check reads a value below 1/3."""
+    R, x, M = twisted_line()
+    table = jumping_numbers(M, x, Fraction(1, 3), 2, 6)
+    assert table.jumps == (Fraction(1, 2), Fraction(3, 2))
+    report = verify_axioms(M, table)
+    assert report.ok, report.failures
+    bad = table.replace_value(0, ideal(R, x ** 2))
+    report = verify_axioms(M, bad)
+    assert any(fl.axiom == "frobenius" and fl.t == Fraction(1, 2)
+               for fl in report.failures)
+    assert any(fl.axiom == "shift" and fl.t == Fraction(3, 2)
+               for fl in report.failures)
+    wrong_start = replace(table, v0=ideal(R, x))
+    assert verify_axioms(M, wrong_start).failures[0] == AxiomFailure(
+        "zero-value", Fraction(1, 3), "tabulated V^0 differs from tau at 0")
 
 
 def test_refuses_non_f_regular():
