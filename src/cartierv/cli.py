@@ -218,7 +218,7 @@ def cmd_tau(args, ring, timings):
     with _timed(timings, "compute"):
         res = tau(M, f, t, c, convention=args.convention, e_cap=args.max_e)
     result = {"generators": _sub_payload(res.value)}
-    return query, result, res.certified, res.stabilized_at_e, True
+    return query, result, True, res.stabilized_at_e, True
 
 
 def cmd_fpt(args, ring, timings):

@@ -37,7 +37,7 @@ class NotFRegularError(CartierError):
 
 
 class FptDivergenceError(CartierError):
-    """The two F-pure-threshold methods disagree."""
+    """The F-pure threshold is not on the candidate grid."""
 
 
 class ParseError(CartierError):

@@ -13,6 +13,11 @@ so the iteration converges to the exact infinite sum; no stabilization
 heuristics are involved.  All exponents handled along the way stay below
 p, which keeps everything sparse.
 
+The left limit tau(t - eps) solves the same system (each of its orbit
+points has the seed and shift of the one of t just above it) as the
+greatest fixed point below tau(0).  The sweeps down from tau(0) stop since
+F-jumping numbers are discrete (Blickle-Schwede-Takagi-Zhang).
+
 A `Pair` solves one (M, f, c) for many t: the checks that do not depend on
 t run once, and the converged value at every orbit point is kept, so a
 later orbit that runs into a solved point is finished by back-substitution
@@ -43,7 +48,6 @@ from .groebner import FreeSubmodule, full_module, ideal
 
 CONVENTIONS = ("ceil_pe", "ceil_pe_minus_1")
 MAX_SWEEPS = 64
-LEFT_LIMIT_REFINEMENTS = 8
 MAX_ORBIT = 4096
 MAX_MODULE_SUM_STEPS = 256
 NU_BUDGET = 2 ** 14
@@ -52,7 +56,6 @@ NU_BUDGET = 2 ** 14
 @dataclass(frozen=True)
 class TauResult:
     value: FreeSubmodule
-    certified: bool
     stabilized_at_e: int
     path: str
 
@@ -184,17 +187,17 @@ class Pair:
 
     What does not depend on t is done at most once, on first use: the test
     element (`suggest_test_element` when c is None), regularity of f, the
-    image-stable part D = underline(M), cD and the value at 0.  Two memos
-    fill as values are asked for: the converged value at every orbit point
-    in (0, 1], and the root-path ideals of the cross-check per (e, B).
-    Every returned value still passes `D.contains` and, for the classical
-    shape, the root cross-check.
+    image-stable part D = underline(M), cD and the value at 0.  Memos fill
+    as values are asked for: the converged value at and just below every
+    orbit point in (0, 1], and the root-path ideals of the cross-check per
+    (e, B).  Every returned value still passes `D.contains` and, for the
+    classical shape, the root cross-check.
 
     The memos live as long as the Pair; the scans build one per call.
-    A Pair gives the values, certificates and paths of fresh `tau` calls.
-    The sweep count in `stabilized_at_e` can differ from a fresh call's
-    when the cycle of t was solved earlier from another entry point, since
-    the count depends on where the sweeps start.
+    A Pair gives the values and paths of fresh calls.  The sweep count in
+    `stabilized_at_e` can differ from a fresh call's when the cycle of t
+    was solved earlier from another entry point, since the count depends
+    on where the sweeps start.
     """
 
     def __init__(self, M: CartierModule, f: Poly, c: Poly | None = None,
@@ -206,6 +209,7 @@ class Pair:
         self._c = c
         self.e_cap = e_cap
         self._solved: dict[Fraction, _Solved] = {}
+        self._below: dict[Fraction, _Solved] = {}
         self._roots: dict[tuple[int, int], FreeSubmodule] = {}
         self._powers: dict[int, Poly] = {}
 
@@ -244,7 +248,7 @@ class Pair:
     @cached_property
     def _at_zero(self) -> TauResult:
         value, steps = module_test_submodule_from(self.M, self.cD)
-        return TauResult(value, True, steps, "fixed-sum")
+        return TauResult(value, steps, "fixed-sum")
 
     @cached_property
     def _classical_twist(self) -> Poly | None:
@@ -266,7 +270,7 @@ class Pair:
 
         The default convention uses exponents ceil(t p^e) and is computed by
         the orbit fixed point; ceil_pe_minus_1 accumulates its own series up
-        to the level cap and is certified by agreement with the default.
+        to the level cap and raises unless it equals the default's value.
         """
         t = Fraction(t)
         if t < 0:
@@ -275,15 +279,7 @@ class Pair:
             raise ValueError(f"unknown convention {convention!r}")
         if t == 0:
             return self._at_zero
-        self.c  # a refused test element is reported before a zerodivisor f
-        self.require_regular()
-
-        m0 = math.ceil(t) - 1
-        exact, sweeps = self._solve(t - m0)
-        if m0:
-            exact = exact.scaled(self._power(m0)).add(self.M.pres.N).minimal_gens()
-        if not self.D.contains(exact):
-            raise CartierError("tau escaped the image-stable part; test element invalid")
+        exact, sweeps = self._value(t, below=False)
 
         if convention == "ceil_pe_minus_1":
             # the smaller exponents need the test element deepened by
@@ -292,25 +288,48 @@ class Pair:
             value, stable = _tau_series_capped(self.M, self.f, t, deep, convention,
                                                self.cap)
             if value == exact:
-                return TauResult(value, True, stable, "series+orbit")
+                return TauResult(value, stable, "series+orbit")
             raise StabilizationCapExceededError(
                 f"ceil_pe_minus_1 series not stable within level cap {self.cap}")
 
         self._root_cross_check(t, exact)
-        return TauResult(exact, True, sweeps, "orbit")
+        return TauResult(exact, sweeps, "orbit")
 
-    def _solve(self, t0: Fraction) -> tuple[FreeSubmodule, int]:
-        """Converged value at t0 in (0, 1], with its sweep count.
+    def left_limit(self, t) -> TauResult:
+        """tau(M, f^{t - eps}) for all small eps > 0, exact: the orbit system
+        of `tau` solved down from tau(0).  It must contain tau(t)."""
+        t = Fraction(t)
+        if t <= 0:
+            raise ValueError("left limit needs t > 0")
+        value, sweeps = self._value(t, below=True)
+        if not value.contains(self.tau(t).value):
+            raise CartierError(f"left limit at {t} does not contain tau({t})")
+        return TauResult(value, sweeps, "left-limit")
+
+    def _value(self, t: Fraction, below: bool) -> tuple[FreeSubmodule, int]:
+        """tau at, or just below, t > 0 and its sweep count."""
+        self.c  # a refused test element is reported before a zerodivisor f
+        self.require_regular()
+        m0 = math.ceil(t) - 1
+        value, sweeps = self._solve(t - m0, below)
+        if m0:
+            value = value.scaled(self._power(m0)).add(self.M.pres.N).minimal_gens()
+        if not self.D.contains(value):
+            raise CartierError("tau escaped the image-stable part; test element invalid")
+        return value, sweeps
+
+    def _solve(self, t0: Fraction, below: bool = False) -> tuple[FreeSubmodule, int]:
+        """Converged value at (or, when `below`, just below) t0 in (0, 1] and
+        its sweep count.
 
         Walks the orbit of t0 until it reaches a solved point or closes a new
-        cycle.  A new cycle is iterated to its least fixed point, sweeping in
-        the order of the orbit reversed; the points before it are then exact
-        after one back-substitution each, X_k = seed_k + kappa(f^{m_k} X_{k+1}).
-        The sweep count is the one an iteration over the whole orbit reports:
-        the cycle's own count, or 2 when the cycle started at its fixed point
-        but a point before it grew past its seed.
+        cycle, which `_iterate_cycle` solves; each point before the cycle then
+        takes one back-substitution, X_k = seed_k + kappa(f^{m_k} X_{k+1}).
+        The sweep count is the one an iteration over the whole orbit from the
+        same start reports: the cycle's own, or 2 when the cycle started at
+        its fixed point but a point before it moved off its start.
         """
-        solved = self._solved
+        solved = self._below if below else self._solved
         if t0 in solved:
             return solved[t0].value, solved[t0].sweeps
         p = self.M.ring.p
@@ -333,10 +352,11 @@ class Pair:
         N = self.M.pres.N
         seeds = [kappa_span(structure, self.cD.scaled(self._power(exponent_at(x, p, 1))))
                  .add(N).minimal_gens() for x in points]
+        start = [self._at_zero.value] * len(points) if below else seeds
         tail = len(points)
         if s not in solved:
             tail = index[s]
-            values, sweeps = self._iterate_cycle(seeds[tail:], shifts[tail:])
+            values, sweeps = self._iterate_cycle(seeds[tail:], shifts[tail:], start[tail:])
             length = len(points) - tail
             for x, value in zip(points[tail:], values):
                 solved[x] = _Solved(value, sweeps, length)
@@ -344,17 +364,19 @@ class Pair:
         for k in reversed(range(tail)):
             incoming = kappa_span(structure, after.value.scaled(self._power(shifts[k])))
             value = seeds[k].add(incoming).minimal_gens()
-            grown = 2 if value != seeds[k] else 1
-            after = _Solved(value, max(after.sweeps, grown), after.length + 1)
+            moved = 2 if value != start[k] else 1
+            after = _Solved(value, max(after.sweeps, moved), after.length + 1)
             solved[points[k]] = after
         return solved[t0].value, solved[t0].sweeps
 
-    def _iterate_cycle(self, X: list[FreeSubmodule],
-                       shifts: list[int]) -> tuple[list[FreeSubmodule], int]:
-        """Least fixed point of X_k = X_k + kappa(f^{m_k} X_{k+1}) around a
-        cycle (indices mod its length), from the seeds up."""
+    def _iterate_cycle(self, seeds: list[FreeSubmodule], shifts: list[int],
+                       start: list[FreeSubmodule]) -> tuple[list[FreeSubmodule], int]:
+        """Fixed point of X_k = seed_k + kappa(f^{m_k} X_{k+1}) around a cycle
+        (indices mod its length), sweeping from `start` in reverse order: the
+        least one from the seeds, the greatest one below tau(0) from tau(0)."""
         structure = self.M.structure
-        K = len(X)
+        K = len(seeds)
+        X = list(start)
         sweeps = 0
         changed = True
         while changed:
@@ -365,7 +387,7 @@ class Pair:
             for k in reversed(range(K)):
                 incoming = kappa_span(structure,
                                       X[(k + 1) % K].scaled(self._power(shifts[k])))
-                upd = X[k].add(incoming).minimal_gens()
+                upd = seeds[k].add(incoming).minimal_gens()
                 if upd != X[k]:
                     X[k] = upd
                     changed = True
@@ -392,41 +414,16 @@ class Pair:
             if not exact.contains(J):
                 raise CartierError("root-path sum escapes the exact tau value")
 
-    def left_limit(self, t) -> TauResult:
-        """Value of tau just below t, found once two refinements agree.
-
-        Jumping numbers have denominators of the form p^k (p - 1), so two
-        consecutive agreeing refinements t - 1/(p^k (p - 1)) on that ladder
-        pin the left limit.  Raises StabilizationCapExceededError when none
-        agree for k up to LEFT_LIMIT_REFINEMENTS.
-        """
-        t = Fraction(t)
-        if t <= 0:
-            raise ValueError("left limit needs t > 0")
-        p = self.M.ring.p
-        prev = None
-        for k in range(1, LEFT_LIMIT_REFINEMENTS + 1):
-            delta = Fraction(1, p ** k * (p - 1))
-            if t - delta < 0:
-                continue
-            cur = self.tau(t - delta)
-            if prev is not None and cur.value == prev.value:
-                return TauResult(cur.value, True, k, "left-limit")
-            prev = cur
-        raise StabilizationCapExceededError(
-            f"left limit at {t} unsettled after {LEFT_LIMIT_REFINEMENTS} refinements")
-
     def jumping_numbers(self, t_min, t_max, max_denominator: int) -> FiltrationTable:
         """Table of t -> tau(M, f^t) on [t_min, t_max]: its jumping numbers
         in (t_min, t_max], with the value and left limit at each.
 
         Scans the candidate grid (all denominators up to the bound, plus the
-        p^k (p-1) ladder just past it), locates value changes, and confirms
-        each jump sits exactly at its candidate via the left limit.  A jump
-        falling between grid points is detected by that confirmation and
-        raises, so the ladder depth only affects which jumps are found, not
-        whether a miss goes unnoticed.  Monotonicity of the scanned values is
-        asserted along the way.
+        p^k (p-1) ladder just past it) and locates value changes.  The exact
+        left limit at a change proves the jump sits at its candidate, or that
+        one lies between grid points, which raises: the grid decides which
+        jumps are found, never whether a miss goes unnoticed.  Monotonicity
+        of the scanned values is asserted along the way.
         """
         lo, hi = Fraction(t_min), Fraction(t_max)
         if lo < 0 or hi <= lo:
@@ -508,7 +505,7 @@ def verify_test_element(M: CartierModule, f: Poly, t, c: Poly) -> bool:
 
 
 def tau_left_limit(M: CartierModule, f: Poly, t, c: Poly | None = None) -> TauResult:
-    """Value of tau just below t; see `Pair.left_limit`."""
+    """tau just below t, exact; see `Pair.left_limit`."""
     return Pair(M, f, c).left_limit(t)
 
 
@@ -599,8 +596,9 @@ def fpt(ring: Ring, f: Poly, max_denominator: int | None = None,
     """F-pure threshold of f: the first jump of t -> tau(R, f^t).
 
     The candidate scan is restricted to the Frobenius interval
-    [nu/p^e, (nu+1)/p^e] and the winner must look like a jump from both
-    sides; anything else raises FptDivergenceError instead of guessing.
+    [nu/p^e, (nu+1)/p^e].  The first q with tau(q) != R is the threshold
+    exactly when the left limit at q is R; otherwise the threshold is off
+    the grid below q, and FptDivergenceError is raised instead of a guess.
     """
     if f.ring != ring:
         raise RingMismatchError("f over wrong ring")

@@ -260,3 +260,41 @@ def test_max_e_stays_with_its_call(capsys):
     assert level_cap() == 6
     assert run_cli(capsys, *series)[0] == 0
     assert run_cli(capsys, *jumps) == before
+
+
+def test_left_limit_below_the_old_probe_ladder(capsys):
+    # the jump at 1/300 sits below every probe 1/300 - 1/2^k, k <= 8
+    code, out, _ = run_cli(capsys, "jumps", "--p", "2", "--vars", "x", "--f", "x^300",
+                           "--range", "0..1/150", "--max-denominator", "300", "--json")
+    assert code == 0
+    res = json.loads(out)["result"]
+    assert res["jumps"] == ["1/300", "1/150"]
+    assert res["values"] == [["x"], ["x^2"]]
+
+
+def test_jump_between_grid_points_is_refused(capsys):
+    # the jumps of x^2 y^21 are k/21 (k <= 10) and 1/2; none but 1/2 is on this grid
+    code, out, err = run_cli(capsys, "jumps", "--p", "2", "--vars", "x,y",
+                             "--f", "x^2*y^21", "--range", "0..1/2",
+                             "--max-denominator", "12", "--json")
+    assert code == 2
+    assert out == ""
+    assert "jump between grid points" in err
+
+
+def test_threshold_below_the_grid_is_refused(capsys):
+    # fpt(x^5) = 1/5 is not on the default grid at p = 2
+    code, out, err = run_cli(capsys, "fpt", "--p", "2", "--vars", "x,y", "--f", "x^5",
+                             "--json")
+    assert code == 4
+    assert out == ""
+    assert "error [fpt-divergence]" in err
+
+
+def test_jumps_of_x3y2_off_the_ladder(capsys):
+    code, out, _ = run_cli(capsys, "jumps", "--p", "2", "--vars", "x,y", "--f", "x^3*y^2",
+                           "--range", "0..1", "--max-denominator", "6", "--json")
+    assert code == 0
+    res = json.loads(out)["result"]
+    assert res["jumps"] == ["1/3", "1/2", "2/3", "1"]
+    assert res["values"] == [["x"], ["x*y"], ["x^2*y"], ["x^3*y^2"]]
