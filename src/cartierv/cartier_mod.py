@@ -3,9 +3,14 @@
 A level-1 Cartier structure on R^r is kappa(v) = C(U v) applied entrywise,
 for an r x r twist matrix U.  Since kappa(x^a v) for 0 <= a < p spans the
 R-module generated by kappa(R v), every stability or image computation only
-ever touches the p^n digit monomials.  Quotients are never first-class: a
-module supported on a closed subscheme is presented as a subquotient W/N of
-a free module over the ambient ring, with both W and N kappa-stable.
+ever touches the p^n digit monomials.  The trace C keeps the top digit
+top = (p-1, .., p-1), so C(x^a g) = g_{top-a}, the level-1 digit of g at
+top - a: one product U v and one digit split give all p^n images
+kappa(x^a v) at once (CartierStructure.digit_images).
+
+Quotients are never first-class: a module supported on a closed subscheme
+is presented as a subquotient W/N of a free module over the ambient ring,
+with both W and N kappa-stable.
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import CartierError, RankMismatchError, RingMismatchError
-from .field_poly import Monomial, Poly, Ring, cartier_trace
+from .field_poly import Poly, Ring, cartier_trace
+from .frobenius import vector_digits
 from .groebner import (
     FreeSubmodule,
     QuotientPresentation,
@@ -33,20 +39,12 @@ GRAPH_VAR = "s"
 # -- vector helpers -----------------------------------------------------------
 
 
-def vec_mul_monomial(v: Vec, mon: Monomial) -> Vec:
-    return tuple(f.mul_monomial(mon) for f in v)
-
-
 def vec_mul_poly(v: Vec, g: Poly) -> Vec:
     return tuple(g * f for f in v)
 
 
 def vec_sub(v: Vec, w: Vec) -> Vec:
     return tuple(a - b for a, b in zip(v, w))
-
-
-def vec_is_zero(v: Vec) -> bool:
-    return all(f.is_zero() for f in v)
 
 
 def _mat_vec(ring: Ring, rows: Sequence[Sequence[Poly]], v: Vec) -> list[Poly]:
@@ -96,6 +94,19 @@ class CartierStructure:
             raise RankMismatchError(f"vector of length {len(v)}, rank {self.rank}")
         return tuple([cartier_trace(acc, 1) for acc in _mat_vec(self.ring, self.U, v)])
 
+    def digit_images(self, v: Vec) -> list[Vec]:
+        """kappa(x^a v) for each a in ring.digit_monomials(1), in that order.
+
+        C(x^a g) is the level-1 digit g_{top-a}, so the images are the digits
+        of the one product U v.  digit_monomials lists exponent tuples in
+        lexicographic order, where a -> top - a reverses the list.
+        """
+        if len(v) != self.rank:
+            raise RankMismatchError(f"vector of length {len(v)}, rank {self.rank}")
+        digits = vector_digits(tuple(_mat_vec(self.ring, self.U, v)), 1)
+        zero = (self.ring.zero(),) * self.rank
+        return [digits.get(b, zero) for b in reversed(self.ring.digit_monomials(1))]
+
     def apply_iter(self, v: Vec, e: int) -> Vec:
         for _ in range(e):
             v = self.apply(v)
@@ -119,15 +130,13 @@ class CartierStructure:
 
 
 def kappa_span(structure: CartierStructure, sub: FreeSubmodule) -> FreeSubmodule:
-    """The R-span of kappa(sub), generated by kappa(x^a w) for digit a."""
-    ring = structure.ring
-    gens: list[Vec] = []
-    for w in sub.gens:
-        for a in ring.digit_monomials(1):
-            v = structure.apply(vec_mul_monomial(w, a))
-            if not vec_is_zero(v):
-                gens.append(v)
-    return FreeSubmodule(ring, sub.rank, gens).minimal_gens()
+    """The R-span of kappa(sub), generated by kappa(x^a w) for digit a.
+
+    Since C(x^a g) = g_{top-a}, the p^n images of one generator w are the
+    level-1 digits of the single product U w.
+    """
+    gens = [v for w in sub.gens for v in structure.digit_images(w) if any(v)]
+    return FreeSubmodule(structure.ring, sub.rank, gens).minimal_gens()
 
 
 # -- modules ------------------------------------------------------------------
@@ -187,9 +196,9 @@ def _vec_str(v: Vec) -> str:
 
 
 def _stability_failure(structure: CartierStructure, sub: FreeSubmodule):
+    digits = structure.ring.digit_monomials(1)
     for w in sub.gens:
-        for a in structure.ring.digit_monomials(1):
-            img = structure.apply(vec_mul_monomial(w, a))
+        for a, img in zip(digits, structure.digit_images(w)):
             if not sub.contains_vector(img):
                 return (w, a)
     return None
@@ -264,7 +273,8 @@ def morphism_check(phi: CartierMorphism) -> tuple[bool, str]:
     """Verify phi maps W->W, N->N and intertwines the structures.
 
     Checking the intertwining on generators times digit monomials suffices
-    because both sides are p^{-1}-linear in the scalar argument.
+    because both sides are p^{-1}-linear in the scalar argument.  phi is
+    R-linear, so kappa_tgt(phi(x^a w)) is the digit image of phi(w) at a.
     """
     src, tgt = phi.source, phi.target
     for w in src.pres.W.gens:
@@ -273,12 +283,12 @@ def morphism_check(phi: CartierMorphism) -> tuple[bool, str]:
     for n in src.pres.N.gens:
         if not tgt.pres.N.contains_vector(phi.apply(n)):
             return False, f"image of denominator generator {_vec_str(n)} escapes"
+    digits = src.ring.digit_monomials(1)
     for w in src.pres.W.gens:
-        for a in src.ring.digit_monomials(1):
-            va = vec_mul_monomial(w, a)
-            lhs = phi.apply(src.structure.apply(va))
-            rhs = tgt.structure.apply(phi.apply(va))
-            if not tgt.pres.N.contains_vector(vec_sub(lhs, rhs)):
+        images = zip(digits, src.structure.digit_images(w),
+                     tgt.structure.digit_images(phi.apply(w)))
+        for a, lhs, rhs in images:
+            if not tgt.pres.N.contains_vector(vec_sub(phi.apply(lhs), rhs)):
                 return False, f"structures do not intertwine on x^{a} * {_vec_str(w)}"
     return True, "ok"
 

@@ -77,6 +77,94 @@ def test_kappa_span_membership():
                 assert img.contains_vector(v)
 
 
+def _brute_images(structure, w):
+    """C(U x^a w) for every digit a, by multiplication and trace."""
+    ring = structure.ring
+    out = []
+    for a in ring.digit_monomials(1):
+        xa = ring.monomial(a)
+        prod = [ring.zero()] * structure.rank
+        for i, row in enumerate(structure.U):
+            for entry, comp in zip(row, w):
+                prod[i] = prod[i] + entry * (xa * comp)
+        out.append(tuple(cartier_trace(g, 1) for g in prod))
+    return out
+
+
+def _random_structure(rng, ring, rank):
+    """A twist matrix whose entries are zero about a third of the time."""
+    U = [[random_poly(rng, ring, 3) if rng.random() < 0.67 else ring.zero()
+          for _ in range(rank)] for _ in range(rank)]
+    return CartierStructure(ring, rank, U)
+
+
+def test_kappa_span_generators_match_brute_force():
+    rng = random.Random(8)
+    for p in (2, 3, 5):
+        for names in ((), ("x",), ("x", "y")):
+            R = Ring(p, names)
+            for rank in (1, 2):
+                for _ in range(6):
+                    s = _random_structure(rng, R, rank)
+                    gens = [tuple(random_poly(rng, R, 5) for _ in range(rank))
+                            for _ in range(rng.randint(1, 3))]
+                    for w in gens:
+                        assert s.digit_images(w) == _brute_images(s, w), (p, names, rank)
+                    brute = [v for w in gens for v in _brute_images(s, w) if any(v)]
+                    sub = FreeSubmodule(R, rank, gens)
+                    expected = FreeSubmodule(R, rank, brute).minimal_gens()
+                    assert kappa_span(s, sub).gens == expected.gens
+
+
+def test_module_constructor_rejects_unstable_numerator():
+    R = Ring(3, ("x", "y"))
+    x, y = R.gens()
+    W = FreeSubmodule(R, 2, [(x * y, y ** 2), (R.zero(), x ** 2)])
+    U = ((R.one(), y), (R.zero(), x))
+    with pytest.raises(CartierError) as err:
+        CartierModule(QuotientPresentation(W, zero_module(R, 2)), CartierStructure(R, 2, U))
+    # the first failing digit is x^(1, 0), not the first digit (0, 0)
+    assert str(err.value) == ("structure does not preserve the numerator: kappa of "
+                              "(x*y, y^2) times x^(1, 0) escapes")
+
+
+def test_morphism_check_matches_brute_force():
+    rng = random.Random(9)
+    verdicts = set()
+    for p in (2, 3):
+        R = Ring(p, ("x", "y"))
+        for k in range(12):
+            structure = _random_structure(rng, R, 2)
+            src = CartierModule.free(R, structure)
+            N = FreeSubmodule(R, 2, [tuple(random_poly(rng, R, 2) for _ in range(2))])
+            if k % 3 == 0:
+                # a constant multiple intertwines a structure with itself
+                tgt_structure = structure
+                c = R.constant(rng.randint(1, p - 1))
+                matrix = ((c, R.zero()), (R.zero(), c))
+            else:
+                tgt_structure = _random_structure(rng, R, 2)
+                matrix = [[random_poly(rng, R, 2) for _ in range(2)] for _ in range(2)]
+            tgt = CartierModule(QuotientPresentation(full_module(R, 2), N),
+                                tgt_structure, check=False)
+            phi = CartierMorphism(src, tgt, matrix)
+            expected = (True, "ok")
+            for w in src.pres.W.gens:
+                for a in R.digit_monomials(1):
+                    va = tuple(R.monomial(a) * c for c in w)
+                    lhs = phi.apply(src.structure.apply(va))
+                    rhs = tgt.structure.apply(phi.apply(va))
+                    if not N.contains_vector(tuple(l - r for l, r in zip(lhs, rhs))):
+                        expected = (False, f"structures do not intertwine on x^{a} * "
+                                    f"({', '.join(f.to_str() for f in w)})")
+                        break
+                if not expected[0]:
+                    break
+            assert morphism_check(phi) == expected
+            verdicts.add(expected[0])
+    assert verdicts == {True, False}
+
+
 def test_module_constructor_rejects_unstable_denominator():
     R = Ring(3, ("x",))
     x = R.var("x")

@@ -211,8 +211,9 @@ def test_fpt_known_values():
 
 
 def test_fpt_cusp_p3():
-    # Mustata-Takagi-Watanabe: fpt(x^2 + y^3) is 1/2 at p = 2 and 2/3 at p = 3
-    for p, threshold in ((2, Fraction(1, 2)), (3, Fraction(2, 3))):
+    # Mustata-Takagi-Watanabe: fpt(x^2 + y^3) is 1/2 at p = 2, 2/3 at p = 3
+    # and 4/5 at p = 5
+    for p, threshold in ((2, Fraction(1, 2)), (3, Fraction(2, 3)), (5, Fraction(4, 5))):
         R = Ring(p, ("x", "y"))
         x, y = R.gens()
         res = fpt(R, x ** 2 + y ** 3)
