@@ -208,17 +208,24 @@ def _axioms_payload(report):
     }
 
 
-def cmd_tau(args, ring, timings):
+def _parse_pair(args, ring, parse_own, own_text: str):
+    """M, f, the subcommand's own argument and c, parsed in that order, so
+    the first malformed one is the one reported."""
     M = _build_module(args, ring)
     f = parse_polynomial(args.f, ring)
-    t = parse_fraction(args.t)
+    own = parse_own(own_text)
     c = parse_polynomial(args.c, ring) if args.c else None
+    return M, f, own, c
+
+
+def cmd_tau(args, ring, timings):
+    M, f, t, c = _parse_pair(args, ring, parse_fraction, args.t)
     query = {"subcommand": "tau", "f": f.to_str(), "t": str(t),
              "convention": args.convention}
     with _timed(timings, "compute"):
         res = tau(M, f, t, c, convention=args.convention, e_cap=args.max_e)
     result = {"generators": _sub_payload(res.value)}
-    return query, result, True, res.stabilized_at_e, True
+    return query, result, res.stabilized_at_e, True
 
 
 def cmd_fpt(args, ring, timings):
@@ -230,14 +237,11 @@ def cmd_fpt(args, ring, timings):
     result = {"fpt": str(res.value),
               "nu_interval": [str(res.nu_lower), str(res.nu_upper)],
               "nu_level": res.nu_level}
-    return query, result, True, res.nu_level, True
+    return query, result, res.nu_level, True
 
 
 def cmd_jumps(args, ring, timings):
-    M = _build_module(args, ring)
-    f = parse_polynomial(args.f, ring)
-    lo, hi = parse_range(args.range)
-    c = parse_polynomial(args.c, ring) if args.c else None
+    M, f, (lo, hi), c = _parse_pair(args, ring, parse_range, args.range)
     query = {"subcommand": "jumps", "f": f.to_str(), "range": f"{lo}..{hi}",
              "max_denominator": args.max_denominator}
     with _timed(timings, "compute"):
@@ -245,14 +249,11 @@ def cmd_jumps(args, ring, timings):
     result = {"jumps": [str(j) for j in table.jumps],
               "values": [_sub_payload(v) for v in table.values],
               "baseline": _sub_payload(table.v0)}
-    return query, result, True, None, True
+    return query, result, None, True
 
 
 def cmd_vfilt(args, ring, timings):
-    M = _build_module(args, ring)
-    f = parse_polynomial(args.f, ring)
-    t_max = parse_fraction(args.t_max)
-    c = parse_polynomial(args.c, ring) if args.c else None
+    M, f, t_max, c = _parse_pair(args, ring, parse_fraction, args.t_max)
     query = {"subcommand": "vfilt", "f": f.to_str(), "t_max": str(t_max),
              "max_denominator": args.max_denominator}
     with _timed(timings, "compute"):
@@ -265,16 +266,18 @@ def cmd_vfilt(args, ring, timings):
               "values": [_sub_payload(v) for v in table.values],
               "left_limits": [_sub_payload(v) for v in table.left_limits],
               "axioms": _axioms_payload(report)}
-    return query, result, report.ok, None, report.ok
+    return query, result, None, report.ok
+
+
+def _parse_open_range(text: str) -> tuple[Fraction, Fraction]:
+    lo, hi = parse_range(text)
+    if lo >= hi:
+        raise ValueError(f"empty range {lo}..{hi}; need lo < hi")
+    return lo, hi
 
 
 def cmd_gr(args, ring, timings):
-    M = _build_module(args, ring)
-    f = parse_polynomial(args.f, ring)
-    lo, hi = parse_range(args.range)
-    if lo >= hi:
-        raise ValueError(f"empty range {lo}..{hi}; need lo < hi")
-    c = parse_polynomial(args.c, ring) if args.c else None
+    M, f, (lo, hi), c = _parse_pair(args, ring, _parse_open_range, args.range)
     query = {"subcommand": "gr", "f": f.to_str(), "range": f"{lo}..{hi}",
              "convention": args.convention,
              "max_denominator": args.max_denominator}
@@ -295,7 +298,7 @@ def cmd_gr(args, ring, timings):
                 "denominator": _sub_payload(piece.module.pres.N),
             })
     result = {"convention": args.convention, "pieces": pieces}
-    return query, result, True, None, True
+    return query, result, None, True
 
 
 def cmd_check(args, ring, timings):
@@ -308,7 +311,7 @@ def cmd_check(args, ring, timings):
     result = {"suites": [{"name": r.name, "cases": r.cases, "ok": r.ok,
                           "failures": list(r.failures)} for r in results],
               "ok": ok}
-    return query, result, ok, None, ok
+    return query, result, None, ok
 
 
 def cmd_repro(args, ring, timings):
@@ -319,7 +322,7 @@ def cmd_repro(args, ring, timings):
               "checks": [{"name": c.name, "ok": c.ok, "detail": c.detail}
                          for c in res.checks],
               "ok": res.ok}
-    return query, result, res.ok, None, res.ok
+    return query, result, None, res.ok
 
 
 class _timed:
@@ -493,7 +496,7 @@ def main(argv=None) -> int:
     try:
         with _timed(timings, "parse"):
             ring = _build_ring(args) if args.needs_ring else None
-        query, result, certified, stabilized, ok = args.func(args, ring, timings)
+        query, result, stabilized, ok = args.func(args, ring, timings)
     except ParseError as exc:
         return _fail(EXIT_INVALID, "parse", exc)
     except (NotPrimeError, NonDegenerateError, NotFRegularError,
@@ -510,7 +513,7 @@ def main(argv=None) -> int:
         "vars": list(ring.names) if ring is not None else [],
         "query": query,
         "result": result,
-        "certified": certified,
+        "certified": ok,
         "stabilized_at_e": stabilized,
         "timings_ms": timings if timings is not None else {},
     }

@@ -439,8 +439,8 @@ def twisted_power(u: Poly, f: Poly, e: int) -> Poly:
     """e-fold composite of (C o u) applied to f.
 
     Equals C_e(u^{(p^e-1)/(p-1)} f) by the telescoping of the twists through
-    the trace; the closed form is exercised in tests, the iterative form is
-    what runs.
+    the trace.  It is the reference form: the tests check the closed form
+    and `CartierStructure.apply_iter` against it.
     """
     if u.ring != f.ring:
         raise RingMismatchError(f"{u.ring} vs {f.ring}")

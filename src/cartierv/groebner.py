@@ -306,8 +306,11 @@ class FreeSubmodule:
                              [tuple(g * f for f in v) for v in self.gens])
 
     def minimal_gens(self) -> "FreeSubmodule":
-        """Same submodule, generated by its reduced basis."""
-        return FreeSubmodule(self.ring, self.rank, self.groebner())
+        """Same submodule, generated by its reduced basis, which it keeps as
+        its own basis."""
+        out = FreeSubmodule(self.ring, self.rank, self.groebner())
+        out._gb[GREVLEX.signature()] = self._basis()
+        return out
 
     def map_ring(self, target: Ring) -> "FreeSubmodule":
         """The same generators in target, variables matched by name."""

@@ -19,10 +19,10 @@ greatest fixed point below tau(0).  The sweeps down from tau(0) stop since
 F-jumping numbers are discrete (Blickle-Schwede-Takagi-Zhang).
 
 A `Pair` solves one (M, f, c) for many t: the checks that do not depend on
-t run once, and the converged value at every orbit point is kept, so a
-later orbit that runs into a solved point is finished by back-substitution
-instead of a fresh fixed-point iteration.  The scans build one `Pair` per
-call and drop it when they return.
+t run once, the seeds are kept per shift m < p, and the converged value at
+every orbit point is kept, so a later orbit that runs into a solved point
+sweeps only its new points, with the solved one as a constant successor.
+The scans build one `Pair` per call and drop it when they return.
 """
 
 from __future__ import annotations
@@ -123,14 +123,23 @@ def is_regular_element(M: CartierModule, f: Poly) -> bool:
     return M.pres.N.contains(bad)
 
 
+def classical_twist(M: CartierModule) -> Poly | None:
+    """The scalar twist u when M is free of rank 1 (the classical shape),
+    else None."""
+    if M.rank != 1 or not M.is_full_free():
+        return None
+    return M.structure.scalar_twist()
+
+
 def suggest_test_element(M: CartierModule, f: Poly) -> Poly:
     """Default test element u*f for a full free rank-1 module with scalar
     twist u; anything presented as a proper subquotient needs an explicit
     choice, since u*f may vanish on its support."""
-    if M.rank != 1 or not M.is_full_free():
+    u = classical_twist(M)
+    if u is None:
         raise NonDegenerateError(
             "no default test element for a subquotient presentation; pass c=")
-    c = M.structure.scalar_twist() * f
+    c = u * f
     if c.is_zero():
         raise NonDegenerateError("u*f vanishes; the pair is degenerate")
     return c
@@ -150,9 +159,9 @@ def module_test_submodule(M: CartierModule, c: Poly) -> tuple[FreeSubmodule, int
 def is_F_regular(M: CartierModule, c: Poly | None = None) -> bool:
     """Does the test submodule recover all of M?"""
     if c is None:
-        if M.rank != 1 or not M.is_full_free():
+        c = classical_twist(M)
+        if c is None:
             raise NonDegenerateError("pass a test element for subquotient input")
-        c = M.structure.scalar_twist()
         if c.is_zero():
             return M.pres.is_zero_module()
     value, _ = module_test_submodule(M, c)
@@ -173,9 +182,9 @@ def module_test_submodule_from(M: CartierModule, cW: FreeSubmodule) -> tuple[Fre
 
 
 class _Solved(NamedTuple):
-    """Converged orbit value at a point s in (0, 1]; `sweeps` is what the
-    fixed-point iteration over the orbit of s reports, `length` the number
-    of distinct points on that orbit."""
+    """Converged orbit value at a point s in (0, 1]; `sweeps` is the count
+    the loop that solved s reported, `length` the number of distinct points
+    on the orbit of s."""
 
     value: FreeSubmodule
     sweeps: int
@@ -188,16 +197,16 @@ class Pair:
     What does not depend on t is done at most once, on first use: the test
     element (`suggest_test_element` when c is None), regularity of f, the
     image-stable part D = underline(M), cD and the value at 0.  Memos fill
-    as values are asked for: the converged value at and just below every
-    orbit point in (0, 1], and the root-path ideals of the cross-check per
-    (e, B).  Every returned value still passes `D.contains` and, for the
-    classical shape, the root cross-check.
+    as values are asked for: the seed of every shift m < p, the converged
+    value at and just below every orbit point in (0, 1], and the root-path
+    ideals of the cross-check per (e, B).  Every returned value still
+    passes `D.contains` and, for the classical shape, the root cross-check.
 
     The memos live as long as the Pair; the scans build one per call.
     A Pair gives the values and paths of fresh calls.  The sweep count in
-    `stabilized_at_e` can differ from a fresh call's when the cycle of t
-    was solved earlier from another entry point, since the count depends
-    on where the sweeps start.
+    `stabilized_at_e` can differ from a fresh call's when t was solved as
+    part of another point's orbit: every point a loop solves stores the
+    count of that loop's whole orbit.
     """
 
     def __init__(self, M: CartierModule, f: Poly, c: Poly | None = None,
@@ -211,6 +220,7 @@ class Pair:
         self._solved: dict[Fraction, _Solved] = {}
         self._below: dict[Fraction, _Solved] = {}
         self._roots: dict[tuple[int, int], FreeSubmodule] = {}
+        self._seeds: dict[int, FreeSubmodule] = {}
         self._powers: dict[int, Poly] = {}
 
     # -- what does not depend on t ----------------------------------------------
@@ -252,11 +262,12 @@ class Pair:
 
     @cached_property
     def _classical_twist(self) -> Poly | None:
-        """The scalar twist u when M is free of rank 1, else None."""
-        M = self.M
-        if M.rank != 1 or not M.is_full_free():
-            return None
-        return M.structure.scalar_twist()
+        """`classical_twist` of M, checked once: a default test element
+        exists only for the classical shape."""
+        if self._c is None:
+            self.c  # raises unless M has the classical shape
+            return self.M.structure.scalar_twist()
+        return classical_twist(self.M)
 
     def _power(self, m: int) -> Poly:
         if m not in self._powers:
@@ -318,80 +329,71 @@ class Pair:
             raise CartierError("tau escaped the image-stable part; test element invalid")
         return value, sweeps
 
+    def _seed(self, m: int) -> FreeSubmodule:
+        """kappa(f^{m+1} cD) + N: the first summand at every orbit point of
+        shift m, kept per shift."""
+        if m not in self._seeds:
+            self._seeds[m] = (kappa_span(self.M.structure, self.cD.scaled(self._power(m + 1)))
+                              .add(self.M.pres.N).minimal_gens())
+        return self._seeds[m]
+
+    def _step(self, m: int, X: FreeSubmodule) -> FreeSubmodule:
+        """The orbit relation at a point of shift m whose successor holds X."""
+        incoming = kappa_span(self.M.structure, X.scaled(self._power(m)))
+        return self._seed(m).add(incoming).minimal_gens()
+
     def _solve(self, t0: Fraction, below: bool = False) -> tuple[FreeSubmodule, int]:
         """Converged value at (or, when `below`, just below) t0 in (0, 1] and
         its sweep count.
 
-        Walks the orbit of t0 until it reaches a solved point or closes a new
-        cycle, which `_iterate_cycle` solves; each point before the cycle then
-        takes one back-substitution, X_k = seed_k + kappa(f^{m_k} X_{k+1}).
-        The sweep count is the one an iteration over the whole orbit from the
-        same start reports: the cycle's own, or 2 when the cycle started at
-        its fixed point but a point before it moved off its start.
+        Walks the orbit of t0 until it reaches a solved point, which is then a
+        constant successor, or closes a new cycle.  The new points start at
+        their seeds (at tau(0) when `below`) and are swept in reverse order
+        until a sweep changes nothing; a point is stepped again only when its
+        successor changed since its last step.  The count is that of one
+        iteration over the whole orbit: the loop's own, or the solved
+        successor's when that is larger.  Every new point stores it.
         """
         solved = self._below if below else self._solved
         if t0 in solved:
             return solved[t0].value, solved[t0].sweeps
         p = self.M.ring.p
-        points: list[Fraction] = []
-        shifts: list[int] = []
-        index: dict[Fraction, int] = {}
+        index: dict[Fraction, int] = {}  # the new orbit points, in order
         s = t0
         while s not in solved and s not in index:
-            index[s] = len(points)
-            points.append(s)
-            m = math.ceil(p * s) - 1
-            shifts.append(m)
-            s = p * s - m
-            if len(points) > MAX_ORBIT:
+            if len(index) == MAX_ORBIT:
                 raise StabilizationCapExceededError("orbit of t did not close")
-        if s in solved and len(points) + solved[s].length > MAX_ORBIT:
+            index[s] = len(index)
+            s = p * s - math.ceil(p * s) + 1
+        shifts = [math.ceil(p * x) - 1 for x in index]
+        n = len(shifts)
+        after = solved.get(s)
+        ahead = 0 if after is None else after.length
+        if n + ahead > MAX_ORBIT:
             raise StabilizationCapExceededError("orbit of t did not close")
-
-        structure = self.M.structure
-        N = self.M.pres.N
-        seeds = [kappa_span(structure, self.cD.scaled(self._power(exponent_at(x, p, 1))))
-                 .add(N).minimal_gens() for x in points]
-        start = [self._at_zero.value] * len(points) if below else seeds
-        tail = len(points)
-        if s not in solved:
-            tail = index[s]
-            values, sweeps = self._iterate_cycle(seeds[tail:], shifts[tail:], start[tail:])
-            length = len(points) - tail
-            for x, value in zip(points[tail:], values):
-                solved[x] = _Solved(value, sweeps, length)
-        after = solved[s]
-        for k in reversed(range(tail)):
-            incoming = kappa_span(structure, after.value.scaled(self._power(shifts[k])))
-            value = seeds[k].add(incoming).minimal_gens()
-            moved = 2 if value != start[k] else 1
-            after = _Solved(value, max(after.sweeps, moved), after.length + 1)
-            solved[points[k]] = after
-        return solved[t0].value, solved[t0].sweeps
-
-    def _iterate_cycle(self, seeds: list[FreeSubmodule], shifts: list[int],
-                       start: list[FreeSubmodule]) -> tuple[list[FreeSubmodule], int]:
-        """Fixed point of X_k = seed_k + kappa(f^{m_k} X_{k+1}) around a cycle
-        (indices mod its length), sweeping from `start` in reverse order: the
-        least one from the seeds, the greatest one below tau(0) from tau(0)."""
-        structure = self.M.structure
-        K = len(seeds)
-        X = list(start)
-        sweeps = 0
-        changed = True
-        while changed:
-            sweeps += 1
-            if sweeps > MAX_SWEEPS:
-                raise StabilizationCapExceededError("orbit iteration exceeded sweep cap")
+        X = [self._at_zero.value if below else self._seed(m) for m in shifts]
+        if after is not None:
+            X.append(after.value)
+        last = index.get(s, n)  # where the last new point leads: X[n] when s is solved
+        used: list[FreeSubmodule | None] = [None] * n  # successor at the last step
+        for sweeps in range(1, MAX_SWEEPS + 1):
             changed = False
-            for k in reversed(range(K)):
-                incoming = kappa_span(structure,
-                                      X[(k + 1) % K].scaled(self._power(shifts[k])))
-                upd = seeds[k].add(incoming).minimal_gens()
-                if upd != X[k]:
-                    X[k] = upd
-                    changed = True
-        return X, sweeps
+            for k in reversed(range(n)):
+                nxt = X[k + 1 if k + 1 < n else last]
+                if nxt is not used[k]:
+                    used[k] = nxt
+                    upd = self._step(shifts[k], nxt)
+                    if upd != X[k]:
+                        X[k], changed = upd, True
+            if not changed:
+                break
+        else:
+            raise StabilizationCapExceededError("orbit iteration exceeded sweep cap")
+        if after is not None:
+            sweeps = max(sweeps, after.sweeps)
+        for x, k in index.items():
+            solved[x] = _Solved(X[k], sweeps, n - min(k, last) + ahead)
+        return X[0], sweeps
 
     def _root_cross_check(self, t: Fraction, exact: FreeSubmodule):
         """For the classical shape, the root-path partial sums
@@ -467,20 +469,17 @@ def tau(M: CartierModule, f: Poly, t, c: Poly | None = None,
 
 def _tau_series_capped(M: CartierModule, f: Poly, t: Fraction, cD: FreeSubmodule,
                        convention: str, cap: int) -> tuple[FreeSubmodule, int]:
+    """Partial sum to level `cap` and the last level (at least 1) it changed at."""
     p = M.ring.p
     acc = M.pres.N
-    stable_from = None
-    prev = None
+    changed_at = 1
     for e in range(1, cap + 1):
         term = _kappa_power_scaled(M, f, exponent_at(t, p, e, convention), e, cD)
-        acc = acc.add(term).minimal_gens()
-        if prev is not None and acc == prev:
-            if stable_from is None:
-                stable_from = e - 1
-        else:
-            stable_from = None
-        prev = acc
-    return acc, cap if stable_from is None else stable_from
+        nxt = acc.add(term).minimal_gens()
+        if e > 1 and nxt != acc:
+            changed_at = e
+        acc = nxt
+    return acc, changed_at
 
 
 def _kappa_power_scaled(M: CartierModule, f: Poly, b: int, e: int,

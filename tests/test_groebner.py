@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from cartierv import groebner
 from cartierv.errors import RankMismatchError
 from cartierv.field_poly import Poly, Ring
 from cartierv.groebner import (
@@ -240,6 +241,24 @@ def test_gb_is_reduced_and_idempotent():
                 lead, _ = w[0].leading()
                 for m in v[0].terms:
                     assert not all(a >= b for a, b in zip(m, lead))
+
+
+def test_minimal_gens_keeps_its_basis(monkeypatch):
+    # the reduced basis comes along, so comparing the result runs no Buchberger
+    R = Ring(5, ("x", "y"))
+    x, y = R.gens()
+    for S in (ideal(R, x ** 2 * y + y ** 3, x * y ** 2 - x, x ** 3),
+              FreeSubmodule(R, 2, [(x, y), (y * y, x * y + x), (x * x, R.zero())])):
+        basis = S.groebner()
+        small = S.minimal_gens()
+        runs = []
+        real = groebner._buchberger
+        monkeypatch.setattr(groebner, "_buchberger", lambda *a: runs.append(a) or real(*a))
+        assert small == S and S.contains(small) and small.contains(S)
+        assert small.gens == basis and small.groebner() == basis
+        assert runs == []
+        monkeypatch.undo()
+        assert FreeSubmodule(R, S.rank, basis).groebner() == basis
 
 
 def test_membership_against_linear_oracle():

@@ -188,6 +188,17 @@ def test_suggest_rejects_subquotient():
         suggest_test_element(M, x)
 
 
+def test_default_test_element_checks_the_shape_once(monkeypatch):
+    R = Ring(3, ("x",))
+    x = R.var("x")
+    M = CartierModule.over_ring(R, x)
+    checks = []
+    real = CartierModule.is_full_free
+    monkeypatch.setattr(CartierModule, "is_full_free", lambda self: checks.append(1) or real(self))
+    assert Pair(M, x).tau(Fraction(1, 2)).value == ideal(R, x)
+    assert len(checks) == 1
+
+
 def test_nu_interval_frozen():
     R = Ring(3, ("x", "y"))
     x, y = R.gens()
@@ -371,3 +382,81 @@ def test_pair_back_substitution():
     assert pair.tau(Fraction(1, 6)) == tau(M, f, Fraction(1, 6))
     assert set(pair._solved) == {Fraction(1, 6), Fraction(1, 2)}
     assert pair.tau(Fraction(7, 6)) == tau(M, f, Fraction(7, 6))
+
+
+def counted_steps(monkeypatch):
+    """Record the shift of every orbit step any Pair takes."""
+    shifts = []
+    real = Pair._step
+
+    def step(self, m, X):
+        shifts.append(m)
+        return real(self, m, X)
+    monkeypatch.setattr(Pair, "_step", step)
+    return shifts
+
+
+def test_pair_keeps_one_seed_per_shift():
+    R = Ring(3, ("x", "y"))
+    x, y = R.gens()
+    pair = Pair(CartierModule.over_ring(R, x + y), x ** 2 * y)
+    for t in MEMO_GRID:
+        pair.tau(t)
+        if t > 0:
+            pair.left_limit(t)
+        assert set(pair._seeds) <= {0, 1, 2}
+    assert set(pair._seeds) == {0, 1, 2}
+
+
+def test_confirming_sweep_takes_no_step(monkeypatch):
+    # p = 2: 1/3 -> 2/3 -> 1/3 is a 2-cycle solved in 3 sweeps; the second
+    # sweep steps both points, the third (confirming) one steps neither
+    R = Ring(2, ("x",))
+    x = R.var("x")
+    shifts = counted_steps(monkeypatch)
+    got = Pair(CartierModule.over_ring(R), x).tau(Fraction(1, 3))
+    assert got.stabilized_at_e == 3
+    assert len(shifts) == 4
+    # a point whose orbit runs into a solved one is stepped once
+    R3 = Ring(3, ("x", "y"))
+    x, y = R3.gens()
+    M, f = CartierModule.over_ring(R3, x + y), x ** 2 * y
+    want = tau(M, f, Fraction(1, 6))
+    pair = Pair(M, f)
+    pair.tau(Fraction(1, 2))
+    shifts.clear()
+    assert pair.tau(Fraction(1, 6)) == want
+    assert shifts == [0]
+
+
+def test_shared_pair_serves_points_of_a_solved_orbit(monkeypatch):
+    # p = 2: the orbit 1/12 -> 1/6 -> 1/3 -> 2/3 -> 1/3 has a pre-period
+    # {1/12, 1/6} and a cycle {1/3, 2/3}; solving it from 1/12 answers the rest
+    R = Ring(2, ("x", "y"))
+    x, y = R.gens()
+    M, f = CartierModule.over_ring(R, x + y), x ** 3 * y ** 2
+    pair = Pair(M, f)
+    assert pair.tau(Fraction(1, 12)) == tau(M, f, Fraction(1, 12))
+    assert set(pair._solved) == {Fraction(1, 12), Fraction(1, 6), Fraction(1, 3),
+                                 Fraction(2, 3)}
+    fresh = {t: tau(M, f, t) for t in (Fraction(1, 6), Fraction(2, 3))}
+    shifts = counted_steps(monkeypatch)
+    for t, want in fresh.items():
+        got = pair.tau(t)
+        assert (got.value, got.path) == (want.value, want.path), t
+    assert shifts == []
+
+
+def test_ceil_pe_minus_1_levels():
+    # stabilized_at_e is the last level at which the series' partial sum changed
+    R = Ring(3, ("x", "y"))
+    x, y = R.gens()
+    plain, twisted, sum_twist = (CartierModule.over_ring(R), CartierModule.over_ring(R, x),
+                                 CartierModule.over_ring(R, x + y))
+    cases = [(plain, x ** 2 * y, Fraction(4, 9), 4), (plain, x ** 2 * y, Fraction(2), 1),
+             (twisted, x, Fraction(1, 2), 1), (twisted, x, Fraction(7, 5), 4),
+             (sum_twist, x * y, Fraction(1, 2), 3)]
+    for M, f, t, level in cases:
+        got = tau(M, f, t, convention="ceil_pe_minus_1")
+        assert (got.stabilized_at_e, got.path) == (level, "series+orbit"), t
+        assert got.value == tau(M, f, t).value
