@@ -262,11 +262,6 @@ class Pair:
 
     @cached_property
     def _classical_twist(self) -> Poly | None:
-        """`classical_twist` of M, checked once: a default test element
-        exists only for the classical shape."""
-        if self._c is None:
-            self.c  # raises unless M has the classical shape
-            return self.M.structure.scalar_twist()
         return classical_twist(self.M)
 
     def _power(self, m: int) -> Poly:

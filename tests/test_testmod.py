@@ -188,17 +188,6 @@ def test_suggest_rejects_subquotient():
         suggest_test_element(M, x)
 
 
-def test_default_test_element_checks_the_shape_once(monkeypatch):
-    R = Ring(3, ("x",))
-    x = R.var("x")
-    M = CartierModule.over_ring(R, x)
-    checks = []
-    real = CartierModule.is_full_free
-    monkeypatch.setattr(CartierModule, "is_full_free", lambda self: checks.append(1) or real(self))
-    assert Pair(M, x).tau(Fraction(1, 2)).value == ideal(R, x)
-    assert len(checks) == 1
-
-
 def test_nu_interval_frozen():
     R = Ring(3, ("x", "y"))
     x, y = R.gens()
@@ -436,7 +425,8 @@ def test_shared_pair_serves_points_of_a_solved_orbit(monkeypatch):
     x, y = R.gens()
     M, f = CartierModule.over_ring(R, x + y), x ** 3 * y ** 2
     pair = Pair(M, f)
-    assert pair.tau(Fraction(1, 12)) == tau(M, f, Fraction(1, 12))
+    first = pair.tau(Fraction(1, 12))
+    assert first == tau(M, f, Fraction(1, 12))
     assert set(pair._solved) == {Fraction(1, 12), Fraction(1, 6), Fraction(1, 3),
                                  Fraction(2, 3)}
     fresh = {t: tau(M, f, t) for t in (Fraction(1, 6), Fraction(2, 3))}
@@ -444,7 +434,17 @@ def test_shared_pair_serves_points_of_a_solved_orbit(monkeypatch):
     for t, want in fresh.items():
         got = pair.tau(t)
         assert (got.value, got.path) == (want.value, want.path), t
+        # every point the loop solved stores that loop's whole-orbit count
+        assert got.stabilized_at_e == first.stabilized_at_e, t
     assert shifts == []
+    # 1/28 -> 1/14 -> 1/7 -> 2/7 -> 4/7 -> 1/7: the cycle point 4/7 keeps the
+    # count of the 1/28 loop, which differs from a fresh call's
+    pair = Pair(M, f)
+    first = pair.tau(Fraction(1, 28))
+    got, want = pair.tau(Fraction(4, 7)), tau(M, f, Fraction(4, 7))
+    assert got.value == want.value
+    assert (got.stabilized_at_e, want.stabilized_at_e) == (first.stabilized_at_e, 4)
+    assert first.stabilized_at_e == 3
 
 
 def test_ceil_pe_minus_1_levels():
