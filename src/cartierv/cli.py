@@ -9,6 +9,7 @@ exactly as fractions.  Exit codes: 0 success, 2 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -421,7 +422,10 @@ def _add_output_args(sub, max_e=True):
                          help="level cap for this computation (default 6)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and shared by every later
+    `main` call in the process."""
     parser = _Parser(prog="cartierv",
                      description="Exact test-module and V-filtration "
                                  "computations over F_p[x_1..x_n].")

@@ -280,7 +280,7 @@ class FreeSubmodule:
         if not isinstance(other, FreeSubmodule):
             return NotImplemented
         return (self.ring == other.ring and self.rank == other.rank
-                and self.groebner() == other.groebner())
+                and self._basis() == other._basis())
 
     def __hash__(self):
         raise TypeError("FreeSubmodule is not hashable")

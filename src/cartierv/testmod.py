@@ -23,6 +23,12 @@ t run once, the seeds are kept per shift m < p, and the converged value at
 every orbit point is kept, so a later orbit that runs into a solved point
 sweeps only its new points, with the solved one as a constant successor.
 The scans build one `Pair` per call and drop it when they return.
+
+The scans (`jumping_numbers`, `fpt`) search a candidate grid for the points
+where the value changes.  tau decreases in t (Blickle-Mustata-Smith), so a
+stretch of the grid whose two ends have equal values holds no change and is
+skipped without evaluating its inner points; only the changes and the
+halving points around them are evaluated.
 """
 
 from __future__ import annotations
@@ -198,8 +204,8 @@ class Pair:
     element (`suggest_test_element` when c is None), regularity of f, the
     image-stable part D = underline(M), cD and the value at 0.  Memos fill
     as values are asked for: the seed of every shift m < p, the converged
-    value at and just below every orbit point in (0, 1], and the root-path
-    ideals of the cross-check per (e, B).  Every returned value still
+    value at and just below every orbit point in (0, 1], and the level-k
+    roots of the cross-check per (k, B mod p^k).  Every returned value still
     passes `D.contains` and, for the classical shape, the root cross-check.
 
     The memos live as long as the Pair; the scans build one per call.
@@ -394,33 +400,75 @@ class Pair:
         """For the classical shape, the root-path partial sums
         sum_{e <= depth} (c u^{s_e} f^{B_e})^{[1/p^e]}, s_e = 1 + p + .. + p^{e-1},
         must sit inside the exact value.  A sum sits inside exactly when each
-        summand does; the summands depend on t only through B_e and are kept
-        per (e, B_e)."""
-        u = self._classical_twist
-        if u is None:
+        summand does."""
+        if self._classical_twist is None:
             return
-        ring = self.M.ring
-        p = ring.p
+        p = self.M.ring.p
         for e in range(1, min(3, self.cap) + 1):
-            B = exponent_at(t, p, e)
-            J = self._roots.get((e, B))
-            if J is None:
-                J = scaled_root(ideal(ring, self.c), e, u=u, A=(p ** e - 1) // (p - 1),
-                                f=self.f, B=B, e_cap=self.e_cap)
-                self._roots[(e, B)] = J
-            if not exact.contains(J):
+            if not exact.contains(self._root(e, exponent_at(t, p, e))):
                 raise CartierError("root-path sum escapes the exact tau value")
+
+    def _root(self, e: int, B: int) -> FreeSubmodule:
+        """(c u^{s_e} f^B)^{[1/p^e]}, one level at a time.  The digits of s_e
+        are all 1, so the root after level k depends on B only through
+        B mod p^k; it is kept per (k, B mod p^k), shared by every e and t.
+        The part B // p^e of f^B pulls out of the root."""
+        p = self.M.ring.p
+        J = ideal(self.M.ring, self.c)
+        for k in range(1, e + 1):
+            key = (k, B % p ** k)
+            if key not in self._roots:
+                self._roots[key] = scaled_root(J, 1, u=self._classical_twist, A=1,
+                                               f=self.f, B=B // p ** (k - 1) % p)
+            J = self._roots[key]
+        b = B // p ** e
+        return J.scaled(self._power(b)) if b else J
+
+    def _changes(self, grid: list[Fraction], before: FreeSubmodule):
+        """The points of the sorted grid whose tau differs from that of the
+        point before (from `before` for the first), in increasing order, each
+        with its value.
+
+        tau decreases in t, so a stretch of the grid whose two ends have equal
+        values holds no change and is skipped unevaluated; any other stretch
+        is halved.  Every value is checked to lie between its evaluated
+        neighbours.  Changes are yielded as they are found, so a caller that
+        stops early leaves the rest of the grid unevaluated.
+        """
+        def value(k: int, upper: FreeSubmodule) -> FreeSubmodule:
+            v = self.tau(grid[k]).value
+            if not upper.contains(v):
+                raise CartierError(f"tau not monotone at t={grid[k]}")
+            return v
+
+        def split(i: int, vi: FreeSubmodule, j: int, vj: FreeSubmodule):
+            # no grid point strictly between i and j has been evaluated yet
+            if vi == vj:
+                return
+            if j == i + 1:
+                yield grid[j], vj
+                return
+            m = (i + j) // 2
+            vm = value(m, vi)
+            if not vm.contains(vj):
+                raise CartierError(f"tau not monotone at t={grid[j]}")
+            yield from split(i, vi, m, vm)
+            yield from split(m, vm, j, vj)
+
+        if grid:
+            yield from split(-1, before, len(grid) - 1, value(len(grid) - 1, before))
 
     def jumping_numbers(self, t_min, t_max, max_denominator: int) -> FiltrationTable:
         """Table of t -> tau(M, f^t) on [t_min, t_max]: its jumping numbers
         in (t_min, t_max], with the value and left limit at each.
 
-        Scans the candidate grid (all denominators up to the bound, plus the
-        p^k (p-1) ladder just past it) and locates value changes.  The exact
+        Searches the candidate grid (all denominators up to the bound, plus
+        the p^k (p-1) ladder just past it) for value changes, skipping every
+        stretch whose ends agree, which by monotonicity holds none.  The exact
         left limit at a change proves the jump sits at its candidate, or that
         one lies between grid points, which raises: the grid decides which
-        jumps are found, never whether a miss goes unnoticed.  Monotonicity
-        of the scanned values is asserted along the way.
+        jumps are found, never whether a miss goes unnoticed.  Every evaluated
+        value is checked to lie between its evaluated neighbours.
         """
         lo, hi = Fraction(t_min), Fraction(t_max)
         if lo < 0 or hi <= lo:
@@ -437,12 +485,7 @@ class Pair:
         values: list[FreeSubmodule] = []
         limits: list[FreeSubmodule] = []
         prev = v0
-        for q in grid:
-            cur = self.tau(q).value
-            if cur == prev:
-                continue
-            if not prev.contains(cur):
-                raise CartierError(f"tau not monotone at t={q}")
+        for q, cur in self._changes(grid, v0):
             left = self.left_limit(q).value
             if left != prev:
                 raise CartierError(
@@ -589,10 +632,13 @@ def fpt(ring: Ring, f: Poly, max_denominator: int | None = None,
         e_nu: int | None = None, e_cap: int | None = None) -> FptResult:
     """F-pure threshold of f: the first jump of t -> tau(R, f^t).
 
-    The candidate scan is restricted to the Frobenius interval
-    [nu/p^e, (nu+1)/p^e].  The first q with tau(q) != R is the threshold
-    exactly when the left limit at q is R; otherwise the threshold is off
-    the grid below q, and FptDivergenceError is raised instead of a guess.
+    The candidate grid is restricted to the Frobenius interval
+    [nu/p^e, (nu+1)/p^e] and searched for the first q with tau(q) != R:
+    by monotonicity that predicate holds on a final stretch of the grid,
+    so halving finds q in about log2 of the grid's size tau calls.  q is the
+    threshold exactly when the left limit at q is R; otherwise the threshold
+    is off the grid below q, and FptDivergenceError is raised instead of a
+    guess.
     """
     if f.ring != ring:
         raise RingMismatchError("f over wrong ring")
@@ -605,14 +651,13 @@ def fpt(ring: Ring, f: Poly, max_denominator: int | None = None,
     lo, hi = nu_interval(ring, f, level)
     pair = Pair(CartierModule.over_ring(ring), f, e_cap=e_cap)
     full = full_module(ring, 1)
-    for q in _candidate_grid(p, lo, hi, max_denominator, e_cap=e_cap):
-        if q == 0:
-            continue
-        if pair.tau(q).value != full:
-            left = pair.left_limit(q).value
-            if left != full:
-                raise FptDivergenceError(
-                    f"threshold lies below candidate {q}; grid too coarse")
-            return FptResult(q, lo, hi, level)
-    raise FptDivergenceError(
-        f"no jump found in the Frobenius window [{lo}, {hi}]")
+    grid = [q for q in _candidate_grid(p, lo, hi, max_denominator, e_cap=e_cap) if q]
+    first = next(pair._changes(grid, full), None)
+    if first is None:
+        raise FptDivergenceError(
+            f"no jump found in the Frobenius window [{lo}, {hi}]")
+    q = first[0]
+    if pair.left_limit(q).value != full:
+        raise FptDivergenceError(
+            f"threshold lies below candidate {q}; grid too coarse")
+    return FptResult(q, lo, hi, level)

@@ -298,3 +298,26 @@ def test_jumps_of_x3y2_off_the_ladder(capsys):
     res = json.loads(out)["result"]
     assert res["jumps"] == ["1/3", "1/2", "2/3", "1"]
     assert res["values"] == [["x"], ["x*y"], ["x^2*y"], ["x^3*y^2"]]
+
+
+def run_cli_or_usage_error(capsys, *argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_main_repeats_in_one_process(capsys):
+    # the parser is built once per process; a usage error in between must
+    # not leave state behind for the next call
+    good = ("jumps", "--p", "3", "--vars", "x,y", "--f", "x^2*y", "--range", "0..1",
+            "--max-denominator", "6", "--json")
+    bad = ("jumps", "--p", "3", "--vars", "x,y", "--range", "0..1", "--json")
+    runs = [run_cli_or_usage_error(capsys, *argv) for argv in (good, bad, good, bad)]
+    assert runs[0][0] == 0 and runs[0][2] == ""
+    assert runs[1][0] == 3 and runs[1][1] == ""
+    assert "error [usage]" in runs[1][2] and "--f" in runs[1][2]
+    assert runs[2] == runs[0]
+    assert runs[3] == runs[1]

@@ -12,12 +12,14 @@ from cartierv.cartier_mod import (
     reduce_from_graph,
     shriek_finite,
 )
-from cartierv.errors import FptDivergenceError, NonDegenerateError
+from cartierv.errors import CartierError, FptDivergenceError, NonDegenerateError
 from cartierv.field_poly import Ring
+from cartierv.frobenius import scaled_root
 from cartierv.groebner import QuotientPresentation, full_module, ideal
 from cartierv.testmod import (
     FiltrationTable,
     Pair,
+    _candidate_grid,
     exponent_at,
     fpt,
     is_F_regular,
@@ -211,9 +213,10 @@ def test_fpt_known_values():
 
 
 def test_fpt_cusp_p3():
-    # Mustata-Takagi-Watanabe: fpt(x^2 + y^3) is 1/2 at p = 2, 2/3 at p = 3
-    # and 4/5 at p = 5
-    for p, threshold in ((2, Fraction(1, 2)), (3, Fraction(2, 3)), (5, Fraction(4, 5))):
+    # Mustata-Takagi-Watanabe: fpt(x^2 + y^3) is 1/2 at p = 2, 2/3 at p = 3,
+    # 4/5 at p = 5 and 5/6 at p = 7, where the search covers 14,938 candidates
+    for p, threshold in ((2, Fraction(1, 2)), (3, Fraction(2, 3)), (5, Fraction(4, 5)),
+                         (7, Fraction(5, 6))):
         R = Ring(p, ("x", "y"))
         x, y = R.gens()
         res = fpt(R, x ** 2 + y ** 3)
@@ -460,3 +463,98 @@ def test_ceil_pe_minus_1_levels():
         got = tau(M, f, t, convention="ceil_pe_minus_1")
         assert (got.stabilized_at_e, got.path) == (level, "series+orbit"), t
         assert got.value == tau(M, f, t).value
+
+
+def linear_scan(M, f, lo, hi, max_denominator, c=None):
+    """Reference for `jumping_numbers`: tau and the left limit at every grid
+    point in turn.  Returns (v0, jumps, values, left limits), or the message
+    of the first jump that falls between grid points."""
+    pair = Pair(M, f, c)
+    p = M.ring.p
+    grid = [q for q in _candidate_grid(p, lo, hi, max_denominator,
+                                       ladder_limit=p * max_denominator) if q > lo]
+    v0 = prev = pair.tau(lo).value
+    jumps, values, limits = [], [], []
+    for q in grid:
+        cur, left = pair.tau(q).value, pair.left_limit(q).value
+        assert prev.contains(cur), q
+        if cur != prev:
+            if left != prev:
+                return f"jump between grid points below t={q}"
+            jumps.append(q)
+            values.append(cur)
+            limits.append(left)
+        prev = cur
+    return v0, tuple(jumps), tuple(values), tuple(limits)
+
+
+def assert_search_matches_linear_scan(M, f, lo, hi, max_denominator, c=None):
+    want = linear_scan(M, f, lo, hi, max_denominator, c)
+    if isinstance(want, str):
+        with pytest.raises(CartierError, match=want):
+            jumping_numbers(M, f, lo, hi, max_denominator, c)
+        return
+    table = jumping_numbers(M, f, lo, hi, max_denominator, c)
+    assert (table.v0, table.jumps, table.values, table.left_limits) == want
+
+
+def test_jumping_numbers_match_a_linear_scan():
+    rng = random.Random(59)
+    for p in (2, 3):
+        for names in (("x",), ("x", "y")):
+            R = Ring(p, names)
+            x = R.var("x")
+            for _ in range(2):
+                u = random_poly(rng, R, 2, nonzero=True)
+                f = x * (random_poly(rng, R, 1) + R.one())
+                if not (u * f).is_zero():
+                    assert_search_matches_linear_scan(CartierModule.over_ring(R, u), f,
+                                                      Fraction(0), Fraction(2), 6)
+        R = Ring(p, ("x", "y"))
+        x, y = R.gens()
+        plain = CartierModule.over_ring(R)
+        for a, b, lo, hi, md in ((2, 3, 0, 1, 6), (3, 2, 0, 1, 6), (1, 4, 0, 2, 4),
+                                 (5, 1, Fraction(1, 3), Fraction(3, 2), 6),
+                                 (2, 21, 0, Fraction(1, 2), 12)):
+            assert_search_matches_linear_scan(plain, x ** a * y ** b,
+                                              Fraction(lo), Fraction(hi), md)
+
+
+def test_scan_skips_stretches_with_equal_ends(monkeypatch):
+    # tau((F_3[x], C), x^t) = (x^floor(t)): two jumps among 276 candidates above 0
+    R = Ring(3, ("x",))
+    x = R.var("x")
+    grid = [q for q in _candidate_grid(3, Fraction(0), Fraction(2), 18, ladder_limit=54)
+            if q > 0]
+    calls = []
+    real = Pair.tau
+
+    def counted(self, t, *args, **kwargs):
+        calls.append(t)
+        return real(self, t, *args, **kwargs)
+    monkeypatch.setattr(Pair, "tau", counted)
+    table = compute_vfiltration(CartierModule.over_ring(R), x, 2, 18)
+    assert table.jumps == (Fraction(1), Fraction(2))
+    assert len(grid) == 276
+    assert 10 * len(calls) < len(grid)
+
+
+def test_root_levels_match_direct_roots():
+    # a level kept under (k, B mod p^k) serves every e and B sharing those digits
+    rng = random.Random(61)
+    for p in (2, 3, 5):
+        for names in (("x",), ("x", "y")):
+            R = Ring(p, names)
+            x = R.var("x")
+            u = random_poly(rng, R, 2, nonzero=True)
+            f = x * (random_poly(rng, R, 1) + R.one())
+            c = u * f
+            if c.is_zero():
+                continue
+            pair = Pair(CartierModule.over_ring(R, u), f, c)
+            for e in (1, 2, 3):
+                for B in [0, p ** e] + [rng.randrange(1, 3 * p ** e) for _ in range(6)]:
+                    want = scaled_root(ideal(R, c), e, u=u, A=(p ** e - 1) // (p - 1),
+                                       f=f, B=B)
+                    assert pair._root(e, B).gens == want.gens, (p, e, B)
+            assert all(r < p ** k for k, r in pair._roots)
