@@ -422,6 +422,11 @@ def _add_output_args(sub, max_e=True):
                          help="level cap for this computation (default 6)")
 
 
+SCAN_DENOMINATOR_HELP = ("a jump is answered when its denominator divides some n up to "
+                         "this value, or a ladder denominator (p-1) p^k up to p times it "
+                         "with k at most the level cap; any other jump exits 2 (default 12)")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command line parser, built on first use and shared by every later
@@ -443,7 +448,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_fpt = subs.add_parser("fpt", help="F-pure threshold")
     _add_ring_args(p_fpt, module=False)
     p_fpt.add_argument("--f", required=True)
-    p_fpt.add_argument("--max-denominator", type=int, default=None)
+    p_fpt.add_argument("--max-denominator", type=int, default=None,
+                       help="the threshold is answered when its denominator divides some "
+                            "n up to this value, or a ladder denominator (p-1) p^k with k at "
+                            "most the level cap; otherwise exit 4 (default p^2 (p-1))")
     p_fpt.add_argument("--e-nu", type=int, default=None,
                        help="level e for the Frobenius bracketing interval; "
                             "above 1, p^e must be at most 2^14")
@@ -454,7 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ring_args(p_jumps)
     p_jumps.add_argument("--f", required=True)
     p_jumps.add_argument("--range", required=True, help="lo..hi, exact fractions")
-    p_jumps.add_argument("--max-denominator", type=int, default=12)
+    p_jumps.add_argument("--max-denominator", type=int, default=12,
+                         help=SCAN_DENOMINATOR_HELP)
     _add_output_args(p_jumps)
     p_jumps.set_defaults(func=cmd_jumps, needs_ring=True)
 
@@ -463,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ring_args(p_vf)
     p_vf.add_argument("--f", required=True)
     p_vf.add_argument("--t-max", required=True)
-    p_vf.add_argument("--max-denominator", type=int, default=12)
+    p_vf.add_argument("--max-denominator", type=int, default=12, help=SCAN_DENOMINATOR_HELP)
     _add_output_args(p_vf)
     p_vf.set_defaults(func=cmd_vfilt, needs_ring=True)
 
@@ -471,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ring_args(p_gr)
     p_gr.add_argument("--f", required=True)
     p_gr.add_argument("--range", default="0..1")
-    p_gr.add_argument("--max-denominator", type=int, default=12)
+    p_gr.add_argument("--max-denominator", type=int, default=12, help=SCAN_DENOMINATOR_HELP)
     p_gr.add_argument("--convention", choices=GR_CONVENTIONS, default="a")
     _add_output_args(p_gr)
     p_gr.set_defaults(func=cmd_gr, needs_ring=True)

@@ -179,12 +179,6 @@ class Poly:
     def is_one(self) -> bool:
         return self.terms == {(0,) * self.ring.n: 1}
 
-    def total_degree(self) -> int:
-        """Max total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -398,12 +392,6 @@ class FrobeniusDigits:
     level: int
     digits: dict[Monomial, Poly]
 
-    def recompose(self, ring: Ring) -> Poly:
-        out = ring.zero()
-        for a, g in self.digits.items():
-            out = out + g.frobenius_power(self.level).mul_monomial(a)
-        return out
-
 
 def frobenius_digits(f: Poly, e: int) -> FrobeniusDigits:
     """All level-e digits of f, indexed by exponent tuples below p^e."""
@@ -434,17 +422,3 @@ def cartier_trace(f: Poly, e: int = 1) -> Poly:
             out[tuple((x - top) // q for x in m)] = c
     return Poly(f.ring, out)
 
-
-def twisted_power(u: Poly, f: Poly, e: int) -> Poly:
-    """e-fold composite of (C o u) applied to f.
-
-    Equals C_e(u^{(p^e-1)/(p-1)} f) by the telescoping of the twists through
-    the trace.  It is the reference form: the tests check the closed form
-    and `CartierStructure.apply_iter` against it.
-    """
-    if u.ring != f.ring:
-        raise RingMismatchError(f"{u.ring} vs {f.ring}")
-    v = f
-    for _ in range(e):
-        v = cartier_trace(u * v, 1)
-    return v

@@ -24,19 +24,20 @@ every orbit point is kept, so a later orbit that runs into a solved point
 sweeps only its new points, with the solved one as a constant successor.
 The scans build one `Pair` per call and drop it when they return.
 
-The scans (`jumping_numbers`, `fpt`) search a candidate grid for the points
-where the value changes.  tau decreases in t (Blickle-Mustata-Smith), so a
-stretch of the grid whose two ends have equal values holds no change and is
-skipped without evaluating its inner points; only the changes and the
-halving points around them are evaluated.
+The scans (`jumping_numbers`, `fpt`) find each jump c above a point a by a
+Stern-Brocot descent on "tau(q) != tau(a)", which holds exactly for q >= c
+since tau decreases in t (Blickle-Mustata-Smith); q = c exactly when also
+the left limit at q is tau(a).  Jumps are rational, so the descent ends, in
+O(log den c) tau calls when it gallops (Kwek-Mehlhorn).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import chain
 from typing import NamedTuple
 
 from .cartier_mod import CartierModule, kappa_span, underline
@@ -108,12 +109,6 @@ class FiltrationTable:
             if j == t:
                 return lim
         return self.value_at(t)
-
-    def replace_value(self, index: int, value: FreeSubmodule) -> "FiltrationTable":
-        """Copy with one stored value swapped out (for corruption tests)."""
-        vals = list(self.values)
-        vals[index] = value
-        return replace(self, values=tuple(vals))
 
 
 def exponent_at(t: Fraction, p: int, e: int, convention: str = "ceil_pe") -> int:
@@ -204,9 +199,10 @@ class Pair:
     element (`suggest_test_element` when c is None), regularity of f, the
     image-stable part D = underline(M), cD and the value at 0.  Memos fill
     as values are asked for: the seed of every shift m < p, the converged
-    value at and just below every orbit point in (0, 1], and the level-k
-    roots of the cross-check per (k, B mod p^k).  Every returned value still
-    passes `D.contains` and, for the classical shape, the root cross-check.
+    value at and just below every orbit point in (0, 1], the level-k roots
+    of the cross-check per (k, B mod p^k), and every `tau` answer per
+    (t, convention).  Every value passes `D.contains` and, for the classical
+    shape, the root cross-check once, before its answer is kept.
 
     The memos live as long as the Pair; the scans build one per call.
     A Pair gives the values and paths of fresh calls.  The sweep count in
@@ -223,6 +219,7 @@ class Pair:
         self.f = f
         self._c = c
         self.e_cap = e_cap
+        self._results: dict[tuple[Fraction, str], TauResult] = {}
         self._solved: dict[Fraction, _Solved] = {}
         self._below: dict[Fraction, _Solved] = {}
         self._roots: dict[tuple[int, int], FreeSubmodule] = {}
@@ -289,6 +286,11 @@ class Pair:
             raise ValueError("exponent t must be nonnegative")
         if convention not in CONVENTIONS:
             raise ValueError(f"unknown convention {convention!r}")
+        if (t, convention) not in self._results:
+            self._results[t, convention] = self._checked(t, convention)
+        return self._results[t, convention]
+
+    def _checked(self, t: Fraction, convention: str) -> TauResult:
         if t == 0:
             return self._at_zero
         exact, sweeps = self._value(t, below=False)
@@ -424,78 +426,100 @@ class Pair:
         b = B // p ** e
         return J.scaled(self._power(b)) if b else J
 
-    def _changes(self, grid: list[Fraction], before: FreeSubmodule):
-        """The points of the sorted grid whose tau differs from that of the
-        point before (from `before` for the first), in increasing order, each
-        with its value.
+    def _first_jump(self, a: Fraction, va: FreeSubmodule, b: Fraction,
+                    vb: FreeSubmodule, N: int, ladder: int):
+        """The first jump c of tau in (a, b], given va = tau(a) != tau(b) = vb:
+        (c, tau(c), the left limit at c) when c is a candidate, a fraction
+        whose denominator divides some n <= N or `ladder`; else (the next
+        candidate, None, None).
 
-        tau decreases in t, so a stretch of the grid whose two ends have equal
-        values holds no change and is skipped unevaluated; any other stretch
-        is halved.  Every value is checked to lie between its evaluated
-        neighbours.  Changes are yielded as they are found, so a caller that
-        stops early leaves the rest of the grid unevaluated.
+        "q >= c" holds exactly when tau(q) != va, and "q = c" exactly when
+        also the left limit at q is va.  A Stern-Brocot descent keeps Farey
+        neighbours L < c <= R, galloping along each run of equal turns; nodes
+        <= a and >= b need no tau, and every value must lie between va and
+        vb.  Every node on the path to c has a denominator of at most den c,
+        so none above max(N, ladder) is evaluated: reaching that bound shows
+        c is no candidate, and that none lies strictly between L and R.
         """
-        def value(k: int, upper: FreeSubmodule) -> FreeSubmodule:
-            v = self.tau(grid[k]).value
-            if not upper.contains(v):
-                raise CartierError(f"tau not monotone at t={grid[k]}")
-            return v
+        @cache
+        def at_or_above(q: Fraction) -> bool:
+            if q <= a or q >= b:
+                return q >= b
+            v = self.tau(q).value
+            if not (va.contains(v) and v.contains(vb)):
+                raise CartierError(f"tau not monotone at t={q}")
+            return v != va
 
-        def split(i: int, vi: FreeSubmodule, j: int, vj: FreeSubmodule):
-            # no grid point strictly between i and j has been evaluated yet
-            if vi == vj:
-                return
-            if j == i + 1:
-                yield grid[j], vj
-                return
-            m = (i + j) // 2
-            vm = value(m, vi)
-            if not vm.contains(vj):
-                raise CartierError(f"tau not monotone at t={grid[j]}")
-            yield from split(i, vi, m, vm)
-            yield from split(m, vm, j, vj)
+        def run(base, step, side: bool) -> tuple[int, int]:
+            # the last node base + k step on `side` of c within the bound, galloping
+            def stays(k: int) -> bool:
+                h, d = base[0] + k * step[0], base[1] + k * step[1]
+                return d <= top and at_or_above(Fraction(h, d)) == side
+            k, gap = 0, 1
+            while stays(k + gap):
+                k, gap = k + gap, 2 * gap
+            while gap > 1:
+                gap //= 2
+                k += gap if stays(k + gap) else 0
+            return base[0] + k * step[0], base[1] + k * step[1]
 
-        if grid:
-            yield from split(-1, before, len(grid) - 1, value(len(grid) - 1, before))
+        top = max(N, ladder)
+        L, R = (0, 1), (1, 0)
+        while L[1] + R[1] <= top:
+            L = run(L, R, False)
+            if L[1] + R[1] <= top:
+                R = run(R, L, True)
+                c = Fraction(*R)
+                if c <= b and (left := self.left_limit(c).value) == va:
+                    if c.denominator <= N or ladder % c.denominator == 0:
+                        return c, self.tau(c).value, left
+                    break
+        q = min(Fraction(math.ceil(Fraction(*R) * d), d) for d in chain(range(1, N + 1), [ladder]))
+        return q, None, None
 
     def jumping_numbers(self, t_min, t_max, max_denominator: int) -> FiltrationTable:
         """Table of t -> tau(M, f^t) on [t_min, t_max]: its jumping numbers
-        in (t_min, t_max], with the value and left limit at each.
-
-        Searches the candidate grid (all denominators up to the bound, plus
-        the p^k (p-1) ladder just past it) for value changes, skipping every
-        stretch whose ends agree, which by monotonicity holds none.  The exact
-        left limit at a change proves the jump sits at its candidate, or that
-        one lies between grid points, which raises: the grid decides which
-        jumps are found, never whether a miss goes unnoticed.  Every evaluated
-        value is checked to lie between its evaluated neighbours.
+        in (t_min, t_max], with the value and left limit at each, found one
+        after the other by `_first_jump` until the value is tau(t_max).  A
+        jump is answered when its denominator divides some n <=
+        max_denominator or a ladder denominator p^k (p-1) <= p max_denominator
+        within the level cap; any other raises, naming the smallest such
+        candidate above it, or t_max.
         """
         lo, hi = Fraction(t_min), Fraction(t_max)
         if lo < 0 or hi <= lo:
             raise ValueError("need 0 <= t_min < t_max")
         if max_denominator < 1:
             raise ValueError("max_denominator must be >= 1")
-        p = self.M.ring.p
-        grid = [q for q in _candidate_grid(p, lo, hi, max_denominator,
-                                           ladder_limit=p * max_denominator,
-                                           e_cap=self.e_cap)
-                if q > lo]
+        ladder = _ladder(self.M.ring.p, self.e_cap, self.M.ring.p * max_denominator)
         v0 = self.tau(lo).value
-        jumps: list[Fraction] = []
-        values: list[FreeSubmodule] = []
-        limits: list[FreeSubmodule] = []
-        prev = v0
-        for q, cur in self._changes(grid, v0):
-            left = self.left_limit(q).value
-            if left != prev:
+        end = self.tau(hi).value
+        if not v0.contains(end):
+            raise CartierError(f"tau not monotone at t={hi}")
+        jumps, values, limits = [], [], []
+        a, va = lo, v0
+        while va != end:
+            c, vc, left = self._first_jump(a, va, hi, end, max_denominator, ladder)
+            if vc is None:
                 raise CartierError(
-                    f"jump between grid points below t={q}; raise max_denominator")
-            jumps.append(q)
-            values.append(cur)
+                    f"jump between grid points below t={min(c, hi)}; raise max_denominator")
+            jumps.append(c)
+            values.append(vc)
             limits.append(left)
-            prev = cur
+            a, va = c, vc
         return FiltrationTable(self.f, lo, hi, v0, tuple(jumps), tuple(values),
                                tuple(limits))
+
+
+def _ladder(p: int, e_cap: int | None, limit: float = math.inf) -> int:
+    """The top rung (p-1) p^k <= limit, k at most the level cap, of the
+    ladder of candidate denominators; every lower rung divides it."""
+    d = p - 1
+    for _ in range(level_cap(e_cap)):
+        if d * p > limit:
+            break
+        d *= p
+    return d
 
 
 def tau(M: CartierModule, f: Poly, t, c: Poly | None = None,
@@ -544,27 +568,6 @@ def verify_test_element(M: CartierModule, f: Poly, t, c: Poly) -> bool:
 def tau_left_limit(M: CartierModule, f: Poly, t, c: Poly | None = None) -> TauResult:
     """tau just below t, exact; see `Pair.left_limit`."""
     return Pair(M, f, c).left_limit(t)
-
-
-def _candidate_grid(p: int, lo: Fraction, hi: Fraction, max_denominator: int,
-                    ladder_limit: int | None = None,
-                    e_cap: int | None = None) -> list[Fraction]:
-    dens = set(range(1, max_denominator + 1))
-    d = p - 1
-    for _ in range(level_cap(e_cap) + 1):
-        if ladder_limit is not None and d > ladder_limit:
-            break
-        dens.add(d)
-        d *= p
-    out = set()
-    for den in dens:
-        a_lo = math.floor(lo * den) - 1
-        a_hi = math.ceil(hi * den) + 1
-        for a in range(max(a_lo, 0), a_hi + 1):
-            q = Fraction(a, den)
-            if lo <= q <= hi:
-                out.add(q)
-    return sorted(out)
 
 
 def jumping_numbers(M: CartierModule, f: Poly, t_min, t_max,
@@ -630,15 +633,12 @@ def _default_nu_level(ring: Ring) -> int:
 
 def fpt(ring: Ring, f: Poly, max_denominator: int | None = None,
         e_nu: int | None = None, e_cap: int | None = None) -> FptResult:
-    """F-pure threshold of f: the first jump of t -> tau(R, f^t).
-
-    The candidate grid is restricted to the Frobenius interval
-    [nu/p^e, (nu+1)/p^e] and searched for the first q with tau(q) != R:
-    by monotonicity that predicate holds on a final stretch of the grid,
-    so halving finds q in about log2 of the grid's size tau calls.  q is the
-    threshold exactly when the left limit at q is R; otherwise the threshold
-    is off the grid below q, and FptDivergenceError is raised instead of a
-    guess.
+    """F-pure threshold of f: the first jump of t -> tau(R, f^t), found by
+    `Pair._first_jump` in the Frobenius window (nu/p^e, (nu+1)/p^e], at whose
+    lower end tau is R.  It is answered when its denominator divides some
+    n <= max_denominator (default p^2 (p-1)) or a ladder denominator
+    p^k (p-1) within the level cap; otherwise FptDivergenceError names the
+    smallest such candidate above it, or says the window holds none.
     """
     if f.ring != ring:
         raise RingMismatchError("f over wrong ring")
@@ -651,13 +651,12 @@ def fpt(ring: Ring, f: Poly, max_denominator: int | None = None,
     lo, hi = nu_interval(ring, f, level)
     pair = Pair(CartierModule.over_ring(ring), f, e_cap=e_cap)
     full = full_module(ring, 1)
-    grid = [q for q in _candidate_grid(p, lo, hi, max_denominator, e_cap=e_cap) if q]
-    first = next(pair._changes(grid, full), None)
-    if first is None:
-        raise FptDivergenceError(
-            f"no jump found in the Frobenius window [{lo}, {hi}]")
-    q = first[0]
-    if pair.left_limit(q).value != full:
-        raise FptDivergenceError(
-            f"threshold lies below candidate {q}; grid too coarse")
-    return FptResult(q, lo, hi, level)
+    ladder = _ladder(p, e_cap)
+    end = pair.tau(hi).value
+    if end != full:
+        q, value, _ = pair._first_jump(lo, full, hi, end, max_denominator, ladder)
+        if value is not None:
+            return FptResult(q, lo, hi, level)
+        if q <= hi:
+            raise FptDivergenceError(f"threshold lies below candidate {q}; grid too coarse")
+    raise FptDivergenceError(f"no jump found in the Frobenius window [{lo}, {hi}]")

@@ -26,7 +26,7 @@ from cartierv.cartier_mod import (
     underline,
 )
 from cartierv.errors import CartierError, RankMismatchError
-from cartierv.field_poly import Ring, cartier_trace, twisted_power
+from cartierv.field_poly import Ring, cartier_trace
 from cartierv.groebner import (
     FreeSubmodule,
     QuotientPresentation,
@@ -36,7 +36,7 @@ from cartierv.groebner import (
     zero_module,
 )
 
-from conftest import random_poly
+from conftest import random_poly, twisted_power
 
 
 def test_scalar_structure_matches_trace():

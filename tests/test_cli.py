@@ -291,6 +291,28 @@ def test_threshold_below_the_grid_is_refused(capsys):
     assert "error [fpt-divergence]" in err
 
 
+X7_AT_THE_TOP = ("jumps", "--p", "2", "--vars", "x", "--f", "x^7", "--range", "2/3..5/7",
+                 "--json")
+
+
+def test_jump_at_an_off_grid_top_is_refused(capsys):
+    # tau(x^{7t}) = (x^floor(7t)) is (x^4) at 2/3 and (x^5) at 5/7; no candidate
+    # of denominator <= 6 or 8 lies in (2/3, 5/7]
+    code, out, err = run_cli(capsys, *X7_AT_THE_TOP, "--max-denominator", "6")
+    assert code == 2
+    assert out == ""
+    assert "jump between grid points below t=5/7" in err
+
+
+def test_jump_at_the_top_on_the_grid(capsys):
+    code, out, _ = run_cli(capsys, *X7_AT_THE_TOP, "--max-denominator", "7")
+    assert code == 0
+    res = json.loads(out)["result"]
+    assert res["jumps"] == ["5/7"]
+    assert res["values"] == [["x^5"]]
+    assert res["baseline"] == ["x^4"]
+
+
 def test_jumps_of_x3y2_off_the_ladder(capsys):
     code, out, _ = run_cli(capsys, "jumps", "--p", "2", "--vars", "x,y", "--f", "x^3*y^2",
                            "--range", "0..1", "--max-denominator", "6", "--json")

@@ -15,7 +15,7 @@ from cartierv.frobenius import (
     vector_digits,
 )
 from cartierv.groebner import FreeSubmodule, ideal
-from conftest import random_poly
+from conftest import random_poly, total_degree
 
 
 def brute_force_root(ring: Ring, gens, max_deg: int) -> FreeSubmodule:
@@ -29,7 +29,7 @@ def brute_force_root(ring: Ring, gens, max_deg: int) -> FreeSubmodule:
     for g in gens:
         if g.is_zero():
             continue
-        d = g.total_degree()
+        d = total_degree(g)
         for mult in monomials:
             if sum(mult) + d > max_deg:
                 continue

@@ -19,7 +19,7 @@ from cartierv.groebner import (
     syzygies,
     zero_module,
 )
-from conftest import random_poly
+from conftest import random_poly, total_degree
 
 
 # -- independent oracles -------------------------------------------------------
@@ -65,7 +65,7 @@ def span_membership_oracle(ring: Ring, gens, target: Poly, max_deg: int) -> bool
     for g in gens:
         if g.is_zero():
             continue
-        d = g.total_degree()
+        d = total_degree(g)
         for mult in monomials:
             if sum(mult) + d > max_deg:
                 continue

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -14,12 +15,11 @@ from cartierv.cartier_mod import (
 )
 from cartierv.errors import CartierError, FptDivergenceError, NonDegenerateError
 from cartierv.field_poly import Ring
-from cartierv.frobenius import scaled_root
+from cartierv.frobenius import level_cap, scaled_root
 from cartierv.groebner import QuotientPresentation, full_module, ideal
 from cartierv.testmod import (
     FiltrationTable,
     Pair,
-    _candidate_grid,
     exponent_at,
     fpt,
     is_F_regular,
@@ -214,13 +214,17 @@ def test_fpt_known_values():
 
 def test_fpt_cusp_p3():
     # Mustata-Takagi-Watanabe: fpt(x^2 + y^3) is 1/2 at p = 2, 2/3 at p = 3,
-    # 4/5 at p = 5 and 5/6 at p = 7, where the search covers 14,938 candidates
-    for p, threshold in ((2, Fraction(1, 2)), (3, Fraction(2, 3)), (5, Fraction(4, 5)),
-                         (7, Fraction(5, 6))):
+    # 5/6 for p = 1 mod 6 and (5p - 1)/(6p) for p = 5 mod 6
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+        if p < 5:
+            threshold = Fraction(1, 2) if p == 2 else Fraction(2, 3)
+        else:
+            threshold = Fraction(5, 6) if p % 6 == 1 else Fraction(5 * p - 1, 6 * p)
         R = Ring(p, ("x", "y"))
         x, y = R.gens()
         res = fpt(R, x ** 2 + y ** 3)
-        assert res.value == threshold
+        assert res.value == threshold, p
+        assert res.nu_lower <= threshold <= res.nu_upper, p
         M = CartierModule.over_ring(R)
         at_jump = tau(M, x ** 2 + y ** 3, threshold).value
         assert at_jump == ideal(R, x, y)
@@ -233,6 +237,21 @@ def test_fpt_divergence_on_coarse_grid():
     with pytest.raises(FptDivergenceError):
         fpt(R, f, max_denominator=4)
     assert fpt(R, f, max_denominator=7).value == Fraction(1, 7)
+
+
+def test_candidates_reach_the_top_rung_of_the_ladder():
+    # p = 2, N = 12: the jumps ladder runs to 16 <= 2 N, fpt's to (p-1) p^6 = 64
+    R = Ring(2, ("x", "y"))
+    x, y = R.gens()
+    plain = CartierModule.over_ring(R)
+    assert jumping_numbers(plain, x ** 16, 0, Fraction(1, 16), 12).jumps == (Fraction(1, 16),)
+    with pytest.raises(CartierError, match="below t=1/16;"):
+        jumping_numbers(plain, x ** 32, 0, Fraction(1, 16), 12)
+    assert fpt(R, x ** 64, max_denominator=1).value == Fraction(1, 64)
+    with pytest.raises(FptDivergenceError, match="no jump found"):
+        fpt(R, x ** 128, max_denominator=1)
+    with pytest.raises(FptDivergenceError, match="below candidate 13/64;"):
+        fpt(R, x ** 5)
 
 
 def test_jumping_numbers_twisted_line():
@@ -450,6 +469,24 @@ def test_shared_pair_serves_points_of_a_solved_orbit(monkeypatch):
     assert first.stabilized_at_e == 3
 
 
+def test_each_value_is_checked_once(monkeypatch):
+    # the left limit and a repeated tau read the kept answer at t
+    R = Ring(3, ("x",))
+    x = R.var("x")
+    checked = []
+    real = Pair._root_cross_check
+
+    def counted(self, t, exact):
+        checked.append(t)
+        return real(self, t, exact)
+    monkeypatch.setattr(Pair, "_root_cross_check", counted)
+    pair = Pair(CartierModule.over_ring(R, x), x)
+    first = pair.tau(Fraction(1, 2))
+    assert pair.left_limit(Fraction(1, 2)).value == full_module(R, 1)
+    assert pair.tau(Fraction(1, 2)) is first
+    assert checked == [Fraction(1, 2)]
+
+
 def test_ceil_pe_minus_1_levels():
     # stabilized_at_e is the last level at which the series' partial sum changed
     R = Ring(3, ("x", "y"))
@@ -465,14 +502,30 @@ def test_ceil_pe_minus_1_levels():
         assert got.value == tau(M, f, t).value
 
 
+def candidate_grid(p, lo, hi, max_denominator, ladder_limit=None, e_cap=None):
+    """Reference for the scans' candidates: the fractions in [lo, hi] with a
+    denominator up to the bound or on the ladder p^k (p-1), k at most the
+    level cap and p^k (p-1) at most ladder_limit."""
+    dens = set(range(1, max_denominator + 1))
+    d = p - 1
+    for _ in range(level_cap(e_cap) + 1):
+        if ladder_limit is not None and d > ladder_limit:
+            break
+        dens.add(d)
+        d *= p
+    return sorted({Fraction(a, den) for den in dens
+                   for a in range(max(math.floor(lo * den) - 1, 0), math.ceil(hi * den) + 2)
+                   if lo <= Fraction(a, den) <= hi})
+
+
 def linear_scan(M, f, lo, hi, max_denominator, c=None):
     """Reference for `jumping_numbers`: tau and the left limit at every grid
-    point in turn.  Returns (v0, jumps, values, left limits), or the message
-    of the first jump that falls between grid points."""
+    point in turn, then tau at hi.  Returns (v0, jumps, values, left limits),
+    or the message of the first jump that falls between grid points."""
     pair = Pair(M, f, c)
     p = M.ring.p
-    grid = [q for q in _candidate_grid(p, lo, hi, max_denominator,
-                                       ladder_limit=p * max_denominator) if q > lo]
+    grid = [q for q in candidate_grid(p, lo, hi, max_denominator,
+                                      ladder_limit=p * max_denominator) if q > lo]
     v0 = prev = pair.tau(lo).value
     jumps, values, limits = [], [], []
     for q in grid:
@@ -485,6 +538,8 @@ def linear_scan(M, f, lo, hi, max_denominator, c=None):
             values.append(cur)
             limits.append(left)
         prev = cur
+    if pair.tau(hi).value != prev:
+        return f"jump between grid points below t={hi}"
     return v0, tuple(jumps), tuple(values), tuple(limits)
 
 
@@ -515,7 +570,9 @@ def test_jumping_numbers_match_a_linear_scan():
         plain = CartierModule.over_ring(R)
         for a, b, lo, hi, md in ((2, 3, 0, 1, 6), (3, 2, 0, 1, 6), (1, 4, 0, 2, 4),
                                  (5, 1, Fraction(1, 3), Fraction(3, 2), 6),
-                                 (2, 21, 0, Fraction(1, 2), 12)):
+                                 (2, 21, 0, Fraction(1, 2), 12),
+                                 (7, 0, Fraction(2, 3), Fraction(5, 7), 6),
+                                 (7, 0, Fraction(2, 3), Fraction(5, 7), 7)):
             assert_search_matches_linear_scan(plain, x ** a * y ** b,
                                               Fraction(lo), Fraction(hi), md)
 
@@ -524,7 +581,7 @@ def test_scan_skips_stretches_with_equal_ends(monkeypatch):
     # tau((F_3[x], C), x^t) = (x^floor(t)): two jumps among 276 candidates above 0
     R = Ring(3, ("x",))
     x = R.var("x")
-    grid = [q for q in _candidate_grid(3, Fraction(0), Fraction(2), 18, ladder_limit=54)
+    grid = [q for q in candidate_grid(3, Fraction(0), Fraction(2), 18, ladder_limit=54)
             if q > 0]
     calls = []
     real = Pair.tau
