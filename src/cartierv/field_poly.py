@@ -14,7 +14,6 @@ and satisfies C_e(g^{p^e} f) = g C_e(f).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from itertools import product
 
 from .errors import NotPrimeError, RingMismatchError
@@ -385,16 +384,9 @@ class Poly:
         return f"<{self.to_str()} over {self.ring}>"
 
 
-@dataclass(frozen=True)
-class FrobeniusDigits:
-    """Digit decomposition f = sum_a digits[a]^{p^e} x^a at one level."""
-
-    level: int
-    digits: dict[Monomial, Poly]
-
-
-def frobenius_digits(f: Poly, e: int) -> FrobeniusDigits:
-    """All level-e digits of f, indexed by exponent tuples below p^e."""
+def frobenius_digits(f: Poly, e: int) -> dict[Monomial, Poly]:
+    """All level-e digits of f, indexed by exponent tuples a below p^e:
+    f = sum_a digits[a]^{p^e} x^a."""
     if e < 1:
         raise ValueError("level must be >= 1")
     q = f.ring.p**e
@@ -403,7 +395,7 @@ def frobenius_digits(f: Poly, e: int) -> FrobeniusDigits:
         a = tuple(x % q for x in m)
         g = tuple(x // q for x in m)
         buckets.setdefault(a, {})[g] = c
-    return FrobeniusDigits(e, {a: Poly(f.ring, t) for a, t in buckets.items()})
+    return {a: Poly(f.ring, t) for a, t in buckets.items()}
 
 
 def cartier_trace(f: Poly, e: int = 1) -> Poly:

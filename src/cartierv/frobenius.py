@@ -52,7 +52,7 @@ def vector_digits(v: Vec, e: int) -> dict[Monomial, Vec]:
     """Componentwise level-e digits, indexed by the digit exponent."""
     ring = v[0].ring
     rank = len(v)
-    per_comp = [frobenius_digits(f, e).digits for f in v]
+    per_comp = [frobenius_digits(f, e) for f in v]
     out: dict[Monomial, list[Poly]] = {}
     for i in range(rank):
         for a, g in per_comp[i].items():

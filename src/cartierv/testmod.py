@@ -22,7 +22,10 @@ A `Pair` solves one (M, f, c) for many t: the checks that do not depend on
 t run once, the seeds are kept per shift m < p, and the converged value at
 every orbit point is kept, so a later orbit that runs into a solved point
 sweeps only its new points, with the solved one as a constant successor.
-The scans build one `Pair` per call and drop it when they return.
+The scans build one `Pair` per call and drop it when they return.  The
+seeds, the ceil_pe_minus_1 series and the root cross-check take one base-p
+digit of their exponent B per level (`Pair._levels`), and share every level
+k among the exponents that agree in B mod p^k.
 
 The scans (`jumping_numbers`, `fpt`) find each jump c above a point a by a
 Stern-Brocot descent on "tau(q) != tau(a)", which holds exactly for q >= c
@@ -120,6 +123,8 @@ def is_regular_element(M: CartierModule, f: Poly) -> bool:
     """Is multiplication by f injective on W/N?"""
     if f.is_zero():
         return M.pres.is_zero_module()
+    if M.pres.N.is_zero():
+        return True  # W sits in a free module over a domain
     bad = M.pres.N.colon_element(f).intersect(M.pres.W)
     return M.pres.N.contains(bad)
 
@@ -199,10 +204,11 @@ class Pair:
     element (`suggest_test_element` when c is None), regularity of f, the
     image-stable part D = underline(M), cD and the value at 0.  Memos fill
     as values are asked for: the seed of every shift m < p, the converged
-    value at and just below every orbit point in (0, 1], the level-k roots
-    of the cross-check per (k, B mod p^k), and every `tau` answer per
-    (t, convention).  Every value passes `D.contains` and, for the classical
-    shape, the root cross-check once, before its answer is kept.
+    value at and just below every orbit point in (0, 1], the levels of
+    kappa^e(f^B cD) and of the cross-check's roots, each per
+    (k, B mod p^k), and every `tau` answer per (t, convention).  Every
+    value passes `D.contains` and, for the classical shape, the root
+    cross-check once, before its answer is kept.
 
     The memos live as long as the Pair; the scans build one per call.
     A Pair gives the values and paths of fresh calls.  The sweep count in
@@ -223,6 +229,7 @@ class Pair:
         self._solved: dict[Fraction, _Solved] = {}
         self._below: dict[Fraction, _Solved] = {}
         self._roots: dict[tuple[int, int], FreeSubmodule] = {}
+        self._kappas: dict[tuple[int, int], FreeSubmodule] = {}
         self._seeds: dict[int, FreeSubmodule] = {}
         self._powers: dict[int, Poly] = {}
 
@@ -296,11 +303,16 @@ class Pair:
         exact, sweeps = self._value(t, below=False)
 
         if convention == "ceil_pe_minus_1":
-            # the smaller exponents need the test element deepened by
-            # f^ceil(t), otherwise the series overshoots tau for t > 1
-            deep = self.cD.scaled(self._power(math.ceil(t)))
-            value, stable = _tau_series_capped(self.M, self.f, t, deep, convention,
-                                               self.cap)
+            # the series to the level cap, and the last level (at least 1) it
+            # changed at; the smaller exponents need the test element deepened
+            # by f^ceil(t), otherwise the series overshoots tau for t > 1
+            value, stable = self.M.pres.N, 1
+            for e in range(1, self.cap + 1):
+                b = exponent_at(t, self.M.ring.p, e, convention) + math.ceil(t)
+                nxt = value.add(self._kappa_power(e, b)).minimal_gens()
+                if e > 1 and nxt != value:
+                    stable = e
+                value = nxt
             if value == exact:
                 return TauResult(value, stable, "series+orbit")
             raise StabilizationCapExceededError(
@@ -336,8 +348,7 @@ class Pair:
         """kappa(f^{m+1} cD) + N: the first summand at every orbit point of
         shift m, kept per shift."""
         if m not in self._seeds:
-            self._seeds[m] = (kappa_span(self.M.structure, self.cD.scaled(self._power(m + 1)))
-                              .add(self.M.pres.N).minimal_gens())
+            self._seeds[m] = self._kappa_power(1, m + 1).add(self.M.pres.N).minimal_gens()
         return self._seeds[m]
 
     def _step(self, m: int, X: FreeSubmodule) -> FreeSubmodule:
@@ -410,21 +421,32 @@ class Pair:
             if not exact.contains(self._root(e, exponent_at(t, p, e))):
                 raise CartierError("root-path sum escapes the exact tau value")
 
-    def _root(self, e: int, B: int) -> FreeSubmodule:
-        """(c u^{s_e} f^B)^{[1/p^e]}, one level at a time.  The digits of s_e
-        are all 1, so the root after level k depends on B only through
-        B mod p^k; it is kept per (k, B mod p^k), shared by every e and t.
-        The part B // p^e of f^B pulls out of the root."""
+    def _levels(self, memo: dict, start: FreeSubmodule, e: int, B: int,
+                level) -> FreeSubmodule:
+        """`level` applied e times from `start`, the k-th time with digit k-1
+        of B.  The value after level k depends on B only through B mod p^k,
+        so it is kept in `memo` per (k, B mod p^k), shared by every e and B.
+        The part B // p^e of f^B pulls out at the end."""
         p = self.M.ring.p
-        J = ideal(self.M.ring, self.c)
+        Z = start
         for k in range(1, e + 1):
             key = (k, B % p ** k)
-            if key not in self._roots:
-                self._roots[key] = scaled_root(J, 1, u=self._classical_twist, A=1,
-                                               f=self.f, B=B // p ** (k - 1) % p)
-            J = self._roots[key]
+            if key not in memo:
+                memo[key] = level(Z, B // p ** (k - 1) % p)
+            Z = memo[key]
         b = B // p ** e
-        return J.scaled(self._power(b)) if b else J
+        return Z.scaled(self._power(b)) if b else Z
+
+    def _kappa_power(self, e: int, B: int) -> FreeSubmodule:
+        """kappa^e(f^B cD): each level is kappa of f^digit times the last."""
+        return self._levels(self._kappas, self.cD, e, B, lambda Z, d: kappa_span(
+            self.M.structure, Z.scaled(self._power(d))))
+
+    def _root(self, e: int, B: int) -> FreeSubmodule:
+        """(c u^{s_e} f^B)^{[1/p^e]}, s_e = 1 + p + .. + p^{e-1}: each level is
+        the root of u f^digit times the last, independent of `kappa_span`."""
+        return self._levels(self._roots, ideal(self.M.ring, self.c), e, B, lambda J, d:
+                            scaled_root(J, 1, u=self._classical_twist, A=1, f=self.f, B=d))
 
     def _first_jump(self, a: Fraction, va: FreeSubmodule, b: Fraction,
                     vb: FreeSubmodule, N: int, ladder: int):
@@ -529,31 +551,6 @@ def tau(M: CartierModule, f: Poly, t, c: Poly | None = None,
     return Pair(M, f, c, e_cap).tau(t, convention)
 
 
-def _tau_series_capped(M: CartierModule, f: Poly, t: Fraction, cD: FreeSubmodule,
-                       convention: str, cap: int) -> tuple[FreeSubmodule, int]:
-    """Partial sum to level `cap` and the last level (at least 1) it changed at."""
-    p = M.ring.p
-    acc = M.pres.N
-    changed_at = 1
-    for e in range(1, cap + 1):
-        term = _kappa_power_scaled(M, f, exponent_at(t, p, e, convention), e, cD)
-        nxt = acc.add(term).minimal_gens()
-        if e > 1 and nxt != acc:
-            changed_at = e
-        acc = nxt
-    return acc, changed_at
-
-
-def _kappa_power_scaled(M: CartierModule, f: Poly, b: int, e: int,
-                        Z: FreeSubmodule) -> FreeSubmodule:
-    """Span of kappa^e(f^b Z), peeling one base-p digit of b per level."""
-    p = M.ring.p
-    for _ in range(e):
-        Z = kappa_span(M.structure, Z.scaled(f ** (b % p)))
-        b //= p
-    return Z.scaled(f ** b)
-
-
 def verify_test_element(M: CartierModule, f: Poly, t, c: Poly) -> bool:
     """Necessary consistency check: c, c^2 and c*f must give the same tau."""
     base = tau(M, f, t, c).value
@@ -647,6 +644,7 @@ def fpt(ring: Ring, f: Poly, max_denominator: int | None = None,
         max_denominator = p * p * (p - 1)
     if max_denominator < 1:
         raise ValueError("max_denominator must be >= 1")
+    ring.digit_monomials(1)  # refuse an oversized ring before nu's loop
     level = _default_nu_level(ring) if e_nu is None else e_nu
     lo, hi = nu_interval(ring, f, level)
     pair = Pair(CartierModule.over_ring(ring), f, e_cap=e_cap)

@@ -94,6 +94,7 @@ def verify_axioms(M: CartierModule, table: FiltrationTable,
     failures: list[AxiomFailure] = []
     grid = _axiom_grid(table)
 
+    # a fresh pair: the scan's own would compare V^{t_min} with its memo
     base = tau(M, f, table.t_min, c).value
     if base != table.v0:
         failures.append(AxiomFailure("zero-value", table.t_min,

@@ -12,11 +12,11 @@ def total_degree(g) -> int:
     return max((sum(m) for m in g.terms), default=-1)
 
 
-def recompose(digits, ring):
-    """sum_a digits[a]^{p^e} x^a: the polynomial a `FrobeniusDigits` splits."""
+def recompose(digits, e: int, ring):
+    """sum_a digits[a]^{p^e} x^a: the polynomial whose level-e digits these are."""
     out = ring.zero()
-    for a, g in digits.digits.items():
-        out = out + g.frobenius_power(digits.level).mul_monomial(a)
+    for a, g in digits.items():
+        out = out + g.frobenius_power(e).mul_monomial(a)
     return out
 
 

@@ -248,6 +248,16 @@ def test_e_nu_beyond_the_budget_is_a_cap(capsys):
     assert "error [level-cap-exceeded]" in err
 
 
+def test_fpt_refuses_an_oversized_ring_at_once(capsys):
+    # the digit basis needs p^n <= 2^16; nu's loop would take seconds first
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "fpt", "--p", "2053", "--vars", "x,y", "--f", "x+y")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert "error [value] digit basis of size 2053^2 is too large" in err
+
+
 def test_max_e_stays_with_its_call(capsys):
     jumps = ("jumps", "--p", "2", "--vars", "x,y", "--f", "x^2*y^21",
              "--range", "0..1/2", "--max-denominator", "12", "--json")

@@ -65,7 +65,7 @@ def brute_force_root(ring: Ring, gens, max_deg: int) -> FreeSubmodule:
                 if A[i, j]:
                     f = f + ring.monomial(m, int(A[i, j]))
             if not f.is_zero():
-                digit_polys.extend(frobenius_digits(f, 1).digits.values())
+                digit_polys.extend(frobenius_digits(f, 1).values())
     return ideal(ring, *digit_polys) if digit_polys else ideal(ring)
 
 

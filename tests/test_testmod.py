@@ -16,7 +16,13 @@ from cartierv.cartier_mod import (
 from cartierv.errors import CartierError, FptDivergenceError, NonDegenerateError
 from cartierv.field_poly import Ring
 from cartierv.frobenius import level_cap, scaled_root
-from cartierv.groebner import QuotientPresentation, full_module, ideal
+from cartierv.groebner import (
+    FreeSubmodule,
+    QuotientPresentation,
+    full_module,
+    ideal,
+    zero_module,
+)
 from cartierv.testmod import (
     FiltrationTable,
     Pair,
@@ -178,6 +184,45 @@ def test_zerodivisor_rejected():
     assert not is_regular_element(M, x)
     with pytest.raises(NonDegenerateError):
         tau(M, x, Fraction(1, 2), c=x)
+
+
+def test_f_is_regular_on_a_free_module_without_elimination(monkeypatch):
+    # N = 0: a twisted line, R^2 with its components swapped, and the ideal
+    # (x) under C o x^p
+    R = Ring(3, ("x", "y"))
+    x, y = R.gens()
+    swap = CartierStructure(R, 2, ((R.zero(), R.one()), (R.one(), R.zero())))
+    W = QuotientPresentation(ideal(R, x), zero_module(R, 1))
+    modules = [CartierModule.over_ring(R, x), CartierModule.free(R, swap),
+               CartierModule(W, CartierStructure.scalar(R, x ** 3))]
+    calls = []
+    real = FreeSubmodule.intersect
+
+    def counted(self, other):
+        calls.append(other)
+        return real(self, other)
+    monkeypatch.setattr(FreeSubmodule, "intersect", counted)
+    for M in modules:
+        assert Pair(M, x + y ** 2).is_regular
+    assert calls == []
+
+
+def test_regularity_on_free_modules_agrees_with_elimination():
+    # W/0 sits in a free module over a domain: (0 : f) cap W is 0 for f != 0
+    rng = random.Random(67)
+    for p in (2, 3):
+        R = Ring(p, ("x", "y"))
+        for _ in range(3):
+            u, g, h = (random_poly(rng, R, 2, nonzero=True) for _ in range(3))
+            U = [[random_poly(rng, R, 2) for _ in range(2)] for _ in range(2)]
+            P = QuotientPresentation(ideal(R, g, h), zero_module(R, 1))
+            modules = [CartierModule.over_ring(R, u),
+                       CartierModule.free(R, CartierStructure(R, 2, U)),
+                       CartierModule(P, CartierStructure.scalar(R, g ** p))]
+            for M in modules:
+                f = random_poly(rng, R, 2, nonzero=True)
+                N, W = M.pres.N, M.pres.W
+                assert is_regular_element(M, f) == N.contains(N.colon_element(f).intersect(W))
 
 
 def test_suggest_rejects_subquotient():
@@ -615,3 +660,44 @@ def test_root_levels_match_direct_roots():
                                        f=f, B=B)
                     assert pair._root(e, B).gens == want.gens, (p, e, B)
             assert all(r < p ** k for k, r in pair._roots)
+
+
+def test_kappa_power_matches_direct_powers():
+    # a level kept under (k, B mod p^k) serves every e and B sharing those digits
+    rng = random.Random(71)
+    for p in (2, 3, 5):
+        for names in (("x",), ("x", "y")):
+            R = Ring(p, names)
+            x = R.var("x")
+            u = random_poly(rng, R, 2, nonzero=True)
+            f = x * (random_poly(rng, R, 1) + R.one())
+            if (u * f).is_zero():
+                continue
+            pair = Pair(CartierModule.over_ring(R, u), f)
+            for e in (1, 2, 3):
+                for B in [0, p ** e - 1, p ** e] + [rng.randrange(p ** 3) for _ in range(3)]:
+                    want = pair.cD.scaled(f ** B)
+                    for _ in range(e):
+                        want = kappa_span(pair.M.structure, want)
+                    assert pair._kappa_power(e, B) == want, (p, names, e, B)
+            assert all(r < p ** k for k, r in pair._kappas)
+
+
+def test_series_levels_share_their_digits(monkeypatch):
+    # ceil_pe_minus_1 at t = 1/2, p = 3 reads kappa^e(f^{b_e} cD) for
+    # b_e = (3^e + 1)/2 = 2, 5, 14, 41, 122, 365: each extends the digits of
+    # the last, so the six levels take one kappa each, and the seed of the
+    # orbit of 1/2 is the first level.  Plus one orbit step.
+    import cartierv.testmod as testmod
+    R = Ring(3, ("x",))
+    x = R.var("x")
+    calls = []
+    real = testmod.kappa_span
+
+    def counted(structure, W):
+        calls.append(W)
+        return real(structure, W)
+    monkeypatch.setattr(testmod, "kappa_span", counted)
+    got = tau(CartierModule.over_ring(R, x), x, Fraction(1, 2), convention="ceil_pe_minus_1")
+    assert (got.value, got.path) == (ideal(R, x), "series+orbit")
+    assert len(calls) == 7
