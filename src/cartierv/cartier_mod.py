@@ -27,7 +27,7 @@ from .groebner import (
     Vec,
     full_module,
     ideal,
-    preimage,
+    preimage_within,
     unit_vector,
     zero_module,
 )
@@ -264,10 +264,6 @@ class CartierMorphism:
     def apply(self, v: Vec) -> Vec:
         return tuple(_mat_vec(self.source.ring, self.matrix, v))
 
-    def columns(self) -> list[Vec]:
-        return [tuple(self.matrix[i][j] for i in range(self.target.rank))
-                for j in range(self.source.rank)]
-
 
 def morphism_check(phi: CartierMorphism) -> tuple[bool, str]:
     """Verify phi maps W->W, N->N and intertwines the structures.
@@ -296,8 +292,8 @@ def morphism_check(phi: CartierMorphism) -> tuple[bool, str]:
 def kernel_presentation(phi: CartierMorphism) -> CartierModule:
     """The kernel {v in W_src : phi(v) in N_tgt} as a Cartier module."""
     src, tgt = phi.source, phi.target
-    pre = preimage(src.ring, tgt.rank, phi.columns(), tgt.pres.N)
-    K = pre.intersect(src.pres.W).add(src.pres.N)
+    W = src.pres.W
+    K = preimage_within(W, [phi.apply(w) for w in W.gens], tgt.pres.N).add(src.pres.N)
     return CartierModule(QuotientPresentation(K, src.pres.N), src.structure, check=False)
 
 

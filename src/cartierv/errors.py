@@ -37,7 +37,8 @@ class NotFRegularError(CartierError):
 
 
 class FptDivergenceError(CartierError):
-    """The F-pure threshold is not on the candidate grid."""
+    """The F-pure threshold has a denominator outside the candidate
+    denominators, or the Frobenius window holds no jump."""
 
 
 class ParseError(CartierError):

@@ -15,6 +15,12 @@ component 0 strongest; when an elimination block is present the block degree
 dominates everything including the component, which is what makes
 elimination work for submodules too.
 
+One computation answers every module relation: `preimage_within(W, images,
+N)`, the part of W that a map sends into N, reads its answer off one basis
+in an order that puts the image block above the W block, and gives
+intersections, colons, preimages, syzygies and kernels.  Elimination serves
+only `eliminate` and `saturate_element`, whose answers are eliminations.
+
 Vectors are tuples of Poly.  The engine itself works on flat dicts keyed by
 (component, monomial) that list their lead term first.
 """
@@ -65,6 +71,26 @@ class TermOrder:
 
 GREVLEX = TermOrder("grevlex")
 LEX = TermOrder("lex")
+
+
+class _BlockOrder(TermOrder):
+    """Every term in a component < split is above every term in a component
+    >= split; within a block, degree comes before the component, since
+    position-over-term there makes bases swell (a rank-3 intersection over
+    F_7[x, y]: 1.7 s instead of 0.12 s)."""
+
+    __slots__ = ("split",)
+
+    def __init__(self, split: int):
+        super().__init__("grevlex")
+        self.split = split
+
+    def signature(self):
+        return ("block", self.split)
+
+    def key(self, term: _Term) -> tuple:
+        comp, mon = term
+        return (comp >= self.split, -sum(mon), comp) + mon[::-1]
 
 
 # -- flat dict plumbing ------------------------------------------------------
@@ -257,11 +283,11 @@ class FreeSubmodule:
     def groebner(self, order: TermOrder = GREVLEX) -> tuple[Vec, ...]:
         return tuple(_dict_to_vec(self.ring, self.rank, d) for d, _ in self._basis(order))
 
-    def normal_form(self, v: Vec, order: TermOrder = GREVLEX) -> Vec:
+    def normal_form(self, v: Vec) -> Vec:
         v = tuple(v)
         if len(v) != self.rank:
             raise RankMismatchError(f"vector of length {len(v)}, rank {self.rank}")
-        r = _normal_form_dict(_vec_to_dict(v), self._basis(order), order, self.ring.p)
+        r = _normal_form_dict(_vec_to_dict(v), self._basis(), GREVLEX, self.ring.p)
         return _dict_to_vec(self.ring, self.rank, r)
 
     # -- predicates ----------------------------------------------------------
@@ -318,36 +344,28 @@ class FreeSubmodule:
                              [tuple(f.map_ring(target) for f in v) for v in self.gens])
 
     def intersect(self, other: "FreeSubmodule") -> "FreeSubmodule":
-        """W cap V, by eliminating t from t*W + (1-t)*V over R[t]."""
+        """W cap V: the part of W that the inclusion sends into V."""
         self._compat(other)
-        one, zero = self.ring.one(), self.ring.zero()
-        return _eliminate_fresh(self.ring, self.rank,
-                                [(zero, one, self.gens), (one, -one, other.gens)])
+        return preimage_within(self, self.gens, other)
 
     def colon_element(self, h: Poly) -> "FreeSubmodule":
         """(self : h) = {v : h v in self}."""
         if h.is_zero():
             raise ValueError("colon by zero")
-        free_h = FreeSubmodule(self.ring, self.rank,
-                               [unit_vector(self.ring, self.rank, i, h) for i in range(self.rank)])
-        meet = self.intersect(free_h)
-        quot = []
-        for v in meet.gens:
-            comps = tuple(f.div_exact(h) for f in v)
-            if any(c is None for c in comps):
-                raise ArithmeticError("colon division failed; intersection not in h*R^r")
-            quot.append(comps)
-        return FreeSubmodule(self.ring, self.rank, quot)
+        return preimage(self.ring, self.rank,
+                        [unit_vector(self.ring, self.rank, i, h) for i in range(self.rank)], self)
 
     def saturate_element(self, h: Poly) -> "FreeSubmodule":
         """(self : h^inf), at every rank by the Rabinowitsch trick: eliminate
         t from self*R[t] + (1 - t h)*R[t]^rank."""
         if h.is_zero():
             raise ValueError("saturation by zero")
-        one = self.ring.one()
-        return _eliminate_fresh(self.ring, self.rank,
-                                [(one, self.ring.zero(), self.gens),
-                                 (one, -h, full_module(self.ring, self.rank).gens)])
+        t = next(f"@t{i}" for i in count() if f"@t{i}" not in self.ring.names)
+        ext = self.ring.extend(t)
+        g = ext.one() - ext.var(t) * h.map_ring(ext)
+        lifted = [tuple(f.map_ring(ext) for f in v) for v in self.gens]
+        lifted += [unit_vector(ext, self.rank, j, g) for j in range(self.rank)]
+        return eliminate(FreeSubmodule(ext, self.rank, lifted), {ext.n - 1}).map_ring(self.ring)
 
     def __repr__(self):
         gens = ", ".join("(" + ", ".join(f.to_str() for f in v) + ")" for v in self.gens[:4])
@@ -390,53 +408,36 @@ def eliminate(sub: FreeSubmodule, var_indices: Iterable[int]) -> FreeSubmodule:
     return FreeSubmodule(sub.ring, sub.rank, kept)
 
 
-def _eliminate_fresh(ring: Ring, rank: int,
-                     parts: Sequence[tuple[Poly, Poly, Sequence[Vec]]]) -> FreeSubmodule:
-    """The part inside R^rank of the R[t]-module generated by (a + b t) v
-    for every (a, b, gens) in parts and v in gens, t a fresh variable."""
-    i = 0
-    while f"@t{i}" in ring.names:
-        i += 1
-    ext = ring.extend(f"@t{i}")
-    t = ext.var(ext.names[-1])
-    lifted: list[Vec] = []
-    for a, b, gens in parts:
-        m = a.map_ring(ext) + b.map_ring(ext) * t
-        lifted.extend(tuple(m * f.map_ring(ext) for f in v) for v in gens)
-    big = FreeSubmodule(ext, rank, lifted)
-    return eliminate(big, {ext.n - 1}).map_ring(ring)
+def preimage_within(W: FreeSubmodule, images: Sequence[Vec], N: FreeSubmodule) -> FreeSubmodule:
+    """{sum a_j W.gens[j] : sum a_j images[j] in N}: the part of W that the
+    map W.gens[j] -> images[j] sends into N.
+
+    The basis elements with a zero image block, in a basis of the module
+    generated by (images[j] | W.gens[j]) and (n | 0) for n in N.gens with the
+    image block above the W block, generate its elements with image block 0.
+    """
+    if len(images) != len(W.gens):
+        raise RankMismatchError(f"{len(images)} images for {len(W.gens)} generators")
+    r, pad = N.rank, (W.ring.zero(),) * W.rank
+    aug = [tuple(v) + w for v, w in zip(images, W.gens)] + [n + pad for n in N.gens]
+    big = FreeSubmodule(W.ring, r + W.rank, aug)
+    return FreeSubmodule(W.ring, W.rank,
+                         [w[r:] for w in big.groebner(_BlockOrder(r))
+                          if all(f.is_zero() for f in w[:r])])
 
 
 def syzygies(ring: Ring, rank: int, vectors: Sequence[Vec]) -> FreeSubmodule:
-    """Syzygy module of the given vectors: {(a_i) : sum a_i v_i = 0} in R^k.
-
-    Computed from a position-over-term basis of the augmented module
-    (v_i | e_i): basis elements whose first block vanishes generate all
-    syzygies.
-    """
-    k = len(vectors)
-    if k == 0:
+    """Syzygy module of the given vectors: {(a_i) : sum a_i v_i = 0} in R^k."""
+    if not vectors:
         return zero_module(ring, 1)
-    aug_rank = rank + k
-    aug: list[Vec] = []
-    for i, v in enumerate(vectors):
-        if len(v) != rank:
-            raise RankMismatchError("syzygy input rank mismatch")
-        aug.append(tuple(v) + unit_vector(ring, k, i))
-    big = FreeSubmodule(ring, aug_rank, aug)
-    out: list[Vec] = []
-    for w in big.groebner():
-        if all(f.is_zero() for f in w[:rank]):
-            out.append(w[rank:])
-    return FreeSubmodule(ring, k, out)
+    return preimage_within(full_module(ring, len(vectors)), vectors, zero_module(ring, rank))
 
 
 def preimage(ring: Ring, rank: int, images: Sequence[Vec], N: FreeSubmodule) -> FreeSubmodule:
     """{a in R^s : sum a_j images[j] in N} for the map R^s -> R^rank."""
-    s = len(images)
-    combined = list(images) + list(N.gens)
-    syz = syzygies(ring, rank, combined)
-    return FreeSubmodule(ring, s, [v[:s] for v in syz.gens])
+    if N.rank != rank:
+        raise RankMismatchError(f"rank {rank} vs {N.rank}")
+    return preimage_within(full_module(ring, len(images)), images, N)
 
 
 class QuotientPresentation:

@@ -54,7 +54,7 @@ from .errors import (
 )
 from .field_poly import Poly, Ring
 from .frobenius import level_cap, scaled_root
-from .groebner import FreeSubmodule, full_module, ideal
+from .groebner import FreeSubmodule, full_module, ideal, preimage_within
 
 CONVENTIONS = ("ceil_pe", "ceil_pe_minus_1")
 MAX_SWEEPS = 64
@@ -125,8 +125,8 @@ def is_regular_element(M: CartierModule, f: Poly) -> bool:
         return M.pres.is_zero_module()
     if M.pres.N.is_zero():
         return True  # W sits in a free module over a domain
-    bad = M.pres.N.colon_element(f).intersect(M.pres.W)
-    return M.pres.N.contains(bad)
+    W, N = M.pres.W, M.pres.N
+    return N.contains(preimage_within(W, [tuple(f * g for g in w) for w in W.gens], N))
 
 
 def classical_twist(M: CartierModule) -> Poly | None:

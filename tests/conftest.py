@@ -4,6 +4,7 @@ forms the tests compare the library against."""
 from dataclasses import replace
 
 from cartierv.field_poly import cartier_trace
+from cartierv.groebner import FreeSubmodule, eliminate, unit_vector
 from cartierv.suites import random_poly  # noqa: F401  (shared by the test modules)
 
 
@@ -36,3 +37,24 @@ def replace_value(table, index: int, value):
     values = list(table.values)
     values[index] = value
     return replace(table, values=tuple(values))
+
+
+def intersect_by_elimination(W, V):
+    """W cap V by eliminating t from t*W + (1-t)*V over R[t] with the public
+    `eliminate`: a route independent of the syzygies behind
+    `FreeSubmodule.intersect`, kept as the reference for module relations."""
+    ext = W.ring.extend("@t")
+    t = ext.var("@t")
+    gens = [tuple(t * f.map_ring(ext) for f in w) for w in W.gens]
+    gens += [tuple((ext.one() - t) * f.map_ring(ext) for f in v) for v in V.gens]
+    return eliminate(FreeSubmodule(ext, W.rank, gens), {ext.n - 1}).map_ring(W.ring)
+
+
+def colon_by_elimination(N, h):
+    """(N : h) = (N cap h*R^r) / h, the meet from `intersect_by_elimination`
+    and the division exact."""
+    hR = FreeSubmodule(N.ring, N.rank, [unit_vector(N.ring, N.rank, i, h) for i in range(N.rank)])
+    meet = intersect_by_elimination(N, hR)
+    quot = [tuple(f.div_exact(h) for f in v) for v in meet.gens]
+    assert all(f is not None for v in quot for f in v), "meet not inside h*R^r"
+    return FreeSubmodule(N.ring, N.rank, quot)

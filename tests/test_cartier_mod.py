@@ -36,7 +36,7 @@ from cartierv.groebner import (
     zero_module,
 )
 
-from conftest import random_poly, twisted_power
+from conftest import intersect_by_elimination, random_poly, twisted_power
 
 
 def test_scalar_structure_matches_trace():
@@ -258,6 +258,40 @@ def test_kernel_cokernel_presentations():
     assert kern.pres.W == zero_module(R, 1)
     coker = cokernel_presentation(phi)
     assert coker.pres.N == ideal(R, x ** 3)
+
+
+def test_kernel_agrees_with_elimination():
+    # reference: the graph {(phi(w), w) : w in W} meets N_tgt + R^s in the
+    # pairs whose first half lies in N_tgt; their second halves plus N_src
+    # are the kernel
+    rng = random.Random(83)
+    nonzero = 0
+    for p in (2, 3, 5):
+        R = Ring(p, ("x", "y"))
+        for s, r in ((1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (1, 3), (3, 2)):
+            vec = lambda k: tuple(random_poly(rng, R, 2, max_terms=2, nonzero=True)  # noqa: E731
+                                  for _ in range(k))
+            matrix = [vec(s) for _ in range(r)]
+            g, h = (random_poly(rng, R, 1, nonzero=True) for _ in range(2))
+            W = FreeSubmodule(R, s, [vec(s), vec(s)])
+            N = FreeSubmodule(R, s, [tuple(g * f for f in W.gens[0])])
+            U_src = [vec(s) for _ in range(s)]
+            U_tgt = [vec(r) for _ in range(r)]
+            src = CartierModule(QuotientPresentation(W, N), CartierStructure(R, s, U_src), check=False)
+            free = CartierModule.free(R, CartierStructure(R, r, U_tgt))
+            phi_w = [CartierMorphism(src, free, matrix).apply(w) for w in W.gens]
+            # plant h*W.gens[-1] in the kernel
+            target_N = FreeSubmodule(R, r, [vec(r), tuple(h * f for f in phi_w[-1])])
+            tgt = CartierModule(QuotientPresentation(full_module(R, r), target_N),
+                                CartierStructure(R, r, U_tgt), check=False)
+            kern = kernel_presentation(CartierMorphism(src, tgt, matrix)).pres.W
+            graph = FreeSubmodule(R, r + s, [v + w for v, w in zip(phi_w, W.gens)])
+            box = FreeSubmodule(R, r + s, [n + (R.zero(),) * s for n in target_N.gens]
+                                + [(R.zero(),) * r + unit_vector(R, s, j) for j in range(s)])
+            meet = intersect_by_elimination(graph, box)
+            assert kern == FreeSubmodule(R, s, [v[r:] for v in meet.gens]).add(N)
+            nonzero += not N.contains(kern)
+    assert nonzero >= 10
 
 
 def test_graph_embedding_reduces_to_original_action():

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from cartierv import groebner
+from cartierv.cli import parse_polynomial
 from cartierv.errors import RankMismatchError
 from cartierv.field_poly import Poly, Ring
 from cartierv.groebner import (
@@ -19,7 +20,7 @@ from cartierv.groebner import (
     syzygies,
     zero_module,
 )
-from conftest import random_poly, total_degree
+from conftest import colon_by_elimination, intersect_by_elimination, random_poly, total_degree
 
 
 # -- independent oracles -------------------------------------------------------
@@ -384,6 +385,55 @@ def test_colon_element():
     W = FreeSubmodule(R, 2, [(x**2, R.zero()), (R.zero(), x * y)])
     C = W.colon_element(x)
     assert C == FreeSubmodule(R, 2, [(x, R.zero()), (R.zero(), y)])
+
+
+def test_intersect_and_colon_agree_with_elimination():
+    # two generators each: at rank 3 with three, the reference alone can take
+    # 50 s (the swelling of ROADMAP item 4); a planted a*z in W and b*z in V
+    # keeps most intersections nonzero
+    rng = random.Random(29)
+    met = grew = 0
+    for p in (2, 3, 5, 7):
+        R = Ring(p, ("x", "y"))
+        for rank in (1, 2, 3):
+            for _ in range(3):
+                vec = lambda: tuple(random_poly(rng, R, 2, max_terms=3) for _ in range(rank))  # noqa: E731
+                z = vec()
+                a, b, h = (random_poly(rng, R, 1, max_terms=2, nonzero=True) for _ in range(3))
+                W = FreeSubmodule(R, rank, [vec(), tuple(a * c for c in z)])
+                V = FreeSubmodule(R, rank, [vec(), tuple(b * c for c in z)])
+                meet = W.intersect(V)
+                assert meet == intersect_by_elimination(W, V)
+                colon = V.colon_element(h)
+                assert colon == colon_by_elimination(V, h)
+                met += not meet.is_zero()
+                grew += not V.contains(colon)
+    assert met >= 20 and grew >= 5
+
+
+RANK3_CASES = (
+    # ROADMAP item 4: the t-elimination took 3-7 s for 7 generators
+    ((("x^3+5*y", "6*x^2+x+2", "x^3+x^2*y"), ("0", "5*x*y^2+6*y^3", "0"),
+      ("5*x^3+6*x^2", "0", "2*x^3")),
+     (("5*x^3+4*x^2+3*y", "3*x^3+6*x^2*y+5*y^3", "5*x^3"), ("3*y^3", "6*x^3+3*x^2*y+6*x^2", "0")),
+     7),
+    # a random draw where the t-elimination took 50 s for 13 generators
+    ((("2*x*y", "5*x^2+6*x*y+6", "0"), ("1", "6*x^2+3*y^2", "3*x^2+3*x+5*y"),
+      ("4*x^2", "2*x^2", "2*x^2")),
+     (("x^2+4*y^2", "y", "6*y"), ("0", "y^2", "6*y^2"), ("4*x^2+3*x*y", "2*x+4*y", "5*x*y")),
+     13),
+)
+
+
+@pytest.mark.parametrize("w_rows, v_rows, size", RANK3_CASES)
+def test_rank3_intersection_is_symmetric_and_inside_both(w_rows, v_rows, size):
+    R = Ring(7, ("x", "y"))
+    W, V = (FreeSubmodule(R, 3, [tuple(parse_polynomial(e, R) for e in row) for row in rows])
+            for rows in (w_rows, v_rows))
+    meet = W.intersect(V)
+    assert meet == V.intersect(W)
+    assert W.contains(meet) and V.contains(meet)
+    assert len(meet.groebner()) == size
 
 
 def test_module_groebner_and_pot_order():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cartierv import testmod
 from cartierv.cartier_mod import (
     CartierModule,
     CartierStructure,
@@ -40,7 +41,7 @@ from cartierv.testmod import (
 )
 from cartierv.vfilt import compute_vfiltration
 
-from conftest import random_poly
+from conftest import colon_by_elimination, intersect_by_elimination, random_poly
 
 
 def monomial_tau_oracle(ring, exps, t):
@@ -197,11 +198,17 @@ def test_f_is_regular_on_a_free_module_without_elimination(monkeypatch):
                CartierModule(W, CartierStructure.scalar(R, x ** 3))]
     calls = []
     real = FreeSubmodule.intersect
+    real_preimage = testmod.preimage_within
 
     def counted(self, other):
         calls.append(other)
         return real(self, other)
+
+    def counted_preimage(W, images, N):
+        calls.append(N)
+        return real_preimage(W, images, N)
     monkeypatch.setattr(FreeSubmodule, "intersect", counted)
+    monkeypatch.setattr(testmod, "preimage_within", counted_preimage)
     for M in modules:
         assert Pair(M, x + y ** 2).is_regular
     assert calls == []
@@ -222,7 +229,34 @@ def test_regularity_on_free_modules_agrees_with_elimination():
             for M in modules:
                 f = random_poly(rng, R, 2, nonzero=True)
                 N, W = M.pres.N, M.pres.W
-                assert is_regular_element(M, f) == N.contains(N.colon_element(f).intersect(W))
+                bad = intersect_by_elimination(colon_by_elimination(N, f), W)
+                assert is_regular_element(M, f) == N.contains(bad)
+
+
+def test_regularity_agrees_with_elimination():
+    # W/N with N != 0 at rank 1-3; every other case has f*v in N for some v
+    # of W outside N, so f is usually a zerodivisor there
+    rng = random.Random(71)
+    seen = set()
+    for p in (2, 3, 5):
+        R = Ring(p, ("x", "y"))
+        for rank in (1, 2, 3):
+            for k in range(4):
+                vec = lambda: tuple(random_poly(rng, R, 2, max_terms=2) for _ in range(rank))  # noqa: E731
+                f = random_poly(rng, R, 2, max_terms=2, nonzero=True)
+                N = FreeSubmodule(R, rank, [vec(), vec()])
+                v = vec()
+                if k % 2:
+                    N = N.add_vectors([tuple(f * g for g in v)])
+                W = N.add_vectors([vec(), v])
+                U = [[random_poly(rng, R, 1) for _ in range(rank)] for _ in range(rank)]
+                M = CartierModule(QuotientPresentation(W, N), CartierStructure(R, rank, U),
+                                  check=False)
+                bad = intersect_by_elimination(colon_by_elimination(N, f), W)
+                regular = is_regular_element(M, f)
+                assert regular == N.contains(bad)
+                seen.add(regular)
+    assert seen == {True, False}
 
 
 def test_suggest_rejects_subquotient():
@@ -426,7 +460,7 @@ def test_pair_memo_cusp_cover_shriek():
     assert_pair_matches_fresh(sh, xb, xb, random.Random(47), left_probes=1)
 
 
-def test_pair_back_substitution():
+def test_orbit_runs_into_a_solved_1_cycle():
     # p = 3: 1/2 is a 1-cycle (3/2 - 1 = 1/2) and the orbit of 1/6 runs into it
     R = Ring(3, ("x", "y"))
     x, y = R.gens()

@@ -112,6 +112,21 @@ def test_axioms_on_table_starting_above_zero():
         "zero-value", Fraction(1, 3), "tabulated V^0 differs from tau at 0")
 
 
+def test_corrupted_table_pinpoints_injectivity_failure():
+    # (x)/(xy) under C o (xy)^2: x is regular on it, but not on R/(xy),
+    # where x kills y; a V^1 raised to R breaks axiom (ii) on [1, 2)
+    R = Ring(3, ("x", "y"))
+    x, y = R.gens()
+    M = CartierModule(QuotientPresentation(ideal(R, x), ideal(R, x * y)),
+                      CartierStructure.scalar(R, (x * y) ** 2))
+    table = compute_vfiltration(M, x, 2, 6, c=x)
+    assert table.jumps == (1, 2)
+    assert verify_axioms(M, table, x).ok
+    bad = replace_value(table, 0, full_module(R, 1))
+    failures = verify_axioms(M, bad, x).failures
+    assert [fl.t for fl in failures if fl.axiom == "injectivity"] == [1, Fraction(3, 2)]
+
+
 def test_refuses_non_f_regular():
     R = Ring(3, ("x",))
     x = R.gens()[0]
