@@ -248,7 +248,8 @@ class FreeSubmodule:
     """Finitely generated submodule of R^rank, with cached reduced bases.
 
     The basis cache is written once per term order and treated as immutable
-    afterwards.
+    afterwards.  Equality and the hash both read the reduced GREVLEX basis,
+    so two generating sets of one submodule are one dict key.
     """
 
     __slots__ = ("ring", "rank", "gens", "_gb")
@@ -283,12 +284,14 @@ class FreeSubmodule:
     def groebner(self, order: TermOrder = GREVLEX) -> tuple[Vec, ...]:
         return tuple(_dict_to_vec(self.ring, self.rank, d) for d, _ in self._basis(order))
 
-    def normal_form(self, v: Vec) -> Vec:
+    def _remainder(self, v: Vec) -> dict[_Term, int]:
         v = tuple(v)
         if len(v) != self.rank:
             raise RankMismatchError(f"vector of length {len(v)}, rank {self.rank}")
-        r = _normal_form_dict(_vec_to_dict(v), self._basis(), GREVLEX, self.ring.p)
-        return _dict_to_vec(self.ring, self.rank, r)
+        return _normal_form_dict(_vec_to_dict(v), self._basis(), GREVLEX, self.ring.p)
+
+    def normal_form(self, v: Vec) -> Vec:
+        return _dict_to_vec(self.ring, self.rank, self._remainder(v))
 
     # -- predicates ----------------------------------------------------------
 
@@ -296,7 +299,7 @@ class FreeSubmodule:
         return not self.gens
 
     def contains_vector(self, v: Vec) -> bool:
-        return all(f.is_zero() for f in self.normal_form(v))
+        return not self._remainder(v)
 
     def contains(self, other: "FreeSubmodule") -> bool:
         self._compat(other)
@@ -309,7 +312,7 @@ class FreeSubmodule:
                 and self._basis() == other._basis())
 
     def __hash__(self):
-        raise TypeError("FreeSubmodule is not hashable")
+        return hash((self.rank, tuple(frozenset(d.items()) for d, _ in self._basis())))
 
     def _compat(self, other: "FreeSubmodule"):
         if self.ring != other.ring:

@@ -22,6 +22,10 @@ A `Pair` solves one (M, f, c) for many t: the checks that do not depend on
 t run once, the seeds are kept per shift m < p, and the converged value at
 every orbit point is kept, so a later orbit that runs into a solved point
 sweeps only its new points, with the solved one as a constant successor.
+Each step seed(m) + kappa(f^m X) is kept per (m, X), shared by the systems
+of tau and of the left limit: tau takes finitely many values in a
+decreasing chain (Blickle-Mustata-Smith), so the orbits of many t meet the
+same few.
 The scans build one `Pair` per call and drop it when they return.  The
 seeds, the ceil_pe_minus_1 series and the root cross-check take one base-p
 digit of their exponent B per level (`Pair._levels`), and share every level
@@ -203,12 +207,12 @@ class Pair:
     What does not depend on t is done at most once, on first use: the test
     element (`suggest_test_element` when c is None), regularity of f, the
     image-stable part D = underline(M), cD and the value at 0.  Memos fill
-    as values are asked for: the seed of every shift m < p, the converged
-    value at and just below every orbit point in (0, 1], the levels of
-    kappa^e(f^B cD) and of the cross-check's roots, each per
-    (k, B mod p^k), and every `tau` answer per (t, convention).  Every
-    value passes `D.contains` and, for the classical shape, the root
-    cross-check once, before its answer is kept.
+    as values are asked for: the seed of every shift m < p, the orbit step
+    per (shift, successor value), the converged value at and just below
+    every orbit point in (0, 1], the levels of kappa^e(f^B cD) and of the
+    cross-check's roots, each per (k, B mod p^k), and every `tau` answer
+    per (t, convention).  Every value passes `D.contains` and, for the
+    classical shape, the root cross-check once, before its answer is kept.
 
     The memos live as long as the Pair; the scans build one per call.
     A Pair gives the values and paths of fresh calls.  The sweep count in
@@ -231,6 +235,7 @@ class Pair:
         self._roots: dict[tuple[int, int], FreeSubmodule] = {}
         self._kappas: dict[tuple[int, int], FreeSubmodule] = {}
         self._seeds: dict[int, FreeSubmodule] = {}
+        self._steps: dict[tuple[int, FreeSubmodule], FreeSubmodule] = {}
         self._powers: dict[int, Poly] = {}
 
     # -- what does not depend on t ----------------------------------------------
@@ -352,9 +357,13 @@ class Pair:
         return self._seeds[m]
 
     def _step(self, m: int, X: FreeSubmodule) -> FreeSubmodule:
-        """The orbit relation at a point of shift m whose successor holds X."""
-        incoming = kappa_span(self.M.structure, X.scaled(self._power(m)))
-        return self._seed(m).add(incoming).minimal_gens()
+        """The orbit relation at a point of shift m whose successor holds X,
+        kept per (m, X); the systems of tau and of the left limit share it."""
+        out = self._steps.get((m, X))
+        if out is None:
+            incoming = kappa_span(self.M.structure, X.scaled(self._power(m)))
+            out = self._steps[m, X] = self._seed(m).add(incoming).minimal_gens()
+        return out
 
     def _solve(self, t0: Fraction, below: bool = False) -> tuple[FreeSubmodule, int]:
         """Converged value at (or, when `below`, just below) t0 in (0, 1] and

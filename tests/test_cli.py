@@ -1,6 +1,7 @@
 import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -101,6 +102,20 @@ def test_zero_ideal_generators(capsys):
                            "--c", "x", "--json")
     assert code == 0
     assert json.loads(out)["result"]["generators"] == []
+
+
+# the exact --json stdout of ten scan calls (the four vfilt pairs of
+# acceptance test_03 at p = 3, two jumps, the cusp fpt at p = 2 and 3, gr on
+# the twisted line in both conventions); a change to how the scans compute
+# must keep these bytes
+SCAN_GOLDEN = json.loads((Path(__file__).parent / "scan_golden.json").read_text("utf-8"))
+
+
+@pytest.mark.parametrize("row", SCAN_GOLDEN)
+def test_scan_json_bytes_are_pinned(capsys, row):
+    code, out, err = run_cli(capsys, *row["argv"].split())
+    assert (code, err) == (row["exit"], "")
+    assert out.encode() == row["stdout"].encode()
 
 
 def test_byte_identical_runs(capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from cartierv import groebner
 from cartierv.cli import parse_polynomial
-from cartierv.errors import RankMismatchError
+from cartierv.errors import RankMismatchError, RingMismatchError
 from cartierv.field_poly import Poly, Ring
 from cartierv.groebner import (
     LEX,
@@ -303,6 +303,25 @@ def test_equality_of_presentations():
     assert ideal(R, R.zero()).is_zero()
 
 
+def test_equal_submodules_hash_equal():
+    R = Ring(5, ("x", "y"))
+    x, y = R.gens()
+    zero = R.zero()
+    A = FreeSubmodule(R, 2, [(x, y), (y, zero)])
+    B = FreeSubmodule(R, 2, [(x + y, y), (y.scale(3), zero), (x * y, y * y)])
+    assert A.gens != B.gens
+    assert A == B and hash(A) == hash(B)
+    memo = {(1, A): "a"}
+    assert memo[1, B] == "a" and (1, B) in memo and (2, B) not in memo
+    assert {A: 0, B: 1} == {A: 1}
+    assert A != FreeSubmodule(R, 2, [(x, y)])
+    # one reduced basis {(1)} at rank 1 and {(1, 0)} at rank 2, or in another ring
+    assert ideal(R, R.one()) != FreeSubmodule(R, 2, [(R.one(), zero)])
+    S = Ring(7, ("x", "y"))
+    assert ideal(R, x) != ideal(S, S.var("x"))
+    assert full_module(R, 1) != full_module(Ring(5, ("x", "z")), 1)
+
+
 def test_eliminate_known():
     R = Ring(3, ("x", "y"))
     x, y = R.gens()
@@ -505,6 +524,12 @@ def test_rank_checks():
     W = FreeSubmodule(R, 2, [(x, x)])
     with pytest.raises(RankMismatchError):
         W.normal_form((x,))
+    with pytest.raises(RankMismatchError, match="vector of length 1, rank 2"):
+        W.contains_vector((x,))
+    with pytest.raises(RankMismatchError, match="rank 2 vs 1"):
+        W.contains(ideal(R, x))
+    with pytest.raises(RingMismatchError, match=r"F_3\[x\] vs F_5\[x\]"):
+        W.contains(FreeSubmodule(Ring(5, ("x",)), 2, []))
     with pytest.raises(RankMismatchError):
         FreeSubmodule(R, 2, [(x,)])
 

@@ -566,6 +566,80 @@ def test_each_value_is_checked_once(monkeypatch):
     assert checked == [Fraction(1, 2)]
 
 
+def spans_in_steps(monkeypatch):
+    """Record, for every kappa_span that an orbit step computes, the step's
+    shift and the reduced basis of its successor value."""
+    inside, spanned = [], []
+    real_step, real_span = Pair._step, testmod.kappa_span
+
+    def step(self, m, X):
+        inside.append((m, X.groebner()))
+        try:
+            return real_step(self, m, X)
+        finally:
+            inside.pop()
+
+    def span(S, Z):
+        if inside:
+            spanned.append(inside[-1])
+        return real_span(S, Z)
+    monkeypatch.setattr(Pair, "_step", step)
+    monkeypatch.setattr(testmod, "kappa_span", span)
+    return spanned
+
+
+def test_scan_spans_each_orbit_step_once(monkeypatch):
+    # the orbits of a scan's tau values and left limits keep meeting the same
+    # (shift, value); each is spanned once per Pair
+    R = Ring(3, ("x", "y"))
+    x, y = R.gens()
+    M, f = CartierModule.over_ring(R, x + y), x ** 2 * y
+    want = jumping_numbers(M, f, 0, 2, 18)
+    pair = Pair(M, f)
+    for m in range(3):
+        pair._seed(m)  # seeds are kept per shift; only the steps' spans are counted
+    shifts = counted_steps(monkeypatch)
+    spanned = spans_in_steps(monkeypatch)
+    assert pair.jumping_numbers(0, 2, 18) == want
+    assert len(spanned) == len(set(spanned))
+    assert len(shifts) > len(spanned)  # the scan repeats steps
+    assert len(pair._steps) == len(spanned)
+
+
+def test_equal_value_in_another_object_hits_the_step_memo(monkeypatch):
+    R = Ring(3, ("x", "y"))
+    x, y = R.gens()
+    pair = Pair(CartierModule.over_ring(R, x + y), x ** 2 * y)
+    X = pair._seed(0)
+    first = {m: pair._step(m, X) for m in range(3)}
+    # the memo must tell the shifts apart, and the values
+    assert first[0] != first[2]
+    assert pair._step(2, full_module(R, 1)) != first[2]
+    spanned = spans_in_steps(monkeypatch)
+    same = FreeSubmodule(R, 1, X.gens + ((x * X.gens[0][0],),))
+    assert same is not X and same.gens != X.gens
+    assert all(pair._step(m, same) is first[m] for m in range(3))
+    assert spanned == []
+
+
+def test_left_limit_reuses_the_steps_of_tau(monkeypatch):
+    # p = 3: 1/4 -> 3/4 -> 1/4 is no jump; the left-limit system sweeps down
+    # from tau(0) onto the pairs (shift, value) that the tau system stepped
+    R = Ring(3, ("x", "y"))
+    x, y = R.gens()
+    M, f = CartierModule.over_ring(R, x + y), x ** 2 * y
+    t = Fraction(1, 4)
+    want = tau_left_limit(M, f, t).value
+    pair = Pair(M, f)
+    value = pair.tau(t).value
+    kept = len(pair._steps)
+    shifts = counted_steps(monkeypatch)
+    spanned = spans_in_steps(monkeypatch)
+    assert pair.left_limit(t).value == value == want
+    assert len(shifts) == 2 and spanned == []
+    assert len(pair._steps) == kept
+
+
 def test_ceil_pe_minus_1_levels():
     # stabilized_at_e is the last level at which the series' partial sum changed
     R = Ring(3, ("x", "y"))
