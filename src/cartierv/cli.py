@@ -18,6 +18,7 @@ from fractions import Fraction
 from .cartier_mod import CartierModule, CartierStructure
 from .errors import (
     CartierError,
+    ExponentOverflowError,
     FptDivergenceError,
     LevelCapExceededError,
     NonDegenerateError,
@@ -190,6 +191,8 @@ def _build_module(args, ring: Ring) -> CartierModule:
          if args.rels else zero_module(ring, rank))
     try:
         return CartierModule(QuotientPresentation(W, N), structure)
+    except ExponentOverflowError:
+        raise
     except CartierError as exc:
         raise NonDegenerateError(f"module rejected: {exc}") from exc
 
@@ -516,7 +519,7 @@ def main(argv=None) -> int:
             RingMismatchError, RankMismatchError, ValueError) as exc:
         return _fail(EXIT_INVALID, _code(exc), exc)
     except (StabilizationCapExceededError, LevelCapExceededError,
-            FptDivergenceError) as exc:
+            FptDivergenceError, ExponentOverflowError) as exc:
         return _fail(EXIT_CAP, _code(exc), exc)
     except CartierError as exc:
         return _fail(EXIT_VERIFICATION, _code(exc), exc)

@@ -23,6 +23,11 @@ class LevelCapExceededError(CartierError):
     """A Frobenius level e above the configured cap was requested."""
 
 
+class ExponentOverflowError(CartierError):
+    """An exponent of 2^63 or more reached the Groebner engine, whose packed
+    terms hold exponents up to 2^63 - 1."""
+
+
 class StabilizationCapExceededError(CartierError):
     """A chain did not stabilize within the level cap."""
 

@@ -88,7 +88,7 @@ def grevlex_key(mon: Monomial):
 class Ring:
     """Context object for F_p[names]; n = 0 variables is allowed."""
 
-    __slots__ = ("field", "p", "names", "n", "_digit_cache")
+    __slots__ = ("field", "p", "names", "n", "_digit_cache", "_codes")
 
     def __init__(self, p: int, names: tuple[str, ...] | list[str]):
         self.field = PrimeField(p)
@@ -99,6 +99,7 @@ class Ring:
         self.names = names
         self.n = len(names)
         self._digit_cache: dict[int, list[Monomial]] = {}
+        self._codes: dict[tuple, object] = {}  # packed-term codes of the Groebner engine
 
     def __eq__(self, other):
         return isinstance(other, Ring) and other.p == self.p and other.names == self.names

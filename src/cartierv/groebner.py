@@ -7,8 +7,7 @@ element drops the old pairs its lead makes redundant (criterion B) and keeps
 one new pair per minimal lcm (criteria M and F).  The product criterion
 applies to ideals only, where it is valid; every criterion compares leads
 within one component.  Normal forms pop the terms of the work vector from a
-heap, so each term's order key is computed once and the remainder comes out
-in descending order.
+heap, so the remainder comes out in descending order.
 
 Module terms (component, monomial) are compared position-over-term with
 component 0 strongest; when an elimination block is present the block degree
@@ -21,23 +20,47 @@ in an order that puts the image block above the W block, and gives
 intersections, colons, preimages, syzygies and kernels.  Elimination serves
 only `eliminate` and `saturate_element`, whose answers are eliminations.
 
-Vectors are tuples of Poly.  The engine itself works on flat dicts keyed by
-(component, monomial) that list their lead term first.
+Vectors are tuples of Poly.  The engine itself packs each term (component,
+monomial) into one int for a fixed ring, rank and order (`_Code`, after
+Bachmann and Schoenemann, "Monomial representations for Groebner bases
+computations", ISSAC 1998).  The low fields hold the exponents and the
+component, each with a guard bit on top; the high fields hold the order's
+key, which is linear in the exponents.  So the term is its own sort key (a
+bigger int is a bigger term), a product with a monomial is an addition, and
+"lead b divides t in its component" is one mask test.  Work vectors are
+flat dicts keyed by these ints that list their lead term first.  An
+exponent of 2^63 or more, on input or formed by a product, raises
+`ExponentOverflowError` rather than wrap.
 """
 
 from __future__ import annotations
 
 import heapq
 from itertools import count, islice
-from operator import le, sub
+from operator import itemgetter, le, mul
 from typing import Iterable, Sequence
 
-from .errors import RankMismatchError, RingMismatchError
-from .field_poly import Monomial, Poly, Ring, mon_lcm, mon_mul
+from .errors import ExponentOverflowError, RankMismatchError, RingMismatchError
+from .field_poly import Monomial, Poly, Ring, mon_lcm
 
 Vec = tuple[Poly, ...]
-_Term = tuple[int, Monomial]
-_Elem = tuple[dict[_Term, int], _Term]  # monic element, its lead term
+_Elem = tuple[dict[int, int], int]  # monic element keyed by packed terms, its packed lead
+# a key field of an order: its value in each component, its weight on each variable
+_Field = tuple[tuple[int, ...], tuple[int, ...]]
+
+_FIELD = 64  # bits per exponent or component field; the top bit is a guard bit
+_LIMIT = 1 << (_FIELD - 1)  # every exponent stays below this
+
+
+def _degree_fields(n: int, rank: int) -> list[_Field]:
+    """deg, s_{n-1}, .., s_1 with s_k = e_1 + .. + e_k: at a fixed degree, a
+    smaller last exponent is a bigger grevlex term."""
+    return [((0,) * rank, (1,) * k + (0,) * (n - k)) for k in range(n, 0, -1)]
+
+
+def _position_field(n: int, rank: int) -> _Field:
+    """rank - 1 - component: component 0 strongest."""
+    return tuple(rank - 1 - c for c in range(rank)), (0,) * n
 
 
 class TermOrder:
@@ -54,16 +77,17 @@ class TermOrder:
     def signature(self):
         return (self.kind, self.elim)
 
-    def key(self, term: _Term) -> tuple:
-        """Sort key of a term (component, monomial): a smaller key is a bigger term."""
-        comp, mon = term
+    def key_fields(self, n: int, rank: int) -> list[_Field]:
+        """The key of a term, most significant field first; a bigger key is a
+        bigger term, and no two terms share a key."""
         if self.kind == "lex":
-            k = (comp,) + tuple([-e for e in mon])
+            tail = [((0,) * rank, tuple(int(i == k) for i in range(n))) for k in range(n)]
         else:
-            k = (comp, -sum(mon)) + mon[::-1]
+            tail = _degree_fields(n, rank)
+        fields = [_position_field(n, rank)] + tail
         if self.elim:
-            return (-sum([mon[i] for i in self.elim]),) + k
-        return k
+            fields.insert(0, ((0,) * rank, tuple(int(i in self.elim) for i in range(n))))
+        return fields
 
     def __repr__(self):
         return f"TermOrder({self.kind!r}, elim={list(self.elim)})"
@@ -88,25 +112,96 @@ class _BlockOrder(TermOrder):
     def signature(self):
         return ("block", self.split)
 
-    def key(self, term: _Term) -> tuple:
-        comp, mon = term
-        return (comp >= self.split, -sum(mon), comp) + mon[::-1]
+    def key_fields(self, n: int, rank: int) -> list[_Field]:
+        block = (tuple(int(c < self.split) for c in range(rank)), (0,) * n)
+        degrees = _degree_fields(n, rank)
+        return [block] + degrees[:1] + [_position_field(n, rank)] + degrees[1:]
 
 
-# -- flat dict plumbing ------------------------------------------------------
+# -- packed terms ------------------------------------------------------------
 
 
-def _vec_to_dict(v: Vec) -> dict[_Term, int]:
-    out: dict[_Term, int] = {}
+def _overflow(e: int) -> ExponentOverflowError:
+    return ExponentOverflowError(
+        f"exponent {e} is above 2^63 - 1, the largest a Groebner term holds")
+
+
+class _Code:
+    """The terms (component, monomial) of R^rank under one order, packed into ints.
+
+    Low fields: e_1 .. e_n, then the component, _FIELD bits each.  High
+    fields: the order's key fields, most significant on top, each wide enough
+    that no sum of n exponents below 2^_FIELD carries out of it.  The key
+    decides every comparison, so a bigger int is a bigger term; the code of
+    x^q times a term is the term's code plus the part of x^q's code that does
+    not depend on the component; and lead b divides t in its component exactly
+    when ((t | guard) - b) & mask == guard.  Codes are memoised both ways.
+    """
+
+    __slots__ = ("n", "rank", "guard", "mask", "_comps", "_vars", "_enc", "_dec")
+
+    def __init__(self, n: int, rank: int, order: TermOrder):
+        fields = order.key_fields(n, rank)
+        low, width = _FIELD * (n + 1), _FIELD + n.bit_length()
+        shifts = [low + width * k for k in reversed(range(len(fields)))]
+        self._vars = tuple((1 << _FIELD * i) + sum(w[i] << s for (_, w), s in zip(fields, shifts))
+                           for i in range(n))
+        self._comps = tuple((c << _FIELD * n) + sum(v[c] << s for (v, _), s in zip(fields, shifts))
+                            for c in range(rank))
+        self.guard = sum(_LIMIT << _FIELD * i for i in range(n + 1))
+        self.mask = self.guard | (_LIMIT - 1) << _FIELD * n
+        self.n, self.rank = n, rank
+        self._enc: list[dict[Monomial, int]] = [{} for _ in range(rank)]
+        self._dec: dict[int, tuple[int, Monomial]] = {}
+
+    def encode(self, comp: int, mon: Monomial) -> int:
+        enc = self._enc[comp]
+        u = enc.get(mon)
+        if u is None:
+            if mon and max(mon) >= _LIMIT:
+                raise _overflow(max(mon))
+            u = enc[mon] = self._comps[comp] + sum(map(mul, mon, self._vars))
+            self._dec[u] = (comp, mon)
+        return u
+
+    def decode(self, u: int) -> tuple[int, Monomial]:
+        term = self._dec.get(u)
+        if term is None:
+            low = _LIMIT - 1
+            term = self._dec[u] = ((u >> _FIELD * self.n) & low,
+                                   tuple([(u >> _FIELD * i) & low for i in range(self.n)]))
+        return term
+
+    def divides(self, b: int, t: int) -> bool:
+        """Whether the term b divides the term t, in the same component."""
+        return ((t | self.guard) - b) & self.mask == self.guard
+
+    def overflow(self, u: int) -> ExponentOverflowError:
+        """The error for u, a code plus a monomial's code that set a guard bit."""
+        return _overflow(max((u >> _FIELD * i) & ((1 << _FIELD) - 1) for i in range(self.n)))
+
+
+def _code(ring: Ring, rank: int, order: TermOrder) -> _Code:
+    """The ring's code for (rank, order), made on first use."""
+    key = (rank, order.signature())
+    code = ring._codes.get(key)
+    if code is None:
+        code = ring._codes[key] = _Code(ring.n, rank, order)
+    return code
+
+
+def _vec_to_dict(code: _Code, v: Vec) -> dict[int, int]:
+    out: dict[int, int] = {}
     for i, f in enumerate(v):
         for m, c in f.terms.items():
-            out[(i, m)] = c
+            out[code.encode(i, m)] = c
     return out
 
 
-def _dict_to_vec(ring: Ring, rank: int, d: dict[_Term, int]) -> Vec:
-    comps: list[dict[Monomial, int]] = [dict() for _ in range(rank)]
-    for (i, m), c in d.items():
+def _dict_to_vec(ring: Ring, code: _Code, d: dict[int, int]) -> Vec:
+    comps: list[dict[Monomial, int]] = [dict() for _ in range(code.rank)]
+    for u, c in d.items():
+        i, m = code.decode(u)
         comps[i][m] = c
     return tuple(Poly(ring, t) for t in comps)
 
@@ -115,50 +210,52 @@ def _divides(a: Monomial, b: Monomial) -> bool:
     return all(map(le, a, b))
 
 
-def _normal_form_dict(d: dict[_Term, int], basis: Sequence[_Elem], order: TermOrder,
-                      p: int) -> dict[_Term, int]:
+def _normal_form_dict(d: dict[int, int], basis: Sequence[_Elem], code: _Code,
+                      p: int) -> dict[int, int]:
     """Full reduction: every term of the result is outside the leading ideal.
 
     The result lists its terms in descending order, so its lead is its first
-    key.  Each term's key is computed once, when it first enters the work
-    vector; a term cancelled after it was queued is skipped when popped.
-    Terms only ever enter below the term being reduced, so a popped term never
-    comes back.
+    key.  A term enters the heap each time it enters the work vector; one
+    cancelled in between is skipped when popped.  Terms only ever enter below
+    the term being reduced, so a popped term never comes back.
     """
-    key = order.key
+    guard, mask = code.guard, code.mask
     work = dict(d)
-    heap = [(key(t), t) for t in work]
+    heap = [-t for t in work]
     heapq.heapify(heap)
-    queued = set(work)
-    rem: dict[_Term, int] = {}
+    rem: dict[int, int] = {}
     while heap:
-        t = heapq.heappop(heap)[1]
+        t = -heapq.heappop(heap)
         c = work.pop(t, None)
         if c is None:
             continue
-        comp, mon = t
-        for bd, (bcomp, bmon) in basis:
-            if bcomp == comp and all(map(le, bmon, mon)):
+        tg = t | guard
+        for bd, b in basis:
+            if (tg - b) & mask == guard:
                 break
         else:
             rem[t] = c
             continue
-        q = tuple(map(sub, mon, bmon))
+        q = t - b
         # the reducer is monic and its lead cancels t exactly
-        for (i, m), bc in islice(bd.items(), 1, None):
-            u = (i, mon_mul(m, q))
-            v = (work.get(u, 0) - c * bc) % p
-            if v:
-                work[u] = v
-                if u not in queued:
-                    queued.add(u)
-                    heapq.heappush(heap, (key(u), u))
+        for m, bc in islice(bd.items(), 1, None):
+            u = m + q
+            if u & guard:
+                raise code.overflow(u)
+            v = work.get(u)
+            if v is None:
+                work[u] = -c * bc % p
+                heapq.heappush(heap, -u)
             else:
-                del work[u]
+                v = (v - c * bc) % p
+                if v:
+                    work[u] = v
+                else:
+                    del work[u]
     return rem
 
 
-def _monic(d: dict[_Term, int], p: int) -> _Elem:
+def _monic(d: dict[int, int], p: int) -> _Elem:
     lt = next(iter(d))
     inv = pow(d[lt], p - 2, p)
     if inv != 1:
@@ -166,13 +263,15 @@ def _monic(d: dict[_Term, int], p: int) -> _Elem:
     return d, lt
 
 
-def _s_vector(a: _Elem, b: _Elem, lcm: Monomial, p: int) -> dict[_Term, int]:
+def _s_vector(a: _Elem, b: _Elem, lcm: int, code: _Code, p: int) -> dict[int, int]:
     """lcm/lead(a) * a - lcm/lead(b) * b; the leads cancel and are left out."""
-    s: dict[_Term, int] = {}
-    for (d, (_, lm)), sign in ((a, 1), (b, -1)):
-        q = tuple(map(sub, lcm, lm))
-        for (i, m), c in islice(d.items(), 1, None):
-            u = (i, mon_mul(m, q))
+    s: dict[int, int] = {}
+    for (d, lead), sign in ((a, 1), (b, -1)):
+        q = lcm - lead
+        for m, c in islice(d.items(), 1, None):
+            u = m + q
+            if u & code.guard:
+                raise code.overflow(u)
             v = (s.get(u, 0) + sign * c) % p
             if v:
                 s[u] = v
@@ -181,12 +280,11 @@ def _s_vector(a: _Elem, b: _Elem, lcm: Monomial, p: int) -> dict[_Term, int]:
     return s
 
 
-def _buchberger(ring: Ring, rank: int, gens: Sequence[dict[_Term, int]],
-                order: TermOrder) -> list[_Elem]:
-    """Returns the reduced basis as monic (dict, lead term) pairs, sorted by
+def _buchberger(code: _Code, p: int, gens: Sequence[dict[int, int]]) -> list[_Elem]:
+    """Returns the reduced basis as monic (dict, lead) pairs, sorted by
     decreasing lead."""
-    p = ring.p
     basis: list[_Elem] = []
+    leads: list[tuple[int, Monomial]] = []  # the leads as (component, monomial), for the lcms
     pairs: list[tuple[int, int, Monomial, int, int]] = []  # (deg lcm, n, lcm, i, j)
     tick = count()
 
@@ -194,21 +292,21 @@ def _buchberger(ring: Ring, rank: int, gens: Sequence[dict[_Term, int]],
         """Gebauer-Moeller update of the pair queue for the new element h."""
         nonlocal pairs
         j = len(basis)
-        ch, mh = h[1]
+        ch, mh = code.decode(h[1])
         # criterion B: h's lead divides lcm(i, k) and neither lcm with h equals it
         kept = []
         for pr in pairs:
             _, _, lcm, i, k = pr
-            if (basis[i][1][0] != ch or not _divides(mh, lcm)
-                    or mon_lcm(basis[i][1][1], mh) == lcm or mon_lcm(basis[k][1][1], mh) == lcm):
+            if (leads[i][0] != ch or not _divides(mh, lcm)
+                    or mon_lcm(leads[i][1], mh) == lcm or mon_lcm(leads[k][1], mh) == lcm):
                 kept.append(pr)
         # criteria M and F on the new pairs: keep one pair per minimal lcm,
         # and none for an lcm shared with a pair of coprime leads (ideals only)
         new = []
-        for i, (_, (ci, mi)) in enumerate(basis):
+        for i, (ci, mi) in enumerate(leads):
             if ci == ch:
                 lcm = mon_lcm(mi, mh)
-                new.append((lcm, i, rank == 1 and sum(lcm) == sum(mi) + sum(mh)))
+                new.append((lcm, i, code.rank == 1 and sum(lcm) == sum(mi) + sum(mh)))
         chosen = []
         for n, (lcm, i, coprime) in enumerate(new):
             if coprime or not any(_divides(l2, lcm) for l2, _, _ in new[n + 1:]) \
@@ -218,26 +316,28 @@ def _buchberger(ring: Ring, rank: int, gens: Sequence[dict[_Term, int]],
         heapq.heapify(kept)
         pairs = kept
         basis.append(h)
+        leads.append((ch, mh))
 
     for g in gens:
-        g = _normal_form_dict(g, basis, order, p)
+        g = _normal_form_dict(g, basis, code, p)
         if g:
             update(_monic(g, p))
     while pairs:
         _, _, lcm, i, j = heapq.heappop(pairs)
-        r = _normal_form_dict(_s_vector(basis[i], basis[j], lcm, p), basis, order, p)
+        s = _s_vector(basis[i], basis[j], code.encode(leads[i][0], lcm), code, p)
+        r = _normal_form_dict(s, basis, code, p)
         if r:
             update(_monic(r, p))
 
     # every element is reduced against the earlier ones, so it is redundant
     # exactly when a later lead divides its lead
     minimal = [b for n, b in enumerate(basis)
-               if not any(c == b[1][0] and _divides(m, b[1][1]) for _, (c, m) in basis[n + 1:])]
+               if not any(code.divides(c, b[1]) for _, c in basis[n + 1:])]
     # tail-reduce each against the others
     reduced = []
     for n, (d, _) in enumerate(minimal):
-        reduced.append(_monic(_normal_form_dict(d, minimal[:n] + minimal[n + 1:], order, p), p))
-    reduced.sort(key=lambda b: order.key(b[1]))
+        reduced.append(_monic(_normal_form_dict(d, minimal[:n] + minimal[n + 1:], code, p), p))
+    reduced.sort(key=itemgetter(1), reverse=True)
     return reduced
 
 
@@ -277,21 +377,24 @@ class FreeSubmodule:
     def _basis(self, order: TermOrder = GREVLEX) -> list[_Elem]:
         sig = order.signature()
         if sig not in self._gb:
-            self._gb[sig] = _buchberger(self.ring, self.rank,
-                                        [_vec_to_dict(v) for v in self.gens], order)
+            code = _code(self.ring, self.rank, order)
+            self._gb[sig] = _buchberger(code, self.ring.p,
+                                        [_vec_to_dict(code, v) for v in self.gens])
         return self._gb[sig]
 
     def groebner(self, order: TermOrder = GREVLEX) -> tuple[Vec, ...]:
-        return tuple(_dict_to_vec(self.ring, self.rank, d) for d, _ in self._basis(order))
+        code = _code(self.ring, self.rank, order)
+        return tuple(_dict_to_vec(self.ring, code, d) for d, _ in self._basis(order))
 
     def _remainder(self, v: Vec) -> dict[_Term, int]:
         v = tuple(v)
         if len(v) != self.rank:
             raise RankMismatchError(f"vector of length {len(v)}, rank {self.rank}")
-        return _normal_form_dict(_vec_to_dict(v), self._basis(), GREVLEX, self.ring.p)
+        code = _code(self.ring, self.rank, GREVLEX)
+        return _normal_form_dict(_vec_to_dict(code, v), self._basis(), code, self.ring.p)
 
     def normal_form(self, v: Vec) -> Vec:
-        return _dict_to_vec(self.ring, self.rank, self._remainder(v))
+        return _dict_to_vec(self.ring, _code(self.ring, self.rank, GREVLEX), self._remainder(v))
 
     # -- predicates ----------------------------------------------------------
 

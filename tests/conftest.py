@@ -58,3 +58,19 @@ def colon_by_elimination(N, h):
     quot = [tuple(f.div_exact(h) for f in v) for v in meet.gens]
     assert all(f is not None for v in quot for f in v), "meet not inside h*R^r"
     return FreeSubmodule(N.ring, N.rank, quot)
+
+
+def reference_key(order, term) -> tuple:
+    """Sort key of a term (component, monomial) under a `groebner` term order,
+    as a tuple: a smaller key is a bigger term.  The tuple keys the packed
+    codes of `groebner._Code` replaced, kept as their reference."""
+    comp, mon = term
+    if order.signature()[0] == "block":
+        return (comp >= order.split, -sum(mon), comp) + mon[::-1]
+    if order.kind == "lex":
+        k = (comp,) + tuple(-e for e in mon)
+    else:
+        k = (comp, -sum(mon)) + mon[::-1]
+    if order.elim:
+        return (-sum(mon[i] for i in order.elim),) + k
+    return k

@@ -191,6 +191,18 @@ def test_exit_codes(capsys):
     assert exc.value.code == 3
 
 
+def test_an_exponent_past_the_groebner_range_exits_4(capsys):
+    # packed Groebner terms hold exponents below 2^63; such an input is
+    # refused, never wrapped, in f and in the module generators alike
+    big = "x^9223372036854775808"
+    for argv in (("--p", "2", "--vars", "x", "--f", big, "--t", "1/2"),
+                 ("--p", "3", "--vars", "x,y", "--f", "x", "--t", "0", "--gens", big)):
+        code, out, err = run_cli(capsys, "tau", *argv, "--json")
+        assert (code, out) == (4, "")
+        assert err == ("cartierv: error [exponent-overflow] exponent 9223372036854775808 "
+                       "is above 2^63 - 1, the largest a Groebner term holds\n")
+
+
 def test_repro_verdicts(capsys):
     code, out, _ = run_cli(capsys, "repro", "ex621")
     assert code == 0

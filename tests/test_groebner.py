@@ -7,12 +7,16 @@ import pytest
 
 from cartierv import groebner
 from cartierv.cli import parse_polynomial
-from cartierv.errors import RankMismatchError, RingMismatchError
+from cartierv.errors import ExponentOverflowError, RankMismatchError, RingMismatchError
 from cartierv.field_poly import Poly, Ring
 from cartierv.groebner import (
+    GREVLEX,
     LEX,
     FreeSubmodule,
     QuotientPresentation,
+    TermOrder,
+    _BlockOrder,
+    _Code,
     eliminate,
     full_module,
     ideal,
@@ -20,7 +24,13 @@ from cartierv.groebner import (
     syzygies,
     zero_module,
 )
-from conftest import colon_by_elimination, intersect_by_elimination, random_poly, total_degree
+from conftest import (
+    colon_by_elimination,
+    intersect_by_elimination,
+    random_poly,
+    reference_key,
+    total_degree,
+)
 
 
 # -- independent oracles -------------------------------------------------------
@@ -543,3 +553,116 @@ def test_zero_variable_ring_modules():
     assert not W.contains_vector((one, one))
     F = full_module(R, 2)
     assert F.contains(W) and not W.contains(F)
+
+
+# -- packed terms -------------------------------------------------------------
+
+BIG = 2**63 - 1  # the largest exponent a packed term holds
+
+
+def _code_cases(rng):
+    """(n, rank, order) for n = 1..6 and rank 1..3 under grevlex, lex,
+    elimination and block orders."""
+    for n in range(1, 7):
+        for rank in (1, 2, 3):
+            elim = rng.sample(range(n), rng.randint(1, n))
+            yield from ((n, rank, order) for order in (
+                GREVLEX, LEX, TermOrder("grevlex", elim), TermOrder("lex", elim),
+                _BlockOrder(rng.randint(1, rank))))
+
+
+def _exponent(rng, top=BIG):
+    """Mostly small, sometimes near top, where a carry or a borrow between
+    fields would show."""
+    return rng.choice((0, 0, 1, 1, 2, 3, 5, top // 2, top - 1, top))
+
+
+def _term(rng, n, rank, top=BIG):
+    return rng.randrange(rank), tuple(_exponent(rng, top) for _ in range(n))
+
+
+def test_packed_order_matches_the_reference_key():
+    rng = random.Random(71)
+    for n, rank, order in _code_cases(rng):
+        code = _Code(n, rank, order)
+        terms = list({_term(rng, n, rank) for _ in range(40)})
+        # many terms share a degree, a component or a block, so ties in the
+        # leading fields are common and the later fields decide
+        terms += [(c, m[::-1]) for c, m in terms[:10]] + [(rank - 1 - c, m) for c, m in terms[:10]]
+        terms = list(set(terms))
+        by_code = sorted(terms, key=lambda t: code.encode(*t), reverse=True)
+        assert by_code == sorted(terms, key=lambda t: reference_key(order, t)), (n, rank, order)
+        assert len({code.encode(*t) for t in terms}) == len(terms)
+
+
+def test_packed_product_adds_codes():
+    rng = random.Random(73)
+    half = BIG // 2  # two exponents up to half sum to at most BIG
+    for n, rank, order in _code_cases(rng):
+        code = _Code(n, rank, order)
+        one = code.encode(0, (0,) * n)
+        for _ in range(30):
+            c, m = _term(rng, n, rank, half)
+            _, q = _term(rng, n, 1, half)
+            mq = tuple(a + b for a, b in zip(m, q))
+            assert code.encode(c, mq) == code.encode(c, m) + code.encode(0, q) - one, order
+
+
+def test_packed_divisibility_is_one_mask_test():
+    rng = random.Random(79)
+    seen = {True: 0, False: 0}
+    for n, rank, order in _code_cases(rng):
+        code = _Code(n, rank, order)
+        for _ in range(30):
+            b = _term(rng, n, rank)
+            kind = rng.randrange(3)
+            if kind == 0:  # a multiple of b, in its component or another
+                comp = b[0] if rng.random() < 0.7 else rng.randrange(rank)
+                t = (comp, tuple(e + rng.randint(0, BIG - e) * rng.randint(0, 1) for e in b[1]))
+            elif kind == 1:  # one exponent one short of a multiple
+                i = rng.randrange(n)
+                t = (b[0], tuple(e - (j == i and e > 0) for j, e in enumerate(b[1])))
+            else:
+                t = _term(rng, n, rank)
+            want = t[0] == b[0] and all(x <= y for x, y in zip(b[1], t[1]))
+            assert code.divides(code.encode(*b), code.encode(*t)) == want, (order, b, t)
+            seen[want] += 1
+    assert min(seen.values()) >= 200
+
+
+def test_packed_decode_inverts_encode():
+    rng = random.Random(83)
+    for n, rank, order in _code_cases(rng):
+        code = _Code(n, rank, order)
+        for _ in range(20):
+            t = _term(rng, n, rank)
+            u = code.encode(*t)
+            assert code.decode(u) == t
+            # a code of the same layout that has not seen t reads it off the bits
+            assert _Code(n, rank, order).decode(u) == t
+
+
+def test_an_exponent_past_the_packed_range_is_refused():
+    R = Ring(5, ("x", "y"))
+    x, y = R.gens()
+    assert ideal(R, R.monomial((BIG, 1)) - y).groebner()
+    for f in (R.monomial((BIG + 1, 0)), x + R.monomial((0, 2**64))):
+        with pytest.raises(ExponentOverflowError, match="above 2\\^63 - 1"):
+            ideal(R, f).groebner()
+        with pytest.raises(ExponentOverflowError):
+            ideal(R, x).contains_vector((f,))
+
+
+def test_a_product_past_the_packed_range_is_refused():
+    R = Ring(5, ("x", "y"))
+    x, y = R.gens()
+    a = 2**62
+    # in a reduction: x^a y^a -> y^a * y^a by the lead x^a of x^a - y^a
+    I = ideal(R, R.monomial((a, 0)) - R.monomial((0, a)))
+    assert I.contains_vector((R.monomial((a, a - 1)) - R.monomial((0, 2 * a - 1)),))
+    with pytest.raises(ExponentOverflowError, match=f"exponent {2 * a} is above"):
+        I.contains_vector((R.monomial((a, a)),))
+    # in an S-vector: lcm(x^2, x y^a) / x^2 = y^a times the tail y^a of x^2 - y^a
+    J = ideal(R, x * x - R.monomial((0, a)), x * R.monomial((0, a)))
+    with pytest.raises(ExponentOverflowError, match=f"exponent {2 * a} is above"):
+        J.groebner(LEX)
