@@ -6,7 +6,9 @@ R-module generated by kappa(R v), every stability or image computation only
 ever touches the p^n digit monomials.  The trace C keeps the top digit
 top = (p-1, .., p-1), so C(x^a g) = g_{top-a}, the level-1 digit of g at
 top - a: one product U v and one digit split give all p^n images
-kappa(x^a v) at once (CartierStructure.digit_images).
+kappa(x^a v) at once (CartierStructure.digit_images).  So the R-span of
+kappa(W) is the level-1 Frobenius root (U W)^{[1/p]}, which `kappa_span`
+computes on packed terms, with U packed once per structure.
 
 Quotients are never first-class: a module supported on a closed subscheme
 is presented as a subquotient W/N of a free module over the ambient ring,
@@ -24,9 +26,11 @@ from .frobenius import vector_digits
 from .groebner import (
     FreeSubmodule,
     QuotientPresentation,
+    Twist,
     Vec,
     full_module,
     ideal,
+    pack_matrix,
     preimage_within,
     unit_vector,
     zero_module,
@@ -65,7 +69,7 @@ def _mat_vec(ring: Ring, rows: Sequence[Sequence[Poly]], v: Vec) -> list[Poly]:
 class CartierStructure:
     """kappa(v) = C(U v) entrywise, level 1."""
 
-    __slots__ = ("ring", "rank", "U")
+    __slots__ = ("ring", "rank", "U", "_twist")
 
     def __init__(self, ring: Ring, rank: int, U: Sequence[Sequence[Poly]]):
         rows = tuple(tuple(row) for row in U)
@@ -78,6 +82,7 @@ class CartierStructure:
         self.ring = ring
         self.rank = rank
         self.U = rows
+        self._twist: Twist | None = None
 
     @staticmethod
     def scalar(ring: Ring, u: Poly | None = None) -> "CartierStructure":
@@ -107,10 +112,11 @@ class CartierStructure:
         zero = (self.ring.zero(),) * self.rank
         return [digits.get(b, zero) for b in reversed(self.ring.digit_monomials(1))]
 
-    def apply_iter(self, v: Vec, e: int) -> Vec:
-        for _ in range(e):
-            v = self.apply(v)
-        return v
+    def packed(self) -> Twist:
+        """U packed for `FreeSubmodule.level1_root`, on first use."""
+        if self._twist is None:
+            self._twist = pack_matrix(self.ring, self.rank, self.U)
+        return self._twist
 
     def twisted(self, g: Poly) -> "CartierStructure":
         """The structure kappa composed with multiplication by g."""
@@ -133,10 +139,14 @@ def kappa_span(structure: CartierStructure, sub: FreeSubmodule) -> FreeSubmodule
     """The R-span of kappa(sub), generated by kappa(x^a w) for digit a.
 
     Since C(x^a g) = g_{top-a}, the p^n images of one generator w are the
-    level-1 digits of the single product U w.
+    level-1 digits of the single product U w, so the span is the level-1
+    root (U sub)^{[1/p]}, computed on packed terms.
     """
-    gens = [v for w in sub.gens for v in structure.digit_images(w) if any(v)]
-    return FreeSubmodule(structure.ring, sub.rank, gens).minimal_gens()
+    if sub.ring != structure.ring:
+        raise RingMismatchError(f"{sub.ring} vs {structure.ring}")
+    if sub.rank != structure.rank:
+        raise RankMismatchError(f"rank {sub.rank} vs {structure.rank}")
+    return sub.level1_root(structure.packed())
 
 
 # -- modules ------------------------------------------------------------------
@@ -616,13 +626,6 @@ def trace_kappa_commutes(ext: FiniteExtension, samples: Iterable[Poly],
         if lhs != rhs:
             return False
     return True
-
-
-def trace_surjective(ext: FiniteExtension) -> bool:
-    """Is Tr: S -> base surjective?  True iff the trace values generate the
-    unit ideal."""
-    I = ideal(ext.base, *ext.trace_values)
-    return I.contains_vector((ext.base.one(),))
 
 
 # -- localization ---------------------------------------------------------------

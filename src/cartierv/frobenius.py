@@ -3,7 +3,9 @@
 W^{[p^e]} is generated by componentwise p^e-th powers of generators;
 W^{[1/p^e]} is the smallest J with W <= J^{[p^e]} and is generated by all
 level-e digits of any generating set.  Roots are computed one level at a
-time (tower law), and p-th power factors pull out of a level-1 root:
+time (tower law), each by `FreeSubmodule.level1_root`, which splits the
+packed generators into their digits; p-th power factors pull out of a
+level-1 root:
 
     (g^p W)^{[1/p]} = g W^{[1/p]}.
 
@@ -62,20 +64,12 @@ def vector_digits(v: Vec, e: int) -> dict[Monomial, Vec]:
     return {a: tuple(w) for a, w in out.items()}
 
 
-def _level1_root(W: FreeSubmodule) -> FreeSubmodule:
-    gens: list[Vec] = []
-    for v in W.gens:
-        gens.extend(vector_digits(v, 1).values())
-    # prune through a reduced basis so generator counts stay flat level to level
-    return FreeSubmodule(W.ring, W.rank, gens).minimal_gens()
-
-
 def frobenius_root(W: FreeSubmodule, e: int) -> FreeSubmodule:
     """W^{[1/p^e]}, the smallest J with W <= J^{[p^e]}."""
     _check_level(e)
     J = W
     for _ in range(e):
-        J = _level1_root(J)
+        J = J.level1_root()
     return J
 
 
@@ -97,7 +91,7 @@ def scaled_root(W: FreeSubmodule, e: int, u: Poly | None = None, A: int = 0,
     J = W
     for _ in range(e):
         scale = (u ** (A % p)) * (f ** (B % p))
-        J = _level1_root(J.scaled(scale))
+        J = J.scaled(scale).level1_root()
         A //= p
         B //= p
     if A or B:

@@ -20,22 +20,26 @@ in an order that puts the image block above the W block, and gives
 intersections, colons, preimages, syzygies and kernels.  Elimination serves
 only `eliminate` and `saturate_element`, whose answers are eliminations.
 
-Vectors are tuples of Poly.  The engine itself packs each term (component,
-monomial) into one int for a fixed ring, rank and order (`_Code`, after
-Bachmann and Schoenemann, "Monomial representations for Groebner bases
-computations", ISSAC 1998).  The low fields hold the exponents and the
-component, each with a guard bit on top; the high fields hold the order's
-key, which is linear in the exponents.  So the term is its own sort key (a
-bigger int is a bigger term), a product with a monomial is an addition, and
-"lead b divides t in its component" is one mask test.  Work vectors are
-flat dicts keyed by these ints that list their lead term first.  An
-exponent of 2^63 or more, on input or formed by a product, raises
+Each term (component, monomial) is packed into one int for a fixed ring,
+rank and order (`_Code`, after Bachmann and Schoenemann, "Monomial
+representations for Groebner bases computations", ISSAC 1998).  The low
+fields hold the exponents and the component, each with a guard bit on top;
+the high fields hold the order's key, which is linear in the exponents.  So
+the term is its own sort key (a bigger int is a bigger term), a product with
+a monomial is an addition, "lead b divides t in its component" is one mask
+test, and the level-1 digit split of a term reads its exponent fields.  A
+vector is a flat dict keyed by these ints; a work vector lists its lead
+term first.  A `FreeSubmodule` keeps its generators in this form between
+operations, so sums, products, digit splits and containment never leave it;
+tuples of Poly are made only where a caller reads them.  An exponent of
+2^63 or more, on input or formed by a product, raises
 `ExponentOverflowError` rather than wrap.
 """
 
 from __future__ import annotations
 
 import heapq
+import struct
 from itertools import count, islice
 from operator import itemgetter, le, mul
 from typing import Iterable, Sequence
@@ -95,6 +99,7 @@ class TermOrder:
 
 GREVLEX = TermOrder("grevlex")
 LEX = TermOrder("lex")
+_GREVLEX_SIG = GREVLEX.signature()
 
 
 class _BlockOrder(TermOrder):
@@ -133,12 +138,13 @@ class _Code:
     fields: the order's key fields, most significant on top, each wide enough
     that no sum of n exponents below 2^_FIELD carries out of it.  The key
     decides every comparison, so a bigger int is a bigger term; the code of
-    x^q times a term is the term's code plus the part of x^q's code that does
-    not depend on the component; and lead b divides t in its component exactly
-    when ((t | guard) - b) & mask == guard.  Codes are memoised both ways.
+    x^q times a term is the term's code plus `shift(q)`, which does not
+    depend on the component; and lead b divides t in its component exactly
+    when ((t | guard) - b) & mask == guard.  Nothing is memoised: a term is
+    read back off the bits of its code.
     """
 
-    __slots__ = ("n", "rank", "guard", "mask", "_comps", "_vars", "_enc", "_dec")
+    __slots__ = ("n", "rank", "guard", "mask", "_comps", "_vars", "_low", "_words")
 
     def __init__(self, n: int, rank: int, order: TermOrder):
         fields = order.key_fields(n, rank)
@@ -151,26 +157,21 @@ class _Code:
         self.guard = sum(_LIMIT << _FIELD * i for i in range(n + 1))
         self.mask = self.guard | (_LIMIT - 1) << _FIELD * n
         self.n, self.rank = n, rank
-        self._enc: list[dict[Monomial, int]] = [{} for _ in range(rank)]
-        self._dec: dict[int, tuple[int, Monomial]] = {}
+        self._low = (1 << low) - 1
+        self._words = struct.Struct(f"<{n + 1}Q")  # the low fields, as _FIELD = 64-bit words
+
+    def shift(self, mon: Monomial) -> int:
+        """What x^mon adds to the code of a term it multiplies."""
+        if mon and max(mon) >= _LIMIT:
+            raise _overflow(max(mon))
+        return sum(map(mul, mon, self._vars))
 
     def encode(self, comp: int, mon: Monomial) -> int:
-        enc = self._enc[comp]
-        u = enc.get(mon)
-        if u is None:
-            if mon and max(mon) >= _LIMIT:
-                raise _overflow(max(mon))
-            u = enc[mon] = self._comps[comp] + sum(map(mul, mon, self._vars))
-            self._dec[u] = (comp, mon)
-        return u
+        return self._comps[comp] + self.shift(mon)
 
     def decode(self, u: int) -> tuple[int, Monomial]:
-        term = self._dec.get(u)
-        if term is None:
-            low = _LIMIT - 1
-            term = self._dec[u] = ((u >> _FIELD * self.n) & low,
-                                   tuple([(u >> _FIELD * i) & low for i in range(self.n)]))
-        return term
+        t = self._words.unpack((u & self._low).to_bytes(self._words.size, "little"))
+        return t[-1], t[:-1]
 
     def divides(self, b: int, t: int) -> bool:
         """Whether the term b divides the term t, in the same component."""
@@ -204,6 +205,52 @@ def _dict_to_vec(ring: Ring, code: _Code, d: dict[int, int]) -> Vec:
         i, m = code.decode(u)
         comps[i][m] = c
     return tuple(Poly(ring, t) for t in comps)
+
+
+# a packed matrix: per source component j, the (offset, coefficient) pairs
+# that carry a term in component j to its products with column j
+Twist = tuple[tuple[tuple[int, int], ...], ...]
+
+
+def _times(d: dict[int, int], twist: Twist, code: _Code, p: int) -> dict[int, int]:
+    """The product of a packed matrix and a packed vector."""
+    guard, comp, low = code.guard, _FIELD * code.n, _LIMIT - 1
+    out: dict[int, int] = {}
+    for t, c in d.items():
+        for off, a in twist[(t >> comp) & low]:
+            u = t + off
+            if u & guard:
+                raise code.overflow(u)
+            v = (out.get(u, 0) + c * a) % p
+            if v:
+                out[u] = v
+            else:
+                del out[u]
+    return out
+
+
+def _digits(d: dict[int, int], code: _Code, p: int) -> list[dict[int, int]]:
+    """The nonzero level-1 digits v_a of d = sum_a x^a v_a^{[p]}, 0 <= a < p.
+
+    A term x^e in component i lands in digit e mod p as x^(e // p) in
+    component i; its code drops (e_k - e_k // p) * shift(x_k) per variable,
+    with e_k read off the code's field k.
+    """
+    low = _LIMIT - 1
+    fields = [(_FIELD * k, x) for k, x in enumerate(code._vars)]
+    out: dict[int, dict[int, int]] = {}
+    for u, c in d.items():
+        a, q = 0, u
+        for s, x in fields:
+            e = (u >> s) & low
+            a = a * p + e % p
+            q -= (e - e // p) * x
+        digit = out.get(a)
+        if digit is None:
+            out[a] = {q: c}
+        else:
+            digit[q] = c
+    return list(out.values())
 
 
 def _divides(a: Monomial, b: Monomial) -> bool:
@@ -347,12 +394,18 @@ def _buchberger(code: _Code, p: int, gens: Sequence[dict[int, int]]) -> list[_El
 class FreeSubmodule:
     """Finitely generated submodule of R^rank, with cached reduced bases.
 
-    The basis cache is written once per term order and treated as immutable
-    afterwards.  Equality and the hash both read the reduced GREVLEX basis,
-    so two generating sets of one submodule are one dict key.
+    The generators are held as Poly vectors, as packed GREVLEX dicts, or
+    both, and each form is made from the other on first use.  One built
+    from Poly vectors checks them and packs them when a basis or a
+    containment first needs it.  One built by an operation (`add`,
+    `scaled`, `minimal_gens`, `level1_root`) holds packed dicts, which it
+    passes on to the next operation, and decodes `gens` only when a caller
+    reads them.  The basis cache is written once per term order and treated
+    as immutable afterwards.  Equality and the hash both read the reduced
+    GREVLEX basis, so two generating sets of one submodule are one dict key.
     """
 
-    __slots__ = ("ring", "rank", "gens", "_gb")
+    __slots__ = ("ring", "rank", "_vecs", "_dicts", "_gb")
 
     def __init__(self, ring: Ring, rank: int, gens: Iterable[Vec]):
         if rank < 1:
@@ -369,8 +422,31 @@ class FreeSubmodule:
                 clean.append(v)
         self.ring = ring
         self.rank = rank
-        self.gens = tuple(clean)
+        self._vecs: tuple[Vec, ...] | None = tuple(clean)
+        self._dicts: list[dict[int, int]] | None = None
         self._gb: dict[tuple, list] = {}
+
+    @classmethod
+    def _of(cls, ring: Ring, rank: int, dicts: list[dict[int, int]]) -> "FreeSubmodule":
+        """The submodule generated by nonzero packed GREVLEX vectors, taken
+        as they are."""
+        out = cls.__new__(cls)
+        out.ring, out.rank, out._vecs, out._dicts, out._gb = ring, rank, None, dicts, {}
+        return out
+
+    @property
+    def gens(self) -> tuple[Vec, ...]:
+        if self._vecs is None:
+            code = _code(self.ring, self.rank, GREVLEX)
+            self._vecs = tuple(_dict_to_vec(self.ring, code, d) for d in self._dicts)
+        return self._vecs
+
+    def _packed(self) -> list[dict[int, int]]:
+        """The generators as packed GREVLEX dicts."""
+        if self._dicts is None:
+            code = _code(self.ring, self.rank, GREVLEX)
+            self._dicts = [_vec_to_dict(code, v) for v in self._vecs]
+        return self._dicts
 
     # -- bases -------------------------------------------------------------
 
@@ -378,15 +454,16 @@ class FreeSubmodule:
         sig = order.signature()
         if sig not in self._gb:
             code = _code(self.ring, self.rank, order)
-            self._gb[sig] = _buchberger(code, self.ring.p,
-                                        [_vec_to_dict(code, v) for v in self.gens])
+            gens = (self._packed() if sig == _GREVLEX_SIG
+                    else [_vec_to_dict(code, v) for v in self.gens])
+            self._gb[sig] = _buchberger(code, self.ring.p, gens)
         return self._gb[sig]
 
     def groebner(self, order: TermOrder = GREVLEX) -> tuple[Vec, ...]:
         code = _code(self.ring, self.rank, order)
         return tuple(_dict_to_vec(self.ring, code, d) for d, _ in self._basis(order))
 
-    def _remainder(self, v: Vec) -> dict[_Term, int]:
+    def _remainder(self, v: Vec) -> dict[int, int]:
         v = tuple(v)
         if len(v) != self.rank:
             raise RankMismatchError(f"vector of length {len(v)}, rank {self.rank}")
@@ -399,14 +476,17 @@ class FreeSubmodule:
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.gens
+        return not (self._dicts if self._vecs is None else self._vecs)
 
     def contains_vector(self, v: Vec) -> bool:
         return not self._remainder(v)
 
     def contains(self, other: "FreeSubmodule") -> bool:
         self._compat(other)
-        return all(self.contains_vector(v) for v in other.gens)
+        if other.is_zero():
+            return True
+        basis, code = self._basis(), _code(self.ring, self.rank, GREVLEX)
+        return not any(_normal_form_dict(d, basis, code, self.ring.p) for d in other._packed())
 
     def __eq__(self, other):
         if not isinstance(other, FreeSubmodule):
@@ -427,21 +507,45 @@ class FreeSubmodule:
 
     def add(self, other: "FreeSubmodule") -> "FreeSubmodule":
         self._compat(other)
-        return FreeSubmodule(self.ring, self.rank, self.gens + other.gens)
+        mine = self._packed()
+        return FreeSubmodule._of(self.ring, self.rank,
+                                 mine + [d for d in other._packed() if d not in mine])
 
     def add_vectors(self, vecs: Iterable[Vec]) -> "FreeSubmodule":
         return FreeSubmodule(self.ring, self.rank, self.gens + tuple(vecs))
 
     def scaled(self, g: Poly) -> "FreeSubmodule":
         """The submodule g * self."""
-        return FreeSubmodule(self.ring, self.rank,
-                             [tuple(g * f for f in v) for v in self.gens])
+        if g.ring != self.ring:
+            raise RingMismatchError(f"{g.ring} vs {self.ring}")
+        if g.is_zero():
+            return FreeSubmodule._of(self.ring, self.rank, [])
+        code = _code(self.ring, self.rank, GREVLEX)
+        twist = (tuple((code.shift(m), c) for m, c in g.terms.items()),) * self.rank
+        return FreeSubmodule._of(self.ring, self.rank,
+                                 [_times(d, twist, code, self.ring.p) for d in self._packed()])
+
+    def level1_root(self, twist: Twist | None = None) -> "FreeSubmodule":
+        """(U self)^{[1/p]} by its reduced basis, for U given by `twist`
+        (`pack_matrix`; the identity when None).
+
+        It is generated by the level-1 digits of the generators of U self,
+        since v = sum_a x^a v_a^{[p]} lies in J^{[p]} exactly when every
+        digit v_a lies in J.
+        """
+        code, p = _code(self.ring, self.rank, GREVLEX), self.ring.p
+        gens = self._packed()
+        if twist is not None:
+            gens = [_times(d, twist, code, p) for d in gens]
+        digits = [v for d in gens for v in _digits(d, code, p)]
+        return FreeSubmodule._of(self.ring, self.rank, digits).minimal_gens()
 
     def minimal_gens(self) -> "FreeSubmodule":
         """Same submodule, generated by its reduced basis, which it keeps as
         its own basis."""
-        out = FreeSubmodule(self.ring, self.rank, self.groebner())
-        out._gb[GREVLEX.signature()] = self._basis()
+        basis = self._basis()
+        out = FreeSubmodule._of(self.ring, self.rank, [d for d, _ in basis])
+        out._gb[_GREVLEX_SIG] = basis
         return out
 
     def map_ring(self, target: Ring) -> "FreeSubmodule":
@@ -482,6 +586,15 @@ class FreeSubmodule:
 def unit_vector(ring: Ring, rank: int, i: int, f: Poly | None = None) -> Vec:
     f = ring.one() if f is None else f
     return tuple(f if j == i else ring.zero() for j in range(rank))
+
+
+def pack_matrix(ring: Ring, rank: int, rows: Sequence[Sequence[Poly]]) -> Twist:
+    """The rank x rank matrix `rows` as a `Twist` for `FreeSubmodule.level1_root`."""
+    code = _code(ring, rank, GREVLEX)
+    comps = code._comps
+    return tuple(tuple((comps[i] - comps[j] + code.shift(m), c)
+                       for i in range(rank) for m, c in rows[i][j].terms.items())
+                 for j in range(rank))
 
 
 def full_module(ring: Ring, rank: int) -> FreeSubmodule:

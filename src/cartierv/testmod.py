@@ -560,17 +560,6 @@ def tau(M: CartierModule, f: Poly, t, c: Poly | None = None,
     return Pair(M, f, c, e_cap).tau(t, convention)
 
 
-def verify_test_element(M: CartierModule, f: Poly, t, c: Poly) -> bool:
-    """Necessary consistency check: c, c^2 and c*f must give the same tau."""
-    base = tau(M, f, t, c).value
-    for other in (c * c, c * f):
-        if other.is_zero():
-            return False
-        if tau(M, f, t, other).value != base:
-            return False
-    return True
-
-
 def tau_left_limit(M: CartierModule, f: Poly, t, c: Poly | None = None) -> TauResult:
     """tau just below t, exact; see `Pair.left_limit`."""
     return Pair(M, f, c).left_limit(t)

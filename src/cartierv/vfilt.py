@@ -10,7 +10,12 @@ table:
   (ii)  f stays injective on every piece,
   (iii) V^t = f V^{t-1} for t > 1,
   (iv)  kappa(V^{pt}) = V^t,
-  (BS)  f V^t <= V^{t+1}.
+  (BS)  f V^t <= V^{t+1},
+  (orbit-closure) every jump c in (0, 1] has T(c) = p c - ceil(p c) + 1
+        as a jump too, since tau(c) = kappa(f^m tau(T(c))) with
+        p c = m + T(c): constant just below T(c) means constant just below
+        c.  For test ideals this is the fact that p alpha is an F-jumping
+        number whenever alpha is one (Blickle-Mustata-Smith).
 
 Graded pieces carry the structure twisted by f^ceil(t(p-1)) (convention
 "a") or f^(floor(t(p-1))+1) (convention "b"); the two differ exactly when
@@ -132,6 +137,12 @@ def verify_axioms(M: CartierModule, table: FiltrationTable,
         if not table.value_at(t + 1).contains(table.value_at(t).scaled(f)):
             failures.append(AxiomFailure("briancon-skoda", t,
                                          "f V^t not inside V^{t+1}"))
+
+    for c in table.jumps:
+        s = p * c - math.ceil(p * c) + 1
+        if c <= 1 and table.t_min < s <= table.t_max and s not in table.jumps:
+            failures.append(AxiomFailure("orbit-closure", s,
+                                         f"the jump {c} maps to {s}, which is not a jump"))
 
     return AxiomReport(tuple(failures))
 

@@ -4,8 +4,9 @@ forms the tests compare the library against."""
 from dataclasses import replace
 
 from cartierv.field_poly import cartier_trace
-from cartierv.groebner import FreeSubmodule, eliminate, unit_vector
+from cartierv.groebner import FreeSubmodule, eliminate, ideal, unit_vector
 from cartierv.suites import random_poly  # noqa: F401  (shared by the test modules)
+from cartierv.testmod import tau
 
 
 def total_degree(g) -> int:
@@ -24,12 +25,36 @@ def recompose(digits, e: int, ring):
 def twisted_power(u, f, e: int):
     """e-fold composite of (C o u) applied to f.  Equals
     C_e(u^{(p^e-1)/(p-1)} f) by the telescoping of the twists through the
-    trace; the tests check the closed form and `CartierStructure.apply_iter`
-    against it."""
+    trace; the tests check the closed form and `apply_iter` against it."""
     v = f
     for _ in range(e):
         v = cartier_trace(u * v, 1)
     return v
+
+
+def apply_iter(structure, v, e: int):
+    """The structure applied e times to the vector v."""
+    for _ in range(e):
+        v = structure.apply(v)
+    return v
+
+
+def trace_surjective(ext) -> bool:
+    """Is Tr: S -> base surjective?  True iff the trace values of the
+    `FiniteExtension` generate the unit ideal."""
+    I = ideal(ext.base, *ext.trace_values)
+    return I.contains_vector((ext.base.one(),))
+
+
+def verify_test_element(M, f, t, c) -> bool:
+    """Necessary consistency check: c, c^2 and c*f must give the same tau."""
+    base = tau(M, f, t, c).value
+    for other in (c * c, c * f):
+        if other.is_zero():
+            return False
+        if tau(M, f, t, other).value != base:
+            return False
+    return True
 
 
 def replace_value(table, index: int, value):

@@ -1,6 +1,10 @@
 import ast
 import importlib
+import inspect
+import pkgutil
 import runpy
+import typing
+from functools import cached_property
 from pathlib import Path
 
 import cartierv
@@ -37,6 +41,40 @@ def test_tracer_targets_resolve():
         if not found:
             missing.append(f"{module}.{attr}")
     assert not missing
+
+
+def _annotated(obj):
+    """The functions and classes whose annotations get_type_hints reads:
+    obj itself and, for a class, every method, property and cached
+    property it defines."""
+    yield obj
+    if inspect.isclass(obj):
+        for member in vars(obj).values():
+            if isinstance(member, (staticmethod, classmethod)):
+                yield member.__func__
+            elif isinstance(member, property):
+                yield from (fn for fn in (member.fget, member.fset, member.fdel) if fn)
+            elif isinstance(member, cached_property):
+                yield member.func
+            elif inspect.isfunction(member):
+                yield member
+
+
+def test_annotations_resolve():
+    """Every annotation in the package names something that exists."""
+    broken = []
+    for info in pkgutil.iter_modules(cartierv.__path__):
+        mod = importlib.import_module(f"cartierv.{info.name}")
+        for name, obj in vars(mod).items():
+            if not (inspect.isfunction(obj) or inspect.isclass(obj)) \
+                    or obj.__module__ != mod.__name__:
+                continue
+            for target in _annotated(obj):
+                try:
+                    typing.get_type_hints(target)
+                except Exception as exc:  # any failure to evaluate is the finding
+                    broken.append(f"{mod.__name__}.{target.__qualname__}: {exc!r}")
+    assert not broken
 
 
 def _unread_imports(path: Path) -> list[str]:

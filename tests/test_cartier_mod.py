@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cartierv import groebner
 from cartierv.cartier_mod import (
     CartierModule,
     CartierMorphism,
@@ -22,10 +23,14 @@ from cartierv.cartier_mod import (
     semilinear_structure,
     shriek_finite,
     trace_kappa_commutes,
-    trace_surjective,
     underline,
 )
-from cartierv.errors import CartierError, RankMismatchError
+from cartierv.errors import (
+    CartierError,
+    ExponentOverflowError,
+    RankMismatchError,
+    RingMismatchError,
+)
 from cartierv.field_poly import Ring, cartier_trace
 from cartierv.groebner import (
     FreeSubmodule,
@@ -36,7 +41,13 @@ from cartierv.groebner import (
     zero_module,
 )
 
-from conftest import intersect_by_elimination, random_poly, twisted_power
+from conftest import (
+    apply_iter,
+    intersect_by_elimination,
+    random_poly,
+    trace_surjective,
+    twisted_power,
+)
 
 
 def test_scalar_structure_matches_trace():
@@ -51,7 +62,7 @@ def test_scalar_structure_matches_trace():
         u = random_poly(rng, R, 3, nonzero=True)
         f = random_poly(rng, R, 7)
         s = CartierStructure.scalar(R, u)
-        assert s.apply_iter((f,), 3)[0] == twisted_power(u, f, 3)
+        assert apply_iter(s, (f,), 3)[0] == twisted_power(u, f, 3)
 
 
 def test_structure_shape_validation():
@@ -103,7 +114,7 @@ def test_kappa_span_generators_match_brute_force():
     for p in (2, 3, 5):
         for names in ((), ("x",), ("x", "y")):
             R = Ring(p, names)
-            for rank in (1, 2):
+            for rank in (1, 2, 3):
                 for _ in range(6):
                     s = _random_structure(rng, R, rank)
                     gens = [tuple(random_poly(rng, R, 5) for _ in range(rank))
@@ -114,6 +125,44 @@ def test_kappa_span_generators_match_brute_force():
                     sub = FreeSubmodule(R, rank, gens)
                     expected = FreeSubmodule(R, rank, brute).minimal_gens()
                     assert kappa_span(s, sub).gens == expected.gens
+                    # from packed generators, as inside the orbit loop
+                    assert kappa_span(s, sub.minimal_gens()).gens == expected.gens
+
+
+def test_kappa_span_checks_ring_and_rank():
+    R = Ring(3, ("x",))
+    s = CartierStructure.scalar(R, R.var("x"))
+    with pytest.raises(RankMismatchError):
+        kappa_span(s, full_module(R, 2))
+    with pytest.raises(RingMismatchError):
+        kappa_span(s, full_module(Ring(3, ("y",)), 1))
+
+
+def test_a_packed_twist_product_past_the_range_is_refused():
+    R = Ring(3, ("x", "y"))
+    x, y = R.gens()
+    a = 2**62
+    big = R.monomial((a, 0))
+    with pytest.raises(ExponentOverflowError, match=f"exponent {2 * a} is above"):
+        kappa_span(CartierStructure.scalar(R, big), ideal(R, big + y))
+    # an off-diagonal entry carries component 1 to component 0
+    s = CartierStructure(R, 2, ((R.zero(), big), (R.one(), R.zero())))
+    assert kappa_span(s, FreeSubmodule(R, 2, [(R.zero(), R.monomial((a - 1, 0)))]))
+    with pytest.raises(ExponentOverflowError, match=f"exponent {2 * a} is above"):
+        kappa_span(s, FreeSubmodule(R, 2, [(R.zero(), big)]))
+
+
+def test_over_ring_builds_no_basis(monkeypatch):
+    # the set-up of every classical pair: containment of the zero
+    # denominator is answered before any code or basis is made
+    runs = []
+    real = groebner._buchberger
+    monkeypatch.setattr(groebner, "_buchberger", lambda *a: runs.append(a) or real(*a))
+    R = Ring(5, ("x", "y"))
+    M = CartierModule.over_ring(R, R.var("x"))
+    CartierModule.over_ring(R)
+    assert M.pres.W.contains(M.pres.N)
+    assert runs == [] and R._codes == {}
 
 
 def test_module_constructor_rejects_unstable_numerator():

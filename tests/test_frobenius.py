@@ -91,13 +91,20 @@ def test_frobenius_root_known():
 
 def test_root_against_brute_force_oracle():
     rng = random.Random(59)
-    for p in (2, 3):
+    for p in (2, 3, 5):
         R = Ring(p, ("x", "y"))
         for _ in range(25):
             gens = [random_poly(rng, R, 3, max_terms=3, nonzero=True)
                     for _ in range(rng.randint(1, 2))]
             W = ideal(R, *gens)
             assert frobenius_root(W, 1) == brute_force_root(R, gens, 9)
+            # scaled_root multiplies the packed generators before the split
+            u = random_poly(rng, R, 1, max_terms=2, nonzero=True)
+            f = random_poly(rng, R, 2, max_terms=2, nonzero=True)
+            A, B = rng.randrange(p), rng.randrange(p)
+            scaled = [(u ** A) * (f ** B) * g for g in gens]
+            assert scaled_root(W, 1, u, A, f, B) == brute_force_root(
+                R, scaled, max(map(total_degree, scaled))), p
 
 
 def test_adjunction_random():

@@ -666,3 +666,27 @@ def test_a_product_past_the_packed_range_is_refused():
     J = ideal(R, x * x - R.monomial((0, a)), x * R.monomial((0, a)))
     with pytest.raises(ExponentOverflowError, match=f"exponent {2 * a} is above"):
         J.groebner(LEX)
+    # in a product with a polynomial: x^a (x^(a - 1) + y) fits, x^a (x^a + y) does not
+    W = FreeSubmodule(R, 2, [(R.monomial((a, 0)), y)])
+    assert W.scaled(R.monomial((a - 1, 0))).gens == (
+        (R.monomial((2 * a - 1, 0)), R.monomial((a - 1, 1))),)
+    for S in (W, W.minimal_gens()):
+        with pytest.raises(ExponentOverflowError, match=f"exponent {2 * a} is above"):
+            S.scaled(R.monomial((a, 0)) + y)
+
+
+def test_packed_built_submodules_decode_their_generators():
+    """A sum, a product, a root and a minimal generating set hold packed
+    generators; `gens` decodes them into what the Poly forms would give."""
+    R = Ring(5, ("x", "y"))
+    x, y = R.gens()
+    S = FreeSubmodule(R, 2, [(x, y), (y * y, x * y + x), (x * x, R.zero())])
+    T = FreeSubmodule(R, 2, [(y, x), (x, y)])
+    assert S.add(T).gens == S.gens + ((y, x),)
+    assert S.scaled(x + y).gens == tuple(tuple((x + y) * f for f in v) for v in S.gens)
+    assert S.scaled(R.zero()).is_zero() and S.scaled(R.zero()).gens == ()
+    for sub in (S.minimal_gens(), S.level1_root(), S.scaled(x ** 6 + y).level1_root(),
+                S.add(T).minimal_gens()):
+        assert sub.gens == sub.groebner()
+    with pytest.raises(RingMismatchError):
+        S.scaled(Ring(5, ("x",)).one())

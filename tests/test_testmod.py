@@ -37,11 +37,15 @@ from cartierv.testmod import (
     suggest_test_element,
     tau,
     tau_left_limit,
-    verify_test_element,
 )
 from cartierv.vfilt import compute_vfiltration
 
-from conftest import colon_by_elimination, intersect_by_elimination, random_poly
+from conftest import (
+    colon_by_elimination,
+    intersect_by_elimination,
+    random_poly,
+    verify_test_element,
+)
 
 
 def monomial_tau_oracle(ring, exps, t):

@@ -112,6 +112,25 @@ def test_axioms_on_table_starting_above_zero():
         "zero-value", Fraction(1, 3), "tabulated V^0 differs from tau at 0")
 
 
+def test_orbit_closure_flags_a_removed_jump():
+    # x^2 y at p = 2 jumps at 1/2 and 1, and T(1/2) = 2/2 - 1 + 1 = 1
+    R = Ring(2, ("x", "y"))
+    x, y = R.gens()
+    M = CartierModule.over_ring(R)
+    table = compute_vfiltration(M, x ** 2 * y, 1, 4)
+    assert table.jumps == (Fraction(1, 2), Fraction(1))
+    assert verify_axioms(M, table).ok
+    bad = replace(table, jumps=table.jumps[:1], values=table.values[:1],
+                  left_limits=table.left_limits[:1])
+    failures = verify_axioms(M, bad).failures
+    assert failures[-1] == AxiomFailure("orbit-closure", Fraction(1),
+                                        "the jump 1/2 maps to 1, which is not a jump")
+    assert [fl.axiom for fl in failures].count("orbit-closure") == 1
+    # T(1) = 1 lies above the range of a table on [0, 3/4]
+    short = compute_vfiltration(M, x ** 2 * y, Fraction(3, 4), 4)
+    assert short.jumps == (Fraction(1, 2),) and verify_axioms(M, short).ok
+
+
 def test_corrupted_table_pinpoints_injectivity_failure():
     # (x)/(xy) under C o (xy)^2: x is regular on it, but not on R/(xy),
     # where x kills y; a V^1 raised to R breaks axiom (ii) on [1, 2)
