@@ -10,9 +10,11 @@ within one component.  Normal forms pop the terms of the work vector from a
 heap, so the remainder comes out in descending order.
 
 Module terms (component, monomial) are compared position-over-term with
-component 0 strongest; when an elimination block is present the block degree
-dominates everything including the component, which is what makes
-elimination work for submodules too.
+component 0 strongest.  An order with a block (the variables to eliminate,
+or the components of an image block) compares the block's weight first, then
+the degree, and the component only after both: the block on top makes
+eliminations and module relations work, and the degree before the component
+keeps their bases from swelling.
 
 One computation answers every module relation: `preimage_within(W, images,
 N)`, the part of W that a map sends into N, reads its answer off one basis
@@ -56,71 +58,56 @@ _FIELD = 64  # bits per exponent or component field; the top bit is a guard bit
 _LIMIT = 1 << (_FIELD - 1)  # every exponent stays below this
 
 
-def _degree_fields(n: int, rank: int) -> list[_Field]:
-    """deg, s_{n-1}, .., s_1 with s_k = e_1 + .. + e_k: at a fixed degree, a
-    smaller last exponent is a bigger grevlex term."""
-    return [((0,) * rank, (1,) * k + (0,) * (n - k)) for k in range(n, 0, -1)]
-
-
-def _position_field(n: int, rank: int) -> _Field:
-    """rank - 1 - component: component 0 strongest."""
-    return tuple(rank - 1 - c for c in range(rank)), (0,) * n
-
-
 class TermOrder:
-    """grevlex or lex, optionally with a leading elimination block."""
+    """grevlex or lex on the terms (component, monomial), optionally under a
+    leading block field.
 
-    __slots__ = ("kind", "elim")
+    The block field weighs the variables in `elim` and the components below
+    `split`, so every term with more of the block is bigger: eliminations
+    put the variables to eliminate there, module relations their image
+    block.  Without a block the key is position over term, component 0
+    strongest.  With one, the key is the block, then the kind's first field
+    (the degree under grevlex), then the component, then the rest: position
+    over term inside a block makes bases swell (a rank-3 t-elimination over
+    F_7[x, y]: 48 s instead of 0.1 s).
+    """
 
-    def __init__(self, kind: str = "grevlex", elim: Iterable[int] = ()):
+    __slots__ = ("kind", "elim", "split")
+
+    def __init__(self, kind: str = "grevlex", elim: Iterable[int] = (), split: int = 0):
         if kind not in ("grevlex", "lex"):
             raise ValueError(f"unknown order kind {kind!r}")
         self.kind = kind
         self.elim = tuple(sorted(set(elim)))
+        self.split = split
 
     def signature(self):
-        return (self.kind, self.elim)
+        sig = (self.kind, self.elim)
+        return sig + (self.split,) if self.split else sig
 
     def key_fields(self, n: int, rank: int) -> list[_Field]:
         """The key of a term, most significant field first; a bigger key is a
         bigger term, and no two terms share a key."""
         if self.kind == "lex":
-            tail = [((0,) * rank, tuple(int(i == k) for i in range(n))) for k in range(n)]
+            kind = [((0,) * rank, tuple(int(i == k) for i in range(n))) for k in range(n)]
         else:
-            tail = _degree_fields(n, rank)
-        fields = [_position_field(n, rank)] + tail
-        if self.elim:
-            fields.insert(0, ((0,) * rank, tuple(int(i in self.elim) for i in range(n))))
-        return fields
+            # deg, s_{n-1}, .., s_1 with s_k = e_1 + .. + e_k: at a fixed
+            # degree, a smaller last exponent is a bigger grevlex term
+            kind = [((0,) * rank, (1,) * k + (0,) * (n - k)) for k in range(n, 0, -1)]
+        position = (tuple(rank - 1 - c for c in range(rank)), (0,) * n)
+        if not (self.elim or self.split):
+            return [position] + kind
+        block = (tuple(int(c < self.split) for c in range(rank)),
+                 tuple(int(i in self.elim) for i in range(n)))
+        return [block] + kind[:1] + [position] + kind[1:]
 
     def __repr__(self):
-        return f"TermOrder({self.kind!r}, elim={list(self.elim)})"
+        return f"TermOrder({self.kind!r}, elim={list(self.elim)}, split={self.split})"
 
 
 GREVLEX = TermOrder("grevlex")
 LEX = TermOrder("lex")
 _GREVLEX_SIG = GREVLEX.signature()
-
-
-class _BlockOrder(TermOrder):
-    """Every term in a component < split is above every term in a component
-    >= split; within a block, degree comes before the component, since
-    position-over-term there makes bases swell (a rank-3 intersection over
-    F_7[x, y]: 1.7 s instead of 0.12 s)."""
-
-    __slots__ = ("split",)
-
-    def __init__(self, split: int):
-        super().__init__("grevlex")
-        self.split = split
-
-    def signature(self):
-        return ("block", self.split)
-
-    def key_fields(self, n: int, rank: int) -> list[_Field]:
-        block = (tuple(int(c < self.split) for c in range(rank)), (0,) * n)
-        degrees = _degree_fields(n, rank)
-        return [block] + degrees[:1] + [_position_field(n, rank)] + degrees[1:]
 
 
 # -- packed terms ------------------------------------------------------------
@@ -614,17 +601,18 @@ def eliminate(sub: FreeSubmodule, var_indices: Iterable[int]) -> FreeSubmodule:
     """Intersection with the subring avoiding the given variables.
 
     Returns a submodule over the same ring whose generators do not involve
-    the eliminated variables.
+    the eliminated variables.  Raises ValueError for an index outside
+    range(sub.ring.n).
     """
     var_indices = frozenset(var_indices)
+    outside = sorted(var_indices - set(range(sub.ring.n)))
+    if outside:
+        raise ValueError(f"variable indices {outside} outside range({sub.ring.n})")
     if not var_indices:
         return sub
-    order = TermOrder("grevlex", var_indices)
-    kept: list[Vec] = []
-    for v in sub.groebner(order):
-        if all(all(m[i] == 0 for i in var_indices for m in f.terms) for f in v):
-            kept.append(v)
-    return FreeSubmodule(sub.ring, sub.rank, kept)
+    return FreeSubmodule(sub.ring, sub.rank,
+                         [v for v in sub.groebner(TermOrder("grevlex", var_indices))
+                          if not any(m[i] for f in v for m in f.terms for i in var_indices)])
 
 
 def preimage_within(W: FreeSubmodule, images: Sequence[Vec], N: FreeSubmodule) -> FreeSubmodule:
@@ -641,8 +629,16 @@ def preimage_within(W: FreeSubmodule, images: Sequence[Vec], N: FreeSubmodule) -
     aug = [tuple(v) + w for v, w in zip(images, W.gens)] + [n + pad for n in N.gens]
     big = FreeSubmodule(W.ring, r + W.rank, aug)
     return FreeSubmodule(W.ring, W.rank,
-                         [w[r:] for w in big.groebner(_BlockOrder(r))
+                         [w[r:] for w in big.groebner(TermOrder(split=r))
                           if all(f.is_zero() for f in w[:r])])
+
+
+def injective_on(f: Poly, W: FreeSubmodule, N: FreeSubmodule) -> bool:
+    """Whether multiplication by f is injective on W/N, for N inside W: the
+    part of W that f sends into N lies in N."""
+    if N.is_zero() and not f.is_zero():
+        return True  # W sits in a free module over a domain
+    return N.contains(preimage_within(W, [tuple(f * g for g in w) for w in W.gens], N))
 
 
 def syzygies(ring: Ring, rank: int, vectors: Sequence[Vec]) -> FreeSubmodule:

@@ -58,7 +58,7 @@ from .errors import (
 )
 from .field_poly import Poly, Ring
 from .frobenius import level_cap, scaled_root
-from .groebner import FreeSubmodule, full_module, ideal, preimage_within
+from .groebner import FreeSubmodule, full_module, ideal, injective_on
 
 CONVENTIONS = ("ceil_pe", "ceil_pe_minus_1")
 MAX_SWEEPS = 64
@@ -125,12 +125,7 @@ def exponent_at(t: Fraction, p: int, e: int, convention: str = "ceil_pe") -> int
 
 def is_regular_element(M: CartierModule, f: Poly) -> bool:
     """Is multiplication by f injective on W/N?"""
-    if f.is_zero():
-        return M.pres.is_zero_module()
-    if M.pres.N.is_zero():
-        return True  # W sits in a free module over a domain
-    W, N = M.pres.W, M.pres.N
-    return N.contains(preimage_within(W, [tuple(f * g for g in w) for w in W.gens], N))
+    return injective_on(f, M.pres.W, M.pres.N)
 
 
 def classical_twist(M: CartierModule) -> Poly | None:

@@ -1,12 +1,23 @@
 """Helpers shared by the test modules: random polynomials, and reference
 forms the tests compare the library against."""
 
+import time
+from contextlib import contextmanager
 from dataclasses import replace
 
 from cartierv.field_poly import cartier_trace
 from cartierv.groebner import FreeSubmodule, eliminate, ideal, unit_vector
 from cartierv.suites import random_poly  # noqa: F401  (shared by the test modules)
 from cartierv.testmod import tau
+
+
+@contextmanager
+def budget(seconds):
+    """Fails the test when the block takes `seconds` of wall-clock time or more."""
+    start = time.monotonic()
+    yield
+    elapsed = time.monotonic() - start
+    assert elapsed < seconds, f"budget {seconds}s exceeded: {elapsed:.1f}s"
 
 
 def total_degree(g) -> int:
@@ -90,12 +101,11 @@ def reference_key(order, term) -> tuple:
     as a tuple: a smaller key is a bigger term.  The tuple keys the packed
     codes of `groebner._Code` replaced, kept as their reference."""
     comp, mon = term
-    if order.signature()[0] == "block":
-        return (comp >= order.split, -sum(mon), comp) + mon[::-1]
     if order.kind == "lex":
-        k = (comp,) + tuple(-e for e in mon)
+        kind = tuple(-e for e in mon)
     else:
-        k = (comp, -sum(mon)) + mon[::-1]
-    if order.elim:
-        return (-sum(mon[i] for i in order.elim),) + k
-    return k
+        kind = (-sum(mon),) + mon[::-1]
+    if not (order.elim or order.split):
+        return (comp,) + kind
+    block = sum(mon[i] for i in order.elim) + (comp < order.split)
+    return (-block,) + kind[:1] + (comp,) + kind[1:]

@@ -6,8 +6,6 @@ carries the agreed wall-clock budget, asserted alongside the result.
 
 import functools
 import random
-import time
-from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -39,15 +37,7 @@ from cartierv import (
     verify_axioms,
 )
 
-from conftest import random_poly, replace_value
-
-
-@contextmanager
-def budget(seconds):
-    start = time.monotonic()
-    yield
-    elapsed = time.monotonic() - start
-    assert elapsed < seconds, f"budget {seconds}s exceeded: {elapsed:.1f}s"
+from conftest import budget, random_poly, replace_value
 
 
 def failed(result):

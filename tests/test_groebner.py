@@ -15,7 +15,6 @@ from cartierv.groebner import (
     FreeSubmodule,
     QuotientPresentation,
     TermOrder,
-    _BlockOrder,
     _Code,
     eliminate,
     full_module,
@@ -25,6 +24,7 @@ from cartierv.groebner import (
     zero_module,
 )
 from conftest import (
+    budget,
     colon_by_elimination,
     intersect_by_elimination,
     random_poly,
@@ -346,6 +346,38 @@ def test_eliminate_known():
     assert eliminate(ideal(R, x), {1}) == ideal(R, x)
 
 
+def test_eliminate_refuses_an_index_outside_the_ring():
+    R = Ring(3, ("x", "y"))
+    with pytest.raises(ValueError, match="outside range\\(2\\)"):
+        eliminate(ideal(R, R.var("x")), {5})
+    S = Ring(3, ("x", "y", "z"))
+    x, y, z = S.gens()
+    I = ideal(S, x * y + x * z, z**2)
+    # -1 once read the last exponent and dropped every generator
+    with pytest.raises(ValueError):
+        eliminate(I, {-1})
+    assert eliminate(I, {2}) == ideal(S, x * y**2)
+
+
+def test_eliminate_matches_sympy_lex():
+    """The part of the reduced lex basis, with the eliminated variables
+    ordered first, that is free of them generates the elimination ideal."""
+    rng = random.Random(37)
+    names = ("x", "y", "z")
+    for draw in range(60):
+        p = (2, 3, 5, 7)[draw % 4]
+        R = Ring(p, names)
+        gens = [random_poly(rng, R, 2, max_terms=3, nonzero=True)
+                for _ in range(rng.randint(2, 3))]
+        elim = set(rng.sample(range(3), rng.randint(1, 2)))
+        first = Ring(p, tuple(names[i] for i in sorted(elim))
+                     + tuple(n for i, n in enumerate(names) if i not in elim))
+        lex = sympy_reduced_gb(first, [g.map_ring(first) for g in gens], order="lex")
+        free = [g.map_ring(R) for g in lex
+                if all(m[k] == 0 for m in g.terms for k in range(len(elim)))]
+        assert eliminate(ideal(R, *gens), elim) == ideal(R, *free), (p, gens, elim)
+
+
 def test_saturate_known():
     R = Ring(3, ("x", "y"))
     x, y = R.gens()
@@ -417,8 +449,7 @@ def test_colon_element():
 
 
 def test_intersect_and_colon_agree_with_elimination():
-    # two generators each: at rank 3 with three, the reference alone can take
-    # 50 s (the swelling of ROADMAP item 4); a planted a*z in W and b*z in V
+    # two generators a side, three at rank 3; a planted a*z in W and b*z in V
     # keeps most intersections nonzero
     rng = random.Random(29)
     met = grew = 0
@@ -429,8 +460,9 @@ def test_intersect_and_colon_agree_with_elimination():
                 vec = lambda: tuple(random_poly(rng, R, 2, max_terms=3) for _ in range(rank))  # noqa: E731
                 z = vec()
                 a, b, h = (random_poly(rng, R, 1, max_terms=2, nonzero=True) for _ in range(3))
-                W = FreeSubmodule(R, rank, [vec(), tuple(a * c for c in z)])
-                V = FreeSubmodule(R, rank, [vec(), tuple(b * c for c in z)])
+                free = 1 + (rank == 3)
+                W = FreeSubmodule(R, rank, [vec() for _ in range(free)] + [tuple(a * c for c in z)])
+                V = FreeSubmodule(R, rank, [vec() for _ in range(free)] + [tuple(b * c for c in z)])
                 meet = W.intersect(V)
                 assert meet == intersect_by_elimination(W, V)
                 colon = V.colon_element(h)
@@ -441,12 +473,13 @@ def test_intersect_and_colon_agree_with_elimination():
 
 
 RANK3_CASES = (
-    # ROADMAP item 4: the t-elimination took 3-7 s for 7 generators
+    # the t-elimination took 3.9 s for 7 generators while the elimination
+    # order put the component before the degree
     ((("x^3+5*y", "6*x^2+x+2", "x^3+x^2*y"), ("0", "5*x*y^2+6*y^3", "0"),
       ("5*x^3+6*x^2", "0", "2*x^3")),
      (("5*x^3+4*x^2+3*y", "3*x^3+6*x^2*y+5*y^3", "5*x^3"), ("3*y^3", "6*x^3+3*x^2*y+6*x^2", "0")),
      7),
-    # a random draw where the t-elimination took 50 s for 13 generators
+    # a random draw where that order took 48 s for 13 generators
     ((("2*x*y", "5*x^2+6*x*y+6", "0"), ("1", "6*x^2+3*y^2", "3*x^2+3*x+5*y"),
       ("4*x^2", "2*x^2", "2*x^2")),
      (("x^2+4*y^2", "y", "6*y"), ("0", "y^2", "6*y^2"), ("4*x^2+3*x*y", "2*x+4*y", "5*x*y")),
@@ -463,6 +496,8 @@ def test_rank3_intersection_is_symmetric_and_inside_both(w_rows, v_rows, size):
     assert meet == V.intersect(W)
     assert W.contains(meet) and V.contains(meet)
     assert len(meet.groebner()) == size
+    with budget(5):
+        assert meet == intersect_by_elimination(W, V)
 
 
 def test_module_groebner_and_pot_order():
@@ -568,7 +603,7 @@ def _code_cases(rng):
             elim = rng.sample(range(n), rng.randint(1, n))
             yield from ((n, rank, order) for order in (
                 GREVLEX, LEX, TermOrder("grevlex", elim), TermOrder("lex", elim),
-                _BlockOrder(rng.randint(1, rank))))
+                TermOrder(split=rng.randint(1, rank))))
 
 
 def _exponent(rng, top=BIG):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cartierv import testmod
+from cartierv import groebner, testmod
 from cartierv.cartier_mod import (
     CartierModule,
     CartierStructure,
@@ -202,7 +202,7 @@ def test_f_is_regular_on_a_free_module_without_elimination(monkeypatch):
                CartierModule(W, CartierStructure.scalar(R, x ** 3))]
     calls = []
     real = FreeSubmodule.intersect
-    real_preimage = testmod.preimage_within
+    real_preimage = groebner.preimage_within
 
     def counted(self, other):
         calls.append(other)
@@ -212,7 +212,7 @@ def test_f_is_regular_on_a_free_module_without_elimination(monkeypatch):
         calls.append(N)
         return real_preimage(W, images, N)
     monkeypatch.setattr(FreeSubmodule, "intersect", counted)
-    monkeypatch.setattr(testmod, "preimage_within", counted_preimage)
+    monkeypatch.setattr(groebner, "preimage_within", counted_preimage)
     for M in modules:
         assert Pair(M, x + y ** 2).is_regular
     assert calls == []

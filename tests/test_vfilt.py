@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from cartierv import vfilt
 from cartierv.cartier_mod import CartierModule, CartierMorphism, CartierStructure, kappa_span
 from cartierv.errors import NonDegenerateError, NotFRegularError
 from cartierv.field_poly import Ring
@@ -144,6 +145,25 @@ def test_corrupted_table_pinpoints_injectivity_failure():
     bad = replace_value(table, 0, full_module(R, 1))
     failures = verify_axioms(M, bad, x).failures
     assert [fl.t for fl in failures if fl.axiom == "injectivity"] == [1, Fraction(3, 2)]
+
+
+def test_injectivity_is_checked_once_per_value(monkeypatch):
+    # grid 0, 1/2, 1, 3/2, 2 holds three values: each midpoint shares the
+    # value of the jump to its left
+    R = Ring(3, ("x", "y"))
+    x, y = R.gens()
+    M = CartierModule(QuotientPresentation(ideal(R, x), ideal(R, x * y)),
+                      CartierStructure.scalar(R, (x * y) ** 2))
+    bad = replace_value(compute_vfiltration(M, x, 2, 6, c=x), 0, full_module(R, 1))
+    checked = []
+    real = vfilt.injective_on
+
+    def counted(f, W, N):
+        checked.append(W)
+        return real(f, W, N)
+    monkeypatch.setattr(vfilt, "injective_on", counted)
+    verify_axioms(M, bad, x)
+    assert checked == [bad.v0, full_module(R, 1), bad.values[1]]
 
 
 def test_refuses_non_f_regular():
