@@ -76,10 +76,6 @@ def mon_div(a: Monomial, b: Monomial) -> Monomial | None:
     return tuple(out)
 
 
-def mon_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 def grevlex_key(mon: Monomial):
     """Sort key: bigger key = bigger monomial in graded reverse lex."""
     return (sum(mon), tuple(-e for e in reversed(mon)))

@@ -1,13 +1,15 @@
 """Groebner bases for ideals and submodules of free modules over F_p[x_1..x_n].
 
-Buchberger's algorithm with normal pair selection, the Gebauer-Moeller pair
-update (Gebauer and Moeller, J. Symb. Comput. 1988), full tail reduction,
-and unique reduced bases used as canonical forms everywhere.  Adding a basis
-element drops the old pairs its lead makes redundant (criterion B) and keeps
-one new pair per minimal lcm (criteria M and F).  The product criterion
-applies to ideals only, where it is valid; every criterion compares leads
-within one component.  Normal forms pop the terms of the work vector from a
-heap, so the remainder comes out in descending order.
+A signature-based Buchberger algorithm (`_buchberger`: RB with the "add"
+rewrite order, Eder and Roune, ISSAC 2013, over Schreyer-ordered signatures,
+Roune and Stillman, ISSAC 2012), full tail reduction, and unique reduced
+bases used as canonical forms everywhere.  Each element carries a signature
+in the free module over the generators; S-pairs are taken in increasing
+signature order, and one whose signature a known syzygy or a newer element
+divides is dropped before it is reduced, so few reductions end in zero.
+Koszul syzygies apply to ideals only; every S-pair pairs leads within one
+component.  Normal forms pop the terms of the work vector from a heap, so
+the remainder comes out in descending order.
 
 Module terms (component, monomial) are compared position-over-term with
 component 0 strongest.  An order with a block (the variables to eliminate,
@@ -35,19 +37,20 @@ term first.  A `FreeSubmodule` keeps its generators in this form between
 operations, so sums, products, digit splits and containment never leave it;
 tuples of Poly are made only where a caller reads them.  An exponent of
 2^63 or more, on input or formed by a product, raises
-`ExponentOverflowError` rather than wrap.
+`ExponentOverflowError` rather than wrap; so does an S-pair left to reduce
+whose signature has one.
 """
 
 from __future__ import annotations
 
 import heapq
 import struct
-from itertools import count, islice
+from itertools import chain, count, islice
 from operator import itemgetter, le, mul
 from typing import Iterable, Sequence
 
 from .errors import ExponentOverflowError, RankMismatchError, RingMismatchError
-from .field_poly import Monomial, Poly, Ring, mon_lcm
+from .field_poly import Monomial, Poly, Ring
 
 Vec = tuple[Poly, ...]
 _Elem = tuple[dict[int, int], int]  # monic element keyed by packed terms, its packed lead
@@ -125,10 +128,10 @@ class _Code:
     fields: the order's key fields, most significant on top, each wide enough
     that no sum of n exponents below 2^_FIELD carries out of it.  The key
     decides every comparison, so a bigger int is a bigger term; the code of
-    x^q times a term is the term's code plus `shift(q)`, which does not
-    depend on the component; and lead b divides t in its component exactly
-    when ((t | guard) - b) & mask == guard.  Nothing is memoised: a term is
-    read back off the bits of its code.
+    x^q times a term is the term's code plus `shift(q)`, which depends on
+    neither the component nor the rank; and lead b divides t in its
+    component exactly when ((t | guard) - b) & mask == guard.  Nothing is
+    memoised: a term is read back off the bits of its code.
     """
 
     __slots__ = ("n", "rank", "guard", "mask", "_comps", "_vars", "_low", "_words")
@@ -197,6 +200,9 @@ def _dict_to_vec(ring: Ring, code: _Code, d: dict[int, int]) -> Vec:
 # a packed matrix: per source component j, the (offset, coefficient) pairs
 # that carry a term in component j to its products with column j
 Twist = tuple[tuple[tuple[int, int], ...], ...]
+# a packed polynomial: (shift of the monomial, coefficient) per term; shifts
+# do not depend on the rank, so one serves submodules of every rank
+Scalar = tuple[tuple[int, int], ...]
 
 
 def _times(d: dict[int, int], twist: Twist, code: _Code, p: int) -> dict[int, int]:
@@ -238,10 +244,6 @@ def _digits(d: dict[int, int], code: _Code, p: int) -> list[dict[int, int]]:
         else:
             digit[q] = c
     return list(out.values())
-
-
-def _divides(a: Monomial, b: Monomial) -> bool:
-    return all(map(le, a, b))
 
 
 def _normal_form_dict(d: dict[int, int], basis: Sequence[_Elem], code: _Code,
@@ -297,80 +299,165 @@ def _monic(d: dict[int, int], p: int) -> _Elem:
     return d, lt
 
 
-def _s_vector(a: _Elem, b: _Elem, lcm: int, code: _Code, p: int) -> dict[int, int]:
-    """lcm/lead(a) * a - lcm/lead(b) * b; the leads cancel and are left out."""
-    s: dict[int, int] = {}
-    for (d, lead), sign in ((a, 1), (b, -1)):
-        q = lcm - lead
-        for m, c in islice(d.items(), 1, None):
+def _reduce_regular(work: dict[int, int], sig: int,
+                    elems: Sequence[tuple[dict[int, int], int, int]],
+                    code: _Code, p: int, bits: int) -> dict[int, int]:
+    """Regular reduction of `work`, which has signature `sig`: a term t is
+    reduced only by an element whose lead divides it and whose multiplied
+    signature lies below `sig`, so the result keeps the signature.  An
+    element carries off = its signature minus its lead shifted up by `bits`,
+    so its multiplied signature at t is (t << bits) + off.
+
+    Returns the remainder with its terms in descending order, empty when
+    `work` reduces to zero; `work` is consumed.
+    """
+    guard, mask = code.guard, code.mask
+    heap = [-t for t in work]
+    heapq.heapify(heap)
+    rem: dict[int, int] = {}
+    while heap:
+        t = -heapq.heappop(heap)
+        c = work.pop(t, None)
+        if c is None:
+            continue
+        tg = t | guard
+        lim = sig - (t << bits)
+        for bd, b, off in elems:
+            if (tg - b) & mask == guard and off < lim:
+                break
+        else:
+            rem[t] = c
+            continue
+        q = t - b
+        # the reducer is monic and its lead cancels t exactly
+        for m, bc in islice(bd.items(), 1, None):
             u = m + q
-            if u & code.guard:
+            if u & guard:
                 raise code.overflow(u)
-            v = (s.get(u, 0) + sign * c) % p
-            if v:
-                s[u] = v
+            v = work.get(u)
+            if v is None:
+                work[u] = -c * bc % p
+                heapq.heappush(heap, -u)
             else:
-                del s[u]
-    return s
+                v = (v - c * bc) % p
+                if v:
+                    work[u] = v
+                else:
+                    del work[u]
+    return rem
 
 
 def _buchberger(code: _Code, p: int, gens: Sequence[dict[int, int]]) -> list[_Elem]:
-    """Returns the reduced basis as monic (dict, lead) pairs, sorted by
-    decreasing lead."""
-    basis: list[_Elem] = []
-    leads: list[tuple[int, Monomial]] = []  # the leads as (component, monomial), for the lcms
-    pairs: list[tuple[int, int, Monomial, int, int]] = []  # (deg lcm, n, lcm, i, j)
-    tick = count()
+    """Returns the reduced basis of the submodule that `gens` generate, as
+    monic (dict, lead) pairs sorted by decreasing lead.
 
-    def update(h: _Elem):
-        """Gebauer-Moeller update of the pair queue for the new element h."""
-        nonlocal pairs
-        j = len(basis)
-        ch, mh = code.decode(h[1])
-        # criterion B: h's lead divides lcm(i, k) and neither lcm with h equals it
-        kept = []
-        for pr in pairs:
-            _, _, lcm, i, k = pr
-            if (leads[i][0] != ch or not _divides(mh, lcm)
-                    or mon_lcm(leads[i][1], mh) == lcm or mon_lcm(leads[k][1], mh) == lcm):
-                kept.append(pr)
-        # criteria M and F on the new pairs: keep one pair per minimal lcm,
-        # and none for an lcm shared with a pair of coprime leads (ideals only)
-        new = []
-        for i, (ci, mi) in enumerate(leads):
-            if ci == ch:
-                lcm = mon_lcm(mi, mh)
-                new.append((lcm, i, code.rank == 1 and sum(lcm) == sum(mi) + sum(mh)))
-        chosen = []
-        for n, (lcm, i, coprime) in enumerate(new):
-            if coprime or not any(_divides(l2, lcm) for l2, _, _ in new[n + 1:]) \
-                    and not any(_divides(l2, lcm) for l2, _, _ in chosen):
-                chosen.append((lcm, i, coprime))
-        kept.extend((sum(lcm), next(tick), lcm, i, j) for lcm, i, coprime in chosen if not coprime)
-        heapq.heapify(kept)
-        pairs = kept
-        basis.append(h)
-        leads.append((ch, mh))
+    Signature-based: RB with the "add" rewrite order (Eder and Roune,
+    "Signature rewriting in Groebner basis computation", ISSAC 2013), with
+    Schreyer-ordered signatures (Roune and Stillman, "Practical Groebner
+    basis computation", ISSAC 2012).  An element's signature is the leading
+    term m e_i of one way of writing it over the generators g_i, which are
+    numbered by increasing lead; it is held as the int
+    (code of m lm(g_i)) << bits | i, so comparing ints is the Schreyer order
+    under every `TermOrder`, and multiplying by a monomial q adds
+    shift(q) << bits.  Generators and S-pairs are taken in increasing
+    signature order, one per signature.  An S-pair is dropped before any
+    reduction when its signature is divisible by that of a syzygy (a
+    reduction to zero, or at rank 1 a Koszul syzygy lm(a) sig(b) -
+    lm(b) sig(a)), or by that of an element added after the one whose
+    multiple it is (the rewrite criterion).  Reduction is regular only
+    (`_reduce_regular`), and every nonzero result is kept, also one whose
+    lead is singular top-reducible: it is the newest rewriter of its
+    signature's multiples, and without it a multiple that only it would
+    queue is lost (a rank-3 case of the tests' reference comparison ends
+    with no Groebner basis).  The elements form a Groebner basis, which is
+    minimalised and tail-reduced.
+    """
+    inputs = sorted(((max(g), g) for g in gens if g), key=itemgetter(0))
+    if len(inputs) < 2:
+        return [_monic(dict(sorted(g.items(), reverse=True)), p) for _, g in inputs]
+    bits = (len(inputs) - 1).bit_length()
+    ones = (1 << bits) - 1
+    guard, sguard, smask = code.guard, code.guard << bits, code.mask << bits | ones
+    shifts, comps, koszul = code._vars, code._comps, code.rank == 1
+    elems: list[tuple[dict[int, int], int, int]] = []  # (monic dict, lead, off)
+    sigs: list[int] = []
+    heads: list[tuple[int, Monomial]] = []  # each lead as (component, exponents), for the lcms
+    # per generator index: its elements' signatures, oldest first
+    rules: list[list[int]] = [[] for _ in inputs]
+    slots: list[int] = []  # where each element's signature sits in its rules list
+    syz: list[list[int]] = [[] for _ in inputs]  # per generator: known syzygy signatures
+    queue: list[int] = []  # pending signatures
+    source: dict[int, int] = {}  # pending signature -> newest element it is a multiple of
+    nxt = 0
+    while queue or nxt < len(inputs):
+        if queue and (nxt == len(inputs) or queue[0] < inputs[nxt][0] << bits | nxt):
+            sig = heapq.heappop(queue)
+            j = source.pop(sig)
+            i, sg = sig & ones, sig | sguard
+            newer = rules[i][slots[j] + 1:]
+            if (any((sg - z) & smask == sguard for z in syz[i])
+                    or any((sg - s) & smask == sguard for s in newer)):
+                continue
+            if (sig >> bits) & guard:
+                # an exponent in [2^63, 2^64): the mask tests miss divisors,
+                # so test the exponents; one that survives cannot be kept
+                top = code.decode(sig >> bits)[1]
+                if any(all(map(le, code.decode(s >> bits)[1], top))
+                       for s in chain(syz[i], newer)):
+                    continue
+                raise code.overflow(sig >> bits)
+            u = (sig - sigs[j]) >> bits
+            d = {}
+            for m, c in elems[j][0].items():
+                m += u
+                if m & guard:
+                    raise code.overflow(m)
+                d[m] = c
+        else:
+            i = nxt
+            lead, g = inputs[i]
+            sig, d = lead << bits | i, dict(g)
+            nxt += 1
+        r = _reduce_regular(d, sig, elems, code, p, bits)
+        if not r:
+            syz[i].append(sig)
+            continue
+        h, lead = _monic(r, p)
+        ch, eh = head = code.decode(lead)
+        k = len(elems)
+        for a, ((_, la, _), sa, (ca, ea)) in enumerate(zip(elems, sigs, heads)):
+            if ca != ch:
+                continue
+            if koszul:
+                ka, kh = sa + (lead << bits), sig + (la << bits)
+                z = max(ka, kh)
+                if ka != kh and not (z >> bits) & guard:
+                    syz[z & ones].append(z)
+            lcm = comps[ch] + sum(map(mul, map(max, ea, eh), shifts))
+            if koszul and lcm == la + lead:
+                continue  # coprime leads: the pair's signature is the Koszul one
+            ta, th = sa + (lcm - la << bits), sig + (lcm - lead << bits)
+            if ta == th:
+                continue  # both halves have one signature: a singular S-pair
+            t, src = (ta, a) if ta > th else (th, k)
+            if t not in source:
+                heapq.heappush(queue, t)
+            source[t] = max(source.get(t, src), src)
+        elems.append((h, lead, sig - (lead << bits)))
+        sigs.append(sig)
+        heads.append(head)
+        slots.append(len(rules[i]))
+        rules[i].append(sig)
 
-    for g in gens:
-        g = _normal_form_dict(g, basis, code, p)
-        if g:
-            update(_monic(g, p))
-    while pairs:
-        _, _, lcm, i, j = heapq.heappop(pairs)
-        s = _s_vector(basis[i], basis[j], code.encode(leads[i][0], lcm), code, p)
-        r = _normal_form_dict(s, basis, code, p)
-        if r:
-            update(_monic(r, p))
-
-    # every element is reduced against the earlier ones, so it is redundant
-    # exactly when a later lead divides its lead
-    minimal = [b for n, b in enumerate(basis)
-               if not any(code.divides(c, b[1]) for _, c in basis[n + 1:])]
+    # minimalise: one element per minimal lead
+    elems.sort(key=itemgetter(1))
+    minimal: list[_Elem] = []
+    for d, lead, _ in elems:
+        if not any(code.divides(b, lead) for _, b in minimal):
+            minimal.append((d, lead))
     # tail-reduce each against the others
-    reduced = []
-    for n, (d, _) in enumerate(minimal):
-        reduced.append(_monic(_normal_form_dict(d, minimal[:n] + minimal[n + 1:], code, p), p))
+    reduced = [_monic(_normal_form_dict(d, minimal[:n] + minimal[n + 1:], code, p), p)
+               for n, (d, _) in enumerate(minimal)]
     reduced.sort(key=itemgetter(1), reverse=True)
     return reduced
 
@@ -501,16 +588,18 @@ class FreeSubmodule:
     def add_vectors(self, vecs: Iterable[Vec]) -> "FreeSubmodule":
         return FreeSubmodule(self.ring, self.rank, self.gens + tuple(vecs))
 
-    def scaled(self, g: Poly) -> "FreeSubmodule":
-        """The submodule g * self."""
-        if g.ring != self.ring:
-            raise RingMismatchError(f"{g.ring} vs {self.ring}")
-        if g.is_zero():
-            return FreeSubmodule._of(self.ring, self.rank, [])
+    def scaled(self, g: Poly | Scalar) -> "FreeSubmodule":
+        """The submodule g * self, for a polynomial g or one packed by
+        `pack_scalar`."""
+        if isinstance(g, Poly):
+            if g.ring != self.ring:
+                raise RingMismatchError(f"{g.ring} vs {self.ring}")
+            g = pack_scalar(g)
         code = _code(self.ring, self.rank, GREVLEX)
-        twist = (tuple((code.shift(m), c) for m, c in g.terms.items()),) * self.rank
+        twist = (g,) * self.rank
         return FreeSubmodule._of(self.ring, self.rank,
-                                 [_times(d, twist, code, self.ring.p) for d in self._packed()])
+                                 [v for v in (_times(d, twist, code, self.ring.p)
+                                              for d in self._packed()) if v])
 
     def level1_root(self, twist: Twist | None = None) -> "FreeSubmodule":
         """(U self)^{[1/p]} by its reduced basis, for U given by `twist`
@@ -573,6 +662,12 @@ class FreeSubmodule:
 def unit_vector(ring: Ring, rank: int, i: int, f: Poly | None = None) -> Vec:
     f = ring.one() if f is None else f
     return tuple(f if j == i else ring.zero() for j in range(rank))
+
+
+def pack_scalar(g: Poly) -> Scalar:
+    """The polynomial g as a `Scalar` for `FreeSubmodule.scaled`, at every rank."""
+    code = _code(g.ring, 1, GREVLEX)
+    return tuple((code.shift(m), c) for m, c in g.terms.items())
 
 
 def pack_matrix(ring: Ring, rank: int, rows: Sequence[Sequence[Poly]]) -> Twist:

@@ -58,7 +58,7 @@ from .errors import (
 )
 from .field_poly import Poly, Ring
 from .frobenius import level_cap, scaled_root
-from .groebner import FreeSubmodule, full_module, ideal, injective_on
+from .groebner import FreeSubmodule, Scalar, full_module, ideal, injective_on, pack_scalar
 
 CONVENTIONS = ("ceil_pe", "ceil_pe_minus_1")
 MAX_SWEEPS = 64
@@ -231,7 +231,7 @@ class Pair:
         self._kappas: dict[tuple[int, int], FreeSubmodule] = {}
         self._seeds: dict[int, FreeSubmodule] = {}
         self._steps: dict[tuple[int, FreeSubmodule], FreeSubmodule] = {}
-        self._powers: dict[int, Poly] = {}
+        self._powers: dict[int, Scalar] = {}
 
     # -- what does not depend on t ----------------------------------------------
 
@@ -274,9 +274,10 @@ class Pair:
     def _classical_twist(self) -> Poly | None:
         return classical_twist(self.M)
 
-    def _power(self, m: int) -> Poly:
+    def _power(self, m: int) -> Scalar:
+        """f^m, packed once per m for `FreeSubmodule.scaled`."""
         if m not in self._powers:
-            self._powers[m] = self.f ** m
+            self._powers[m] = pack_scalar(self.f ** m)
         return self._powers[m]
 
     # -- values ---------------------------------------------------------------

@@ -1,12 +1,25 @@
 """Helpers shared by the test modules: random polynomials, and reference
 forms the tests compare the library against."""
 
+import heapq
 import time
 from contextlib import contextmanager
 from dataclasses import replace
+from itertools import count, islice
+from operator import itemgetter, le
+from typing import Sequence
 
-from cartierv.field_poly import cartier_trace
-from cartierv.groebner import FreeSubmodule, eliminate, ideal, unit_vector
+from cartierv.field_poly import Monomial, cartier_trace
+from cartierv.groebner import (
+    FreeSubmodule,
+    _Code,
+    _Elem,
+    _monic,
+    _normal_form_dict,
+    eliminate,
+    ideal,
+    unit_vector,
+)
 from cartierv.suites import random_poly  # noqa: F401  (shared by the test modules)
 from cartierv.testmod import tau
 
@@ -109,3 +122,92 @@ def reference_key(order, term) -> tuple:
         return (comp,) + kind
     block = sum(mon[i] for i in order.elim) + (comp < order.split)
     return (-block,) + kind[:1] + (comp,) + kind[1:]
+
+
+def mon_lcm(a: Monomial, b: Monomial) -> Monomial:
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def _divides(a: Monomial, b: Monomial) -> bool:
+    return all(map(le, a, b))
+
+
+def _s_vector(a: _Elem, b: _Elem, lcm: int, code: _Code, p: int) -> dict[int, int]:
+    """lcm/lead(a) * a - lcm/lead(b) * b; the leads cancel and are left out."""
+    s: dict[int, int] = {}
+    for (d, lead), sign in ((a, 1), (b, -1)):
+        q = lcm - lead
+        for m, c in islice(d.items(), 1, None):
+            u = m + q
+            if u & code.guard:
+                raise code.overflow(u)
+            v = (s.get(u, 0) + sign * c) % p
+            if v:
+                s[u] = v
+            else:
+                del s[u]
+    return s
+
+
+def reference_buchberger(code: _Code, p: int, gens: Sequence[dict[int, int]]) -> list[_Elem]:
+    """Returns the reduced basis as monic (dict, lead) pairs, sorted by
+    decreasing lead: Buchberger's algorithm with normal pair selection and
+    the Gebauer-Moeller pair update (Gebauer and Moeller, J. Symb. Comput.
+    1988), the engine the signature-based `groebner._buchberger` replaced,
+    kept as its reference."""
+    basis: list[_Elem] = []
+    leads: list[tuple[int, Monomial]] = []  # the leads as (component, monomial), for the lcms
+    pairs: list[tuple[int, int, Monomial, int, int]] = []  # (deg lcm, n, lcm, i, j)
+    tick = count()
+
+    def update(h: _Elem):
+        """Gebauer-Moeller update of the pair queue for the new element h."""
+        nonlocal pairs
+        j = len(basis)
+        ch, mh = code.decode(h[1])
+        # criterion B: h's lead divides lcm(i, k) and neither lcm with h equals it
+        kept = []
+        for pr in pairs:
+            _, _, lcm, i, k = pr
+            if (leads[i][0] != ch or not _divides(mh, lcm)
+                    or mon_lcm(leads[i][1], mh) == lcm or mon_lcm(leads[k][1], mh) == lcm):
+                kept.append(pr)
+        # criteria M and F on the new pairs: keep one pair per minimal lcm,
+        # and none for an lcm shared with a pair of coprime leads (ideals only)
+        new = []
+        for i, (ci, mi) in enumerate(leads):
+            if ci == ch:
+                lcm = mon_lcm(mi, mh)
+                new.append((lcm, i, code.rank == 1 and sum(lcm) == sum(mi) + sum(mh)))
+        chosen = []
+        for n, (lcm, i, coprime) in enumerate(new):
+            if coprime or not any(_divides(l2, lcm) for l2, _, _ in new[n + 1:]) \
+                    and not any(_divides(l2, lcm) for l2, _, _ in chosen):
+                chosen.append((lcm, i, coprime))
+        kept.extend((sum(lcm), next(tick), lcm, i, j) for lcm, i, coprime in chosen if not coprime)
+        heapq.heapify(kept)
+        pairs = kept
+        basis.append(h)
+        leads.append((ch, mh))
+
+    for g in gens:
+        g = _normal_form_dict(g, basis, code, p)
+        if g:
+            update(_monic(g, p))
+    while pairs:
+        _, _, lcm, i, j = heapq.heappop(pairs)
+        s = _s_vector(basis[i], basis[j], code.encode(leads[i][0], lcm), code, p)
+        r = _normal_form_dict(s, basis, code, p)
+        if r:
+            update(_monic(r, p))
+
+    # every element is reduced against the earlier ones, so it is redundant
+    # exactly when a later lead divides its lead
+    minimal = [b for n, b in enumerate(basis)
+               if not any(code.divides(c, b[1]) for _, c in basis[n + 1:])]
+    # tail-reduce each against the others
+    reduced = []
+    for n, (d, _) in enumerate(minimal):
+        reduced.append(_monic(_normal_form_dict(d, minimal[:n] + minimal[n + 1:], code, p), p))
+    reduced.sort(key=itemgetter(1), reverse=True)
+    return reduced
