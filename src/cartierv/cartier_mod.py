@@ -6,9 +6,10 @@ R-module generated by kappa(R v), every stability or image computation only
 ever touches the p^n digit monomials.  The trace C keeps the top digit
 top = (p-1, .., p-1), so C(x^a g) = g_{top-a}, the level-1 digit of g at
 top - a: one product U v and one digit split give all p^n images
-kappa(x^a v) at once (CartierStructure.digit_images).  So the R-span of
-kappa(W) is the level-1 Frobenius root (U W)^{[1/p]}, which `kappa_span`
-computes on packed terms, with U packed once per structure.
+kappa(x^a v) at once, and kappa(v) is the top digit.  So the R-span of
+kappa(W) is the level-1 Frobenius root (U W)^{[1/p]}.  One packed split,
+with U packed once per structure, serves both: `kappa_span` splits U W,
+`CartierStructure.apply` and `digit_images` split U v (`twist_digits`).
 
 Quotients are never first-class: a module supported on a closed subscheme
 is presented as a subquotient W/N of a free module over the ambient ring,
@@ -22,7 +23,6 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import CartierError, RankMismatchError, RingMismatchError
 from .field_poly import Poly, Ring, cartier_trace
-from .frobenius import vector_digits
 from .groebner import (
     FreeSubmodule,
     QuotientPresentation,
@@ -32,6 +32,7 @@ from .groebner import (
     ideal,
     pack_matrix,
     preimage_within,
+    twist_digits,
     unit_vector,
     zero_module,
 )
@@ -95,25 +96,24 @@ class CartierStructure:
         return self.U[0][0]
 
     def apply(self, v: Vec) -> Vec:
-        if len(v) != self.rank:
-            raise RankMismatchError(f"vector of length {len(v)}, rank {self.rank}")
-        return tuple([cartier_trace(acc, 1) for acc in _mat_vec(self.ring, self.U, v)])
+        """kappa(v) = C(U v), the top digit of U v."""
+        return self.digit_images(v)[0]
 
     def digit_images(self, v: Vec) -> list[Vec]:
         """kappa(x^a v) for each a in ring.digit_monomials(1), in that order.
 
         C(x^a g) is the level-1 digit g_{top-a}, so the images are the digits
-        of the one product U v.  digit_monomials lists exponent tuples in
-        lexicographic order, where a -> top - a reverses the list.
+        of the one product U v, split on packed terms as in `kappa_span`.
+        digit_monomials lists a by increasing digit index k, so the image at
+        k is the digit at index top - k.
         """
-        if len(v) != self.rank:
-            raise RankMismatchError(f"vector of length {len(v)}, rank {self.rank}")
-        digits = vector_digits(tuple(_mat_vec(self.ring, self.U, v)), 1)
+        digits = twist_digits(self.ring, self.packed(), v)
         zero = (self.ring.zero(),) * self.rank
-        return [digits.get(b, zero) for b in reversed(self.ring.digit_monomials(1))]
+        top = self.ring.p ** self.ring.n - 1
+        return [digits.get(top - k, zero) for k in range(top + 1)]
 
     def packed(self) -> Twist:
-        """U packed for `FreeSubmodule.level1_root`, on first use."""
+        """U packed for `level1_root` and `twist_digits`, on first use."""
         if self._twist is None:
             self._twist = pack_matrix(self.ring, self.rank, self.U)
         return self._twist
@@ -176,8 +176,7 @@ class CartierModule:
     @staticmethod
     def over_ring(ring: Ring, u: Poly | None = None) -> "CartierModule":
         """(R, C o u): full free rank-1 module with a scalar twist."""
-        pres = QuotientPresentation(full_module(ring, 1), zero_module(ring, 1))
-        return CartierModule(pres, CartierStructure.scalar(ring, u), check=False)
+        return CartierModule.free(ring, CartierStructure.scalar(ring, u))
 
     @staticmethod
     def free(ring: Ring, structure: CartierStructure) -> "CartierModule":

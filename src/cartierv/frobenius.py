@@ -4,8 +4,8 @@ W^{[p^e]} is generated by componentwise p^e-th powers of generators;
 W^{[1/p^e]} is the smallest J with W <= J^{[p^e]} and is generated by all
 level-e digits of any generating set.  Roots are computed one level at a
 time (tower law), each by `FreeSubmodule.level1_root`, which splits the
-packed generators into their digits; p-th power factors pull out of a
-level-1 root:
+packed generators into their digits (the split that also gives kappa in
+`cartier_mod`); p-th power factors pull out of a level-1 root:
 
     (g^p W)^{[1/p]} = g W^{[1/p]}.
 
@@ -17,8 +17,8 @@ u^{A mod p} f^{B mod p}.
 from __future__ import annotations
 
 from .errors import LevelCapExceededError
-from .field_poly import Monomial, Poly, frobenius_digits
-from .groebner import FreeSubmodule, Vec
+from .field_poly import Poly
+from .groebner import FreeSubmodule
 
 DEFAULT_LEVEL_CAP = 6
 
@@ -32,10 +32,10 @@ def level_cap(e_cap: int | None = None) -> int:
     return e_cap
 
 
-def _check_level(e: int, e_cap: int | None = None):
+def _check_level(e: int):
     if e < 0:
         raise ValueError("level must be >= 0")
-    cap = level_cap(e_cap)
+    cap = level_cap()
     if e > cap:
         raise LevelCapExceededError(f"level {e} exceeds cap {cap}")
 
@@ -50,20 +50,6 @@ def bracket_power(W: FreeSubmodule, e: int) -> FreeSubmodule:
                          [tuple(f.frobenius_power(e) for f in v) for v in W.gens])
 
 
-def vector_digits(v: Vec, e: int) -> dict[Monomial, Vec]:
-    """Componentwise level-e digits, indexed by the digit exponent."""
-    ring = v[0].ring
-    rank = len(v)
-    per_comp = [frobenius_digits(f, e) for f in v]
-    out: dict[Monomial, list[Poly]] = {}
-    for i in range(rank):
-        for a, g in per_comp[i].items():
-            if a not in out:
-                out[a] = [ring.zero()] * rank
-            out[a][i] = g
-    return {a: tuple(w) for a, w in out.items()}
-
-
 def frobenius_root(W: FreeSubmodule, e: int) -> FreeSubmodule:
     """W^{[1/p^e]}, the smallest J with W <= J^{[p^e]}."""
     _check_level(e)
@@ -74,14 +60,13 @@ def frobenius_root(W: FreeSubmodule, e: int) -> FreeSubmodule:
 
 
 def scaled_root(W: FreeSubmodule, e: int, u: Poly | None = None, A: int = 0,
-                f: Poly | None = None, B: int = 0,
-                e_cap: int | None = None) -> FreeSubmodule:
+                f: Poly | None = None, B: int = 0) -> FreeSubmodule:
     """(u^A f^B W)^{[1/p^e]} without expanding the big powers.
 
     Per level, u^A f^B = (u^{A//p} f^{B//p})^p * u^{A%p} f^{B%p}, and the
     p-th power factor pulls out of the level-1 root.
     """
-    _check_level(e, e_cap)
+    _check_level(e)
     ring = W.ring
     p = ring.p
     if u is None:

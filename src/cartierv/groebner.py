@@ -222,8 +222,9 @@ def _times(d: dict[int, int], twist: Twist, code: _Code, p: int) -> dict[int, in
     return out
 
 
-def _digits(d: dict[int, int], code: _Code, p: int) -> list[dict[int, int]]:
-    """The nonzero level-1 digits v_a of d = sum_a x^a v_a^{[p]}, 0 <= a < p.
+def _digits(d: dict[int, int], code: _Code, p: int) -> dict[int, dict[int, int]]:
+    """The nonzero level-1 digits v_a of d = sum_a x^a v_a^{[p]}, 0 <= a < p,
+    keyed by a read as a base-p number with a_1 most significant.
 
     A term x^e in component i lands in digit e mod p as x^(e // p) in
     component i; its code drops (e_k - e_k // p) * shift(x_k) per variable,
@@ -243,7 +244,7 @@ def _digits(d: dict[int, int], code: _Code, p: int) -> list[dict[int, int]]:
             out[a] = {q: c}
         else:
             digit[q] = c
-    return list(out.values())
+    return out
 
 
 def _normal_form_dict(d: dict[int, int], basis: Sequence[_Elem], code: _Code,
@@ -613,7 +614,7 @@ class FreeSubmodule:
         gens = self._packed()
         if twist is not None:
             gens = [_times(d, twist, code, p) for d in gens]
-        digits = [v for d in gens for v in _digits(d, code, p)]
+        digits = [v for d in gens for v in _digits(d, code, p).values()]
         return FreeSubmodule._of(self.ring, self.rank, digits).minimal_gens()
 
     def minimal_gens(self) -> "FreeSubmodule":
@@ -671,12 +672,26 @@ def pack_scalar(g: Poly) -> Scalar:
 
 
 def pack_matrix(ring: Ring, rank: int, rows: Sequence[Sequence[Poly]]) -> Twist:
-    """The rank x rank matrix `rows` as a `Twist` for `FreeSubmodule.level1_root`."""
+    """The rank x rank matrix `rows` as a `Twist` for `FreeSubmodule.level1_root`
+    and `twist_digits`."""
     code = _code(ring, rank, GREVLEX)
     comps = code._comps
     return tuple(tuple((comps[i] - comps[j] + code.shift(m), c)
                        for i in range(rank) for m, c in rows[i][j].terms.items())
                  for j in range(rank))
+
+
+def twist_digits(ring: Ring, twist: Twist, v: Vec) -> dict[int, Vec]:
+    """The nonzero level-1 digits of U v, for U packed by `pack_matrix`, keyed
+    as by `_digits`: the split of `FreeSubmodule.level1_root` on one vector."""
+    rank = len(twist)
+    if len(v) != rank:
+        raise RankMismatchError(f"vector of length {len(v)}, rank {rank}")
+    if any(f.ring != ring for f in v):
+        raise RingMismatchError("vector component over wrong ring")
+    code, p = _code(ring, rank, GREVLEX), ring.p
+    digits = _digits(_times(_vec_to_dict(code, v), twist, code, p), code, p)
+    return {a: _dict_to_vec(ring, code, d) for a, d in digits.items()}
 
 
 def full_module(ring: Ring, rank: int) -> FreeSubmodule:

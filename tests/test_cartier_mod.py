@@ -121,6 +121,7 @@ def test_kappa_span_generators_match_brute_force():
                             for _ in range(rng.randint(1, 3))]
                     for w in gens:
                         assert s.digit_images(w) == _brute_images(s, w), (p, names, rank)
+                        assert s.apply(w) == _brute_images(s, w)[0], (p, names, rank)
                     brute = [v for w in gens for v in _brute_images(s, w) if any(v)]
                     sub = FreeSubmodule(R, rank, gens)
                     expected = FreeSubmodule(R, rank, brute).minimal_gens()
@@ -136,6 +137,17 @@ def test_kappa_span_checks_ring_and_rank():
         kappa_span(s, full_module(R, 2))
     with pytest.raises(RingMismatchError):
         kappa_span(s, full_module(Ring(3, ("y",)), 1))
+    # kappa on one vector refuses the same inputs
+    S = Ring(3, ("y",))
+    for kappa in (s.apply, s.digit_images):
+        with pytest.raises(RankMismatchError):
+            kappa((R.one(), R.one()))
+        with pytest.raises(RankMismatchError):
+            kappa(())
+        with pytest.raises(RingMismatchError):
+            kappa((S.var("y"),))
+        with pytest.raises(RingMismatchError):
+            kappa((S.zero(),))
 
 
 def test_a_packed_twist_product_past_the_range_is_refused():

@@ -193,10 +193,13 @@ def test_exit_codes(capsys):
 
 def test_an_exponent_past_the_groebner_range_exits_4(capsys):
     # packed Groebner terms hold exponents below 2^63; such an input is
-    # refused, never wrapped, in f and in the module generators alike
+    # refused, never wrapped, in f and in the module generators alike, and
+    # so is a twisted generator U v past the range, when the module is built
     big = "x^9223372036854775808"
     for argv in (("--p", "2", "--vars", "x", "--f", big, "--t", "1/2"),
-                 ("--p", "3", "--vars", "x,y", "--f", "x", "--t", "0", "--gens", big)):
+                 ("--p", "3", "--vars", "x,y", "--f", "x", "--t", "0", "--gens", big),
+                 ("--p", "3", "--vars", "x", "--twist", "x", "--gens", "x^9223372036854775807",
+                  "--f", "x", "--t", "1/2")):
         code, out, err = run_cli(capsys, "tau", *argv, "--json")
         assert (code, out) == (4, "")
         assert err == ("cartierv: error [exponent-overflow] exponent 9223372036854775808 "

@@ -12,9 +12,8 @@ from cartierv.frobenius import (
     frobenius_root,
     level_cap,
     scaled_root,
-    vector_digits,
 )
-from cartierv.groebner import FreeSubmodule, ideal
+from cartierv.groebner import FreeSubmodule, ideal, pack_matrix, twist_digits
 from conftest import random_poly, total_degree
 
 
@@ -145,9 +144,8 @@ def test_vector_digits_module_root():
     R = Ring(3, ("x",))
     x = R.var("x")
     v = (x**4, x**2)
-    d = vector_digits(v, 1)
-    assert d[(1,)] == (x, R.zero())
-    assert d[(2,)] == (R.zero(), R.one())
+    identity = pack_matrix(R, 2, ((R.one(), R.zero()), (R.zero(), R.one())))
+    assert twist_digits(R, identity, v) == {1: (x, R.zero()), 2: (R.zero(), R.one())}
     W = FreeSubmodule(R, 2, [v])
     J = frobenius_root(W, 1)
     assert J == FreeSubmodule(R, 2, [(x, R.zero()), (R.zero(), R.one())])
@@ -183,6 +181,7 @@ def test_level_cap_enforced():
     with pytest.raises(LevelCapExceededError):
         frobenius_root(W, 7)
     assert level_cap() == 6
-    assert scaled_root(W, 7, e_cap=8) == ideal(R, R.one())  # an explicit cap allows it
+    with pytest.raises(LevelCapExceededError):
+        scaled_root(W, 7)
     with pytest.raises(ValueError):
         level_cap(0)
