@@ -97,7 +97,8 @@ class CartierStructure:
 
     def apply(self, v: Vec) -> Vec:
         """kappa(v) = C(U v), the top digit of U v."""
-        return self.digit_images(v)[0]
+        top = self.ring.p ** self.ring.n - 1
+        return twist_digits(self.ring, self.packed(), v, (top,))[0]
 
     def digit_images(self, v: Vec) -> list[Vec]:
         """kappa(x^a v) for each a in ring.digit_monomials(1), in that order.
@@ -107,10 +108,8 @@ class CartierStructure:
         digit_monomials lists a by increasing digit index k, so the image at
         k is the digit at index top - k.
         """
-        digits = twist_digits(self.ring, self.packed(), v)
-        zero = (self.ring.zero(),) * self.rank
-        top = self.ring.p ** self.ring.n - 1
-        return [digits.get(top - k, zero) for k in range(top + 1)]
+        top = len(self.ring.digit_monomials(1)) - 1
+        return twist_digits(self.ring, self.packed(), v, range(top, -1, -1))
 
     def packed(self) -> Twist:
         """U packed for `level1_root` and `twist_digits`, on first use."""

@@ -672,8 +672,7 @@ def pack_scalar(g: Poly) -> Scalar:
 
 
 def pack_matrix(ring: Ring, rank: int, rows: Sequence[Sequence[Poly]]) -> Twist:
-    """The rank x rank matrix `rows` as a `Twist` for `FreeSubmodule.level1_root`
-    and `twist_digits`."""
+    """The rank x rank matrix `rows` as a `Twist` for `level1_root` and `twist_digits`."""
     code = _code(ring, rank, GREVLEX)
     comps = code._comps
     return tuple(tuple((comps[i] - comps[j] + code.shift(m), c)
@@ -681,9 +680,10 @@ def pack_matrix(ring: Ring, rank: int, rows: Sequence[Sequence[Poly]]) -> Twist:
                  for j in range(rank))
 
 
-def twist_digits(ring: Ring, twist: Twist, v: Vec) -> dict[int, Vec]:
-    """The nonzero level-1 digits of U v, for U packed by `pack_matrix`, keyed
-    as by `_digits`: the split of `FreeSubmodule.level1_root` on one vector."""
+def twist_digits(ring: Ring, twist: Twist, v: Vec, keys: Iterable[int]) -> list[Vec]:
+    """The level-1 digits of U v at the digit indices `keys`, numbered as by
+    `_digits`, for U packed by `pack_matrix`: the split of
+    `FreeSubmodule.level1_root` on one vector.  Only those digits are decoded."""
     rank = len(twist)
     if len(v) != rank:
         raise RankMismatchError(f"vector of length {len(v)}, rank {rank}")
@@ -691,7 +691,8 @@ def twist_digits(ring: Ring, twist: Twist, v: Vec) -> dict[int, Vec]:
         raise RingMismatchError("vector component over wrong ring")
     code, p = _code(ring, rank, GREVLEX), ring.p
     digits = _digits(_times(_vec_to_dict(code, v), twist, code, p), code, p)
-    return {a: _dict_to_vec(ring, code, d) for a, d in digits.items()}
+    zero = (ring.zero(),) * rank
+    return [_dict_to_vec(ring, code, digits[a]) if a in digits else zero for a in keys]
 
 
 def full_module(ring: Ring, rank: int) -> FreeSubmodule:

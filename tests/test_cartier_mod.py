@@ -63,6 +63,17 @@ def test_scalar_structure_matches_trace():
         f = random_poly(rng, R, 7)
         s = CartierStructure.scalar(R, u)
         assert apply_iter(s, (f,), 3)[0] == twisted_power(u, f, 3)
+    # kappa(v) reads the top digit alone: a ring whose p^n digit images are
+    # refused as too many still answers it at once
+    p = 1048573
+    R = Ring(p, ("x", "y"))
+    x, y = R.gens()
+    s = CartierStructure.scalar(R, x * y + R.constant(2))
+    v = (R.monomial((2 * p - 2, p - 2)) + R.constant(3) * R.monomial((p - 1, 3 * p - 1)) + x,)
+    assert s.apply(v) == (x + R.constant(6) * y ** 2,)
+    assert s.apply(v) == (cartier_trace(s.scalar_twist() * v[0], 1),)
+    with pytest.raises(ValueError, match=f"digit basis of size {p}\\^2 is too large"):
+        s.digit_images(v)
 
 
 def test_structure_shape_validation():
@@ -162,6 +173,11 @@ def test_a_packed_twist_product_past_the_range_is_refused():
     assert kappa_span(s, FreeSubmodule(R, 2, [(R.zero(), R.monomial((a - 1, 0)))]))
     with pytest.raises(ExponentOverflowError, match=f"exponent {2 * a} is above"):
         kappa_span(s, FreeSubmodule(R, 2, [(R.zero(), big)]))
+    # kappa on one vector forms the same packed product U v; C(x^(2^63)) is
+    # x^((2^63 - 2) / 3) over F_3, but x^(2^63) itself is refused
+    R = Ring(3, ("x",))
+    with pytest.raises(ExponentOverflowError, match=f"exponent {2 ** 63} is above"):
+        CartierStructure.scalar(R).apply((R.monomial((2 ** 63,)),))
 
 
 def test_over_ring_builds_no_basis(monkeypatch):

@@ -145,7 +145,8 @@ def test_vector_digits_module_root():
     x = R.var("x")
     v = (x**4, x**2)
     identity = pack_matrix(R, 2, ((R.one(), R.zero()), (R.zero(), R.one())))
-    assert twist_digits(R, identity, v) == {1: (x, R.zero()), 2: (R.zero(), R.one())}
+    assert twist_digits(R, identity, v, (2, 1, 0)) == [(R.zero(), R.one()), (x, R.zero()),
+                                                       (R.zero(), R.zero())]
     W = FreeSubmodule(R, 2, [v])
     J = frobenius_root(W, 1)
     assert J == FreeSubmodule(R, 2, [(x, R.zero()), (R.zero(), R.one())])
