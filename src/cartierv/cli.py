@@ -191,7 +191,7 @@ def _build_module(args, ring: Ring) -> CartierModule:
          if args.rels else zero_module(ring, rank))
     try:
         return CartierModule(QuotientPresentation(W, N), structure)
-    except ExponentOverflowError:
+    except (ExponentOverflowError, StabilizationCapExceededError):
         raise
     except CartierError as exc:
         raise NonDegenerateError(f"module rejected: {exc}") from exc

@@ -8,8 +8,10 @@ in the free module over the generators; S-pairs are taken in increasing
 signature order, and one whose signature a known syzygy or a newer element
 divides is dropped before it is reduced, so few reductions end in zero.
 Koszul syzygies apply to ideals only; every S-pair pairs leads within one
-component.  Normal forms pop the terms of the work vector from a heap, so
-the remainder comes out in descending order.
+component.  One loop, `_reduce`, does every reduction: the engine's under
+a signature bound, normal forms without one.  It pops terms from a heap,
+so a remainder comes out in descending order, and it raises past
+MAX_REDUCTION_STEPS steps rather than run on.
 
 Module terms (component, monomial) are compared position-over-term with
 component 0 strongest.  An order with a block (the variables to eliminate,
@@ -49,7 +51,8 @@ from itertools import chain, count, islice
 from operator import itemgetter, le, mul
 from typing import Iterable, Sequence
 
-from .errors import ExponentOverflowError, RankMismatchError, RingMismatchError
+from .errors import (ExponentOverflowError, RankMismatchError, RingMismatchError,
+                     StabilizationCapExceededError)
 from .field_poly import Monomial, Poly, Ring
 
 Vec = tuple[Poly, ...]
@@ -59,6 +62,7 @@ _Field = tuple[tuple[int, ...], tuple[int, ...]]
 
 _FIELD = 64  # bits per exponent or component field; the top bit is a guard bit
 _LIMIT = 1 << (_FIELD - 1)  # every exponent stays below this
+MAX_REDUCTION_STEPS = 1 << 20  # per `_reduce`; the tests and benchmarks take at most 266
 
 
 class TermOrder:
@@ -247,51 +251,6 @@ def _digits(d: dict[int, int], code: _Code, p: int) -> dict[int, dict[int, int]]
     return out
 
 
-def _normal_form_dict(d: dict[int, int], basis: Sequence[_Elem], code: _Code,
-                      p: int) -> dict[int, int]:
-    """Full reduction: every term of the result is outside the leading ideal.
-
-    The result lists its terms in descending order, so its lead is its first
-    key.  A term enters the heap each time it enters the work vector; one
-    cancelled in between is skipped when popped.  Terms only ever enter below
-    the term being reduced, so a popped term never comes back.
-    """
-    guard, mask = code.guard, code.mask
-    work = dict(d)
-    heap = [-t for t in work]
-    heapq.heapify(heap)
-    rem: dict[int, int] = {}
-    while heap:
-        t = -heapq.heappop(heap)
-        c = work.pop(t, None)
-        if c is None:
-            continue
-        tg = t | guard
-        for bd, b in basis:
-            if (tg - b) & mask == guard:
-                break
-        else:
-            rem[t] = c
-            continue
-        q = t - b
-        # the reducer is monic and its lead cancels t exactly
-        for m, bc in islice(bd.items(), 1, None):
-            u = m + q
-            if u & guard:
-                raise code.overflow(u)
-            v = work.get(u)
-            if v is None:
-                work[u] = -c * bc % p
-                heapq.heappush(heap, -u)
-            else:
-                v = (v - c * bc) % p
-                if v:
-                    work[u] = v
-                else:
-                    del work[u]
-    return rem
-
-
 def _monic(d: dict[int, int], p: int) -> _Elem:
     lt = next(iter(d))
     inv = pow(d[lt], p - 2, p)
@@ -300,38 +259,44 @@ def _monic(d: dict[int, int], p: int) -> _Elem:
     return d, lt
 
 
-def _reduce_regular(work: dict[int, int], sig: int,
-                    elems: Sequence[tuple[dict[int, int], int, int]],
-                    code: _Code, p: int, bits: int) -> dict[int, int]:
-    """Regular reduction of `work`, which has signature `sig`: a term t is
-    reduced only by an element whose lead divides it and whose multiplied
-    signature lies below `sig`, so the result keeps the signature.  An
-    element carries off = its signature minus its lead shifted up by `bits`,
-    so its multiplied signature at t is (t << bits) + off.
+def _reduce(work: dict[int, int], elems: Sequence[tuple], code: _Code, p: int,
+            sig: int | None = None, bits: int = 0) -> dict[int, int]:
+    """Reduces `work` by the monic elements `elems`, each (dict, lead) or
+    (dict, lead, off), and returns the remainder with its terms in
+    descending order; `work` is consumed.
 
-    Returns the remainder with its terms in descending order, empty when
-    `work` reduces to zero; `work` is consumed.
+    Without `sig` every element may reduce, so no term of the result lies in
+    the leading ideal: the normal form.  With `sig`, the signature of
+    `work`, an element reduces a term t only if its multiplied signature
+    (t << bits) + off lies below `sig` (off is its signature minus its lead
+    shifted up by `bits`), so the result keeps the signature.  Terms enter
+    the heap only below the term being reduced, so a popped term never comes
+    back.  More than MAX_REDUCTION_STEPS steps raise
+    StabilizationCapExceededError.
     """
     guard, mask = code.guard, code.mask
     heap = [-t for t in work]
     heapq.heapify(heap)
     rem: dict[int, int] = {}
+    steps = MAX_REDUCTION_STEPS
     while heap:
         t = -heapq.heappop(heap)
         c = work.pop(t, None)
         if c is None:
             continue
         tg = t | guard
-        lim = sig - (t << bits)
-        for bd, b, off in elems:
-            if (tg - b) & mask == guard and off < lim:
+        for e in elems:
+            if (tg - e[1]) & mask == guard and (sig is None or e[2] < sig - (t << bits)):
                 break
         else:
             rem[t] = c
             continue
-        q = t - b
+        if not steps:
+            raise StabilizationCapExceededError(f"reduction ran past {MAX_REDUCTION_STEPS} steps")
+        steps -= 1
+        q = t - e[1]
         # the reducer is monic and its lead cancels t exactly
-        for m, bc in islice(bd.items(), 1, None):
+        for m, bc in islice(e[0].items(), 1, None):
             u = m + q
             if u & guard:
                 raise code.overflow(u)
@@ -366,12 +331,12 @@ def _buchberger(code: _Code, p: int, gens: Sequence[dict[int, int]]) -> list[_El
     reduction to zero, or at rank 1 a Koszul syzygy lm(a) sig(b) -
     lm(b) sig(a)), or by that of an element added after the one whose
     multiple it is (the rewrite criterion).  Reduction is regular only
-    (`_reduce_regular`), and every nonzero result is kept, also one whose
-    lead is singular top-reducible: it is the newest rewriter of its
-    signature's multiples, and without it a multiple that only it would
-    queue is lost (a rank-3 case of the tests' reference comparison ends
-    with no Groebner basis).  The elements form a Groebner basis, which is
-    minimalised and tail-reduced.
+    (`_reduce` under the signature bound), and every nonzero result is kept,
+    also one whose lead is singular top-reducible: it is the newest rewriter
+    of its signature's multiples, and without it a multiple that only it
+    would queue is lost (a rank-3 case of the tests' reference comparison
+    ends with no Groebner basis).  The elements form a Groebner basis, which
+    is minimalised and tail-reduced by `_reduce` without a bound.
     """
     inputs = sorted(((max(g), g) for g in gens if g), key=itemgetter(0))
     if len(inputs) < 2:
@@ -419,7 +384,7 @@ def _buchberger(code: _Code, p: int, gens: Sequence[dict[int, int]]) -> list[_El
             lead, g = inputs[i]
             sig, d = lead << bits | i, dict(g)
             nxt += 1
-        r = _reduce_regular(d, sig, elems, code, p, bits)
+        r = _reduce(d, elems, code, p, sig, bits)
         if not r:
             syz[i].append(sig)
             continue
@@ -457,7 +422,7 @@ def _buchberger(code: _Code, p: int, gens: Sequence[dict[int, int]]) -> list[_El
         if not any(code.divides(b, lead) for _, b in minimal):
             minimal.append((d, lead))
     # tail-reduce each against the others
-    reduced = [_monic(_normal_form_dict(d, minimal[:n] + minimal[n + 1:], code, p), p)
+    reduced = [_monic(_reduce(dict(d), minimal[:n] + minimal[n + 1:], code, p), p)
                for n, (d, _) in enumerate(minimal)]
     reduced.sort(key=itemgetter(1), reverse=True)
     return reduced
@@ -543,7 +508,7 @@ class FreeSubmodule:
         if len(v) != self.rank:
             raise RankMismatchError(f"vector of length {len(v)}, rank {self.rank}")
         code = _code(self.ring, self.rank, GREVLEX)
-        return _normal_form_dict(_vec_to_dict(code, v), self._basis(), code, self.ring.p)
+        return _reduce(_vec_to_dict(code, v), self._basis(), code, self.ring.p)
 
     def normal_form(self, v: Vec) -> Vec:
         return _dict_to_vec(self.ring, _code(self.ring, self.rank, GREVLEX), self._remainder(v))
@@ -561,7 +526,7 @@ class FreeSubmodule:
         if other.is_zero():
             return True
         basis, code = self._basis(), _code(self.ring, self.rank, GREVLEX)
-        return not any(_normal_form_dict(d, basis, code, self.ring.p) for d in other._packed())
+        return not any(_reduce(dict(d), basis, code, self.ring.p) for d in other._packed())
 
     def __eq__(self, other):
         if not isinstance(other, FreeSubmodule):

@@ -15,7 +15,7 @@ from cartierv.groebner import (
     _Code,
     _Elem,
     _monic,
-    _normal_form_dict,
+    _reduce,
     eliminate,
     ideal,
     unit_vector,
@@ -191,13 +191,13 @@ def reference_buchberger(code: _Code, p: int, gens: Sequence[dict[int, int]]) ->
         leads.append((ch, mh))
 
     for g in gens:
-        g = _normal_form_dict(g, basis, code, p)
+        g = _reduce(dict(g), basis, code, p)
         if g:
             update(_monic(g, p))
     while pairs:
         _, _, lcm, i, j = heapq.heappop(pairs)
         s = _s_vector(basis[i], basis[j], code.encode(leads[i][0], lcm), code, p)
-        r = _normal_form_dict(s, basis, code, p)
+        r = _reduce(s, basis, code, p)
         if r:
             update(_monic(r, p))
 
@@ -208,6 +208,6 @@ def reference_buchberger(code: _Code, p: int, gens: Sequence[dict[int, int]]) ->
     # tail-reduce each against the others
     reduced = []
     for n, (d, _) in enumerate(minimal):
-        reduced.append(_monic(_normal_form_dict(d, minimal[:n] + minimal[n + 1:], code, p), p))
+        reduced.append(_monic(_reduce(dict(d), minimal[:n] + minimal[n + 1:], code, p), p))
     reduced.sort(key=itemgetter(1), reverse=True)
     return reduced

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from cartierv import groebner
 from cartierv.cli import main, parse_fraction, parse_polynomial, parse_range
 from cartierv.errors import ParseError
 from cartierv.field_poly import Ring
@@ -204,6 +205,17 @@ def test_an_exponent_past_the_groebner_range_exits_4(capsys):
         assert (code, out) == (4, "")
         assert err == ("cartierv: error [exponent-overflow] exponent 9223372036854775808 "
                        "is above 2^63 - 1, the largest a Groebner term holds\n")
+
+
+def test_a_reduction_past_the_step_cap_exits_4(capsys, monkeypatch):
+    # x^a + 2 reduces by x^3 - 2 in about a/3 steps, here while the module is built
+    monkeypatch.setattr(groebner, "MAX_REDUCTION_STEPS", 2**12)
+    a = 2**62
+    code, out, err = run_cli(capsys, "tau", "--p", "5", "--vars", "x,y", "--gens",
+                             f"3*x^{a}+1;x^{a}+x^3", "--f", "x", "--t", "1/2", "--json")
+    assert (code, out) == (4, "")
+    assert err == ("cartierv: error [stabilization-cap-exceeded] "
+                   "reduction ran past 4096 steps\n")
 
 
 def test_repro_verdicts(capsys):

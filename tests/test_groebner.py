@@ -7,7 +7,12 @@ import pytest
 
 from cartierv import groebner
 from cartierv.cli import parse_polynomial
-from cartierv.errors import ExponentOverflowError, RankMismatchError, RingMismatchError
+from cartierv.errors import (
+    ExponentOverflowError,
+    RankMismatchError,
+    RingMismatchError,
+    StabilizationCapExceededError,
+)
 from cartierv.field_poly import Poly, Ring
 from cartierv.groebner import (
     GREVLEX,
@@ -38,33 +43,45 @@ from conftest import (
 # -- independent oracles -------------------------------------------------------
 
 
+def sympy_symbols(ring: Ring):
+    import sympy
+
+    syms = sympy.symbols(ring.names)
+    return (syms,) if ring.n == 1 else syms
+
+
+def to_sympy(f: Poly, syms):
+    import sympy
+
+    expr = sympy.Integer(0)
+    for m, c in f.terms.items():
+        t = sympy.Integer(c)
+        for s, e in zip(syms, m):
+            t *= s**e
+        expr += t
+    return expr
+
+
+def from_sympy(ring: Ring, expr, syms) -> Poly:
+    """A sympy expression over F_p back as a Poly; sympy's symmetric
+    coefficients are taken mod p."""
+    import sympy
+
+    poly = sympy.Poly(expr, *syms, modulus=ring.p)
+    f = ring.zero()
+    for mon, coeff in poly.terms():
+        f = f + ring.monomial(tuple(mon), int(coeff) % ring.p)
+    return f
+
+
 def sympy_reduced_gb(ring: Ring, polys, order="grevlex"):
     """Reduced Groebner basis via sympy, converted back to Poly set."""
     import sympy
 
-    syms = sympy.symbols(ring.names)
-    if ring.n == 1:
-        syms = (syms,)
-
-    def to_sympy(f: Poly):
-        expr = sympy.Integer(0)
-        for m, c in f.terms.items():
-            t = sympy.Integer(c)
-            for s, e in zip(syms, m):
-                t *= s**e
-            expr += t
-        return expr
-
-    gb = sympy.groebner([to_sympy(f) for f in polys if not f.is_zero()],
+    syms = sympy_symbols(ring)
+    gb = sympy.groebner([to_sympy(f, syms) for f in polys if not f.is_zero()],
                         *syms, modulus=ring.p, order=order)
-    out = []
-    for expr in gb.exprs:
-        poly = sympy.Poly(expr, *syms, modulus=ring.p)
-        f = ring.zero()
-        for mon, coeff in poly.terms():
-            f = f + ring.monomial(tuple(mon), int(coeff) % ring.p)
-        out.append(f)
-    return out
+    return [from_sympy(ring, expr, syms) for expr in gb.exprs]
 
 
 def span_membership_oracle(ring: Ring, gens, target: Poly, max_deg: int) -> bool:
@@ -342,6 +359,22 @@ def test_a_signature_past_the_packed_range_gives_the_reference_or_is_refused():
     assert answered[0] == 0 and len(answered) >= 10, answered
 
 
+def test_a_reduction_past_the_step_cap_is_refused(monkeypatch):
+    """Over F_5 with a = 2^62, each of these bases needs a reduction chain of
+    about 2^60 steps (x^a by x^3 - 2 in the first); past MAX_REDUCTION_STEPS
+    the engine raises instead of running on."""
+    R = Ring(5, ("x", "y"))
+    M = R.monomial
+    a = 2**62
+    with budget(10), pytest.raises(StabilizationCapExceededError, match="past 1048576 steps"):
+        ideal(R, M((a, 0), 3) + R.one(), M((a, 0)) + M((3, 0))).groebner()
+    monkeypatch.setattr(groebner, "MAX_REDUCTION_STEPS", 2**12)
+    for gens in ([M((a, 0), 3) + M((0, 1), 4), M((a + 1, 0)) + M((2, 0))],
+                 [M((a, 4), 4) + M((0, 5), 3), M((a + 2, 0), 2) + M((4, 0), 2)]):
+        with pytest.raises(StabilizationCapExceededError, match="past 4096 steps"):
+            ideal(R, *gens).groebner()
+
+
 def test_signature_criteria_leave_few_reductions(monkeypatch):
     """Reductions run, and reductions to zero, on cyclic-5 mod 101 and on
     the four dense quadrics of the sympy test above, bounded by the counts
@@ -351,15 +384,16 @@ def test_signature_criteria_leave_few_reductions(monkeypatch):
     zero reductions are 209 and 22-23, without Koszul syzygies 13 and 10,
     and without the rewrite criterion cyclic-5 runs 95 reductions."""
     counts = [0, 0]
-    real = groebner._reduce_regular
+    real = groebner._reduce
 
-    def counted(*args):
-        r = real(*args)
-        counts[0] += 1
-        counts[1] += not r
+    def counted(work, elems, code, p, sig=None, bits=0):
+        r = real(work, elems, code, p, sig, bits)
+        if sig is not None:  # the engine's reductions, not the tail reduction
+            counts[0] += 1
+            counts[1] += not r
         return r
 
-    monkeypatch.setattr(groebner, "_reduce_regular", counted)
+    monkeypatch.setattr(groebner, "_reduce", counted)
     rng = random.Random(61)
     quad = [m for m in product(range(3), repeat=4) if sum(m) <= 2]
     cases = [(_cyclic(Ring(101, ("a", "b", "c", "d", "e"))), 55, 8)]
@@ -439,6 +473,19 @@ def test_normal_form_properties():
         assert I.normal_form((nf,))[0] == nf
     for g in gens:
         assert I.normal_form((g,))[0].is_zero()
+    # the exact remainder: sympy's full reduction over sympy's reduced basis
+    import sympy
+
+    for p in (2, 3, 5, 101):
+        R = Ring(p, ("x", "y", "z"))
+        syms = sympy_symbols(R)
+        gens = [random_poly(rng, R, 3, max_terms=3, nonzero=True) for _ in range(3)]
+        I = ideal(R, *gens)
+        G = sympy.groebner([to_sympy(g, syms) for g in gens], *syms, modulus=p, order="grevlex")
+        for _ in range(20):
+            f = random_poly(rng, R, 5)
+            _, r = sympy.reduced(to_sympy(f, syms), G.exprs, *syms, modulus=p, order="grevlex")
+            assert I.normal_form((f,))[0] == from_sympy(R, r, syms), (gens, f)
 
 
 def test_equality_of_presentations():
