@@ -27,9 +27,9 @@ of tau and of the left limit: tau takes finitely many values in a
 decreasing chain (Blickle-Mustata-Smith), so the orbits of many t meet the
 same few.
 The scans build one `Pair` per call and drop it when they return.  The
-seeds, the ceil_pe_minus_1 series and the root cross-check take one base-p
-digit of their exponent B per level (`Pair._levels`), and share every level
-k among the exponents that agree in B mod p^k.
+seeds and the ceil_pe_minus_1 series take one base-p digit of their
+exponent B per level (`Pair._kappa_power`), and share every level k among
+the exponents that agree in B mod p^k.
 
 The scans (`jumping_numbers`, `fpt`) find each jump c above a point a by a
 Stern-Brocot descent on "tau(q) != tau(a)", which holds exactly for q >= c
@@ -57,8 +57,8 @@ from .errors import (
     StabilizationCapExceededError,
 )
 from .field_poly import Poly, Ring
-from .frobenius import level_cap, scaled_root
-from .groebner import FreeSubmodule, Scalar, full_module, ideal, injective_on, pack_scalar
+from .frobenius import level_cap
+from .groebner import FreeSubmodule, Scalar, full_module, injective_on, pack_scalar
 
 CONVENTIONS = ("ceil_pe", "ceil_pe_minus_1")
 MAX_SWEEPS = 64
@@ -204,10 +204,9 @@ class Pair:
     image-stable part D = underline(M), cD and the value at 0.  Memos fill
     as values are asked for: the seed of every shift m < p, the orbit step
     per (shift, successor value), the converged value at and just below
-    every orbit point in (0, 1], the levels of kappa^e(f^B cD) and of the
-    cross-check's roots, each per (k, B mod p^k), and every `tau` answer
-    per (t, convention).  Every value passes `D.contains` and, for the
-    classical shape, the root cross-check once, before its answer is kept.
+    every orbit point in (0, 1], the levels of kappa^e(f^B cD) per
+    (k, B mod p^k), and every `tau` answer per (t, convention).  Every value
+    passes `D.contains` once, before its answer is kept.
 
     The memos live as long as the Pair; the scans build one per call.
     A Pair gives the values and paths of fresh calls.  The sweep count in
@@ -227,7 +226,6 @@ class Pair:
         self._results: dict[tuple[Fraction, str], TauResult] = {}
         self._solved: dict[Fraction, _Solved] = {}
         self._below: dict[Fraction, _Solved] = {}
-        self._roots: dict[tuple[int, int], FreeSubmodule] = {}
         self._kappas: dict[tuple[int, int], FreeSubmodule] = {}
         self._seeds: dict[int, FreeSubmodule] = {}
         self._steps: dict[tuple[int, FreeSubmodule], FreeSubmodule] = {}
@@ -269,10 +267,6 @@ class Pair:
     def _at_zero(self) -> TauResult:
         value, steps = module_test_submodule_from(self.M, self.cD)
         return TauResult(value, steps, "fixed-sum")
-
-    @cached_property
-    def _classical_twist(self) -> Poly | None:
-        return classical_twist(self.M)
 
     def _power(self, m: int) -> Scalar:
         """f^m, packed once per m for `FreeSubmodule.scaled`."""
@@ -319,7 +313,6 @@ class Pair:
             raise StabilizationCapExceededError(
                 f"ceil_pe_minus_1 series not stable within level cap {self.cap}")
 
-        self._root_cross_check(t, exact)
         return TauResult(exact, sweeps, "orbit")
 
     def left_limit(self, t) -> TauResult:
@@ -414,44 +407,21 @@ class Pair:
             solved[x] = _Solved(X[k], sweeps, n - min(k, last) + ahead)
         return X[0], sweeps
 
-    def _root_cross_check(self, t: Fraction, exact: FreeSubmodule):
-        """For the classical shape, the root-path partial sums
-        sum_{e <= depth} (c u^{s_e} f^{B_e})^{[1/p^e]}, s_e = 1 + p + .. + p^{e-1},
-        must sit inside the exact value.  A sum sits inside exactly when each
-        summand does."""
-        if self._classical_twist is None:
-            return
-        p = self.M.ring.p
-        for e in range(1, min(3, self.cap) + 1):
-            if not exact.contains(self._root(e, exponent_at(t, p, e))):
-                raise CartierError("root-path sum escapes the exact tau value")
-
-    def _levels(self, memo: dict, start: FreeSubmodule, e: int, B: int,
-                level) -> FreeSubmodule:
-        """`level` applied e times from `start`, the k-th time with digit k-1
-        of B.  The value after level k depends on B only through B mod p^k,
-        so it is kept in `memo` per (k, B mod p^k), shared by every e and B.
+    def _kappa_power(self, e: int, B: int) -> FreeSubmodule:
+        """kappa^e(f^B cD), one base-p digit of B per level: level k is kappa
+        of f^(digit k-1) times level k-1.  Level k depends on B only through
+        B mod p^k, so it is kept per (k, B mod p^k), shared by every e and B.
         The part B // p^e of f^B pulls out at the end."""
         p = self.M.ring.p
-        Z = start
+        Z = self.cD
         for k in range(1, e + 1):
             key = (k, B % p ** k)
-            if key not in memo:
-                memo[key] = level(Z, B // p ** (k - 1) % p)
-            Z = memo[key]
+            if key not in self._kappas:
+                d = B // p ** (k - 1) % p
+                self._kappas[key] = kappa_span(self.M.structure, Z.scaled(self._power(d)))
+            Z = self._kappas[key]
         b = B // p ** e
         return Z.scaled(self._power(b)) if b else Z
-
-    def _kappa_power(self, e: int, B: int) -> FreeSubmodule:
-        """kappa^e(f^B cD): each level is kappa of f^digit times the last."""
-        return self._levels(self._kappas, self.cD, e, B, lambda Z, d: kappa_span(
-            self.M.structure, Z.scaled(self._power(d))))
-
-    def _root(self, e: int, B: int) -> FreeSubmodule:
-        """(c u^{s_e} f^B)^{[1/p^e]}, s_e = 1 + p + .. + p^{e-1}: each level is
-        the root of u f^digit times the last, independent of `kappa_span`."""
-        return self._levels(self._roots, ideal(self.M.ring, self.c), e, B, lambda J, d:
-                            scaled_root(J, 1, u=self._classical_twist, A=1, f=self.f, B=d))
 
     def _first_jump(self, a: Fraction, va: FreeSubmodule, b: Fraction,
                     vb: FreeSubmodule, N: int, ladder: int):

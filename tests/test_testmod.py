@@ -11,12 +11,13 @@ from cartierv.cartier_mod import (
     graph_embed,
     kappa_span,
     make_extension,
+    pushforward_finite,
     reduce_from_graph,
     shriek_finite,
 )
 from cartierv.errors import CartierError, FptDivergenceError, NonDegenerateError
 from cartierv.field_poly import Ring
-from cartierv.frobenius import level_cap, scaled_root
+from cartierv.frobenius import level_cap
 from cartierv.groebner import (
     FreeSubmodule,
     QuotientPresentation,
@@ -24,6 +25,7 @@ from cartierv.groebner import (
     ideal,
     zero_module,
 )
+from cartierv.suites import _root_oracle
 from cartierv.testmod import (
     FiltrationTable,
     Pair,
@@ -557,12 +559,12 @@ def test_each_value_is_checked_once(monkeypatch):
     R = Ring(3, ("x",))
     x = R.var("x")
     checked = []
-    real = Pair._root_cross_check
+    real = Pair._checked
 
-    def counted(self, t, exact):
+    def counted(self, t, convention):
         checked.append(t)
-        return real(self, t, exact)
-    monkeypatch.setattr(Pair, "_root_cross_check", counted)
+        return real(self, t, convention)
+    monkeypatch.setattr(Pair, "_checked", counted)
     pair = Pair(CartierModule.over_ring(R, x), x)
     first = pair.tau(Fraction(1, 2))
     assert pair.left_limit(Fraction(1, 2)).value == full_module(R, 1)
@@ -753,25 +755,44 @@ def test_scan_skips_stretches_with_equal_ends(monkeypatch):
     assert 10 * len(calls) < len(grid)
 
 
-def test_root_levels_match_direct_roots():
-    # a level kept under (k, B mod p^k) serves every e and B sharing those digits
-    rng = random.Random(61)
+def test_root_path_summands_lie_in_tau():
+    # tau(M, f^t) is the stable sum of (c u^{s_e} f^{ceil(t p^e)})^{[1/p^e]},
+    # s_e = 1 + p + .. + p^{e-1}, for the classical shape; the roots come
+    # from the trace oracle, independent of the packed digit split.  Levels
+    # with p^{e n} above 125 are left out: the oracle takes p^{e n} traces.
+    rng = random.Random(67)
     for p in (2, 3, 5):
         for names in (("x",), ("x", "y")):
             R = Ring(p, names)
             x = R.var("x")
-            u = random_poly(rng, R, 2, nonzero=True)
-            f = x * (random_poly(rng, R, 1) + R.one())
-            c = u * f
-            if c.is_zero():
-                continue
-            pair = Pair(CartierModule.over_ring(R, u), f, c)
-            for e in (1, 2, 3):
-                for B in [0, p ** e] + [rng.randrange(1, 3 * p ** e) for _ in range(6)]:
-                    want = scaled_root(ideal(R, c), e, u=u, A=(p ** e - 1) // (p - 1),
-                                       f=f, B=B)
-                    assert pair._root(e, B).gens == want.gens, (p, e, B)
-            assert all(r < p ** k for k, r in pair._roots)
+            levels = [e for e in (1, 2, 3) if p ** (e * len(names)) <= 125]
+            for _ in range(3):
+                u = random_poly(rng, R, 2, nonzero=True)
+                f = x * (random_poly(rng, R, 1) + R.one())
+                c = u * f
+                if c.is_zero():
+                    continue
+                pair = Pair(CartierModule.over_ring(R, u), f, c)
+                for t in (Fraction(1, 3), Fraction(1, 2), Fraction(5, 6), Fraction(7, 4)):
+                    value = pair.tau(t).value
+                    for e in levels:
+                        s_e = (p ** e - 1) // (p - 1)
+                        summand = c * u ** s_e * f ** exponent_at(t, p, e)
+                        assert value.contains(_root_oracle(ideal(R, summand), e)), \
+                            (p, names, t, e)
+
+
+def test_pushforward_of_a_root_cover_has_the_cover_jumps():
+    # S = F_p[x, y]/(y^n - x) pushed down to F_p[x], f = c = x: x is y^n on
+    # S = F_p[y], whose tau(y^{n t}) = (y^floor(n t)) jumps at k/n
+    for p, n in ((3, 2), (5, 2), (2, 3), (5, 3), (7, 3), (3, 4)):
+        P = Ring(p, ("x", "y"))
+        x, y = P.gens()
+        ext = make_extension(P, y ** n - x)
+        push = pushforward_finite(ext, ext.quotient_module())
+        f = ext.base.var("x")
+        table = Pair(push, f, c=f).jumping_numbers(0, 2, 4 * n)
+        assert table.jumps == tuple(Fraction(k, n) for k in range(1, 2 * n + 1)), (p, n)
 
 
 def test_kappa_power_matches_direct_powers():
