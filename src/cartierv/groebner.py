@@ -546,10 +546,12 @@ class FreeSubmodule:
     # -- constructions ---------------------------------------------------------
 
     def add(self, other: "FreeSubmodule") -> "FreeSubmodule":
+        """self + other; self itself, with the bases it keeps, when other
+        brings no new generator."""
         self._compat(other)
         mine = self._packed()
-        return FreeSubmodule._of(self.ring, self.rank,
-                                 mine + [d for d in other._packed() if d not in mine])
+        new = [d for d in other._packed() if d not in mine]
+        return FreeSubmodule._of(self.ring, self.rank, mine + new) if new else self
 
     def add_vectors(self, vecs: Iterable[Vec]) -> "FreeSubmodule":
         return FreeSubmodule(self.ring, self.rank, self.gens + tuple(vecs))

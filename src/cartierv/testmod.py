@@ -6,12 +6,15 @@ relations walked out by the multiply-by-p orbit of t in (0, 1]:
     tau(s) = kappa(f^m tau(s'))      where  p s = m + s',  s' in (0, 1],
     tau(t + 1) = f tau(t)            for t > 0,
 
-seeded with the first summand kappa(f^{ceil(s p)} c D) at every orbit
-point, D being the image-stable part of M.  One sweep of the system turns
-the level-e summand of the defining series into the level-(e+1) summand,
-so the iteration converges to the exact infinite sum; no stabilization
-heuristics are involved.  All exponents handled along the way stay below
-p, which keeps everything sparse.
+seeded with the first summand kappa(f^{ceil(s p)} c D) + N at every orbit
+point, D being the image-stable part of M and N the relations.  Each value
+the system meets contains the seed at its point (see `Pair._step`), so one
+sweep, kappa(f^m X) + N at every point, turns the level-e summand of the
+defining series into the level-(e+1) summand and the iteration converges to
+the exact infinite sum; no stabilization heuristics are involved.  All
+exponents handled along the way stay below p, which keeps everything
+sparse.  Orbit points are held as (numerator, denominator) int pairs in
+lowest terms; Fractions are built only for the caller.
 
 The left limit tau(t - eps) solves the same system (each of its orbit
 points has the seed and shift of the one of t just above it) as the
@@ -22,7 +25,7 @@ A `Pair` solves one (M, f, c) for many t: the checks that do not depend on
 t run once, the seeds are kept per shift m < p, and the converged value at
 every orbit point is kept, so a later orbit that runs into a solved point
 sweeps only its new points, with the solved one as a constant successor.
-Each step seed(m) + kappa(f^m X) is kept per (m, X), shared by the systems
+Each step kappa(f^m X) + N is kept per (m, X), shared by the systems
 of tau and of the left limit: tau takes finitely many values in a
 decreasing chain (Blickle-Mustata-Smith), so the orbits of many t meet the
 same few.
@@ -65,6 +68,8 @@ MAX_SWEEPS = 64
 MAX_ORBIT = 4096
 MAX_MODULE_SUM_STEPS = 256
 NU_BUDGET = 2 ** 14
+
+Point = tuple[int, int]  # a rational t >= 0 as (numerator, denominator), in lowest terms
 
 
 @dataclass(frozen=True)
@@ -203,10 +208,12 @@ class Pair:
     element (`suggest_test_element` when c is None), regularity of f, the
     image-stable part D = underline(M), cD and the value at 0.  Memos fill
     as values are asked for: the seed of every shift m < p, the orbit step
-    per (shift, successor value), the converged value at and just below
-    every orbit point in (0, 1], the levels of kappa^e(f^B cD) per
-    (k, B mod p^k), and every `tau` answer per (t, convention).  Every value
-    passes `D.contains` once, before its answer is kept.
+    kappa(f^m X) + N per (shift, successor value X), the converged value at
+    and just below every orbit point in (0, 1], the levels of
+    kappa^e(f^B cD) per (k, B mod p^k), and every `tau` answer per (t,
+    convention).  Points are keyed as (numerator, denominator) int pairs in
+    lowest terms.  Every value passes `D.contains` once, before its answer
+    is kept.
 
     The memos live as long as the Pair; the scans build one per call.
     A Pair gives the values and paths of fresh calls.  The sweep count in
@@ -223,9 +230,9 @@ class Pair:
         self.f = f
         self._c = c
         self.e_cap = e_cap
-        self._results: dict[tuple[Fraction, str], TauResult] = {}
-        self._solved: dict[Fraction, _Solved] = {}
-        self._below: dict[Fraction, _Solved] = {}
+        self._results: dict[tuple[Point, str], TauResult] = {}
+        self._solved: dict[Point, _Solved] = {}
+        self._below: dict[Point, _Solved] = {}
         self._kappas: dict[tuple[int, int], FreeSubmodule] = {}
         self._seeds: dict[int, FreeSubmodule] = {}
         self._steps: dict[tuple[int, FreeSubmodule], FreeSubmodule] = {}
@@ -288,26 +295,37 @@ class Pair:
             raise ValueError("exponent t must be nonnegative")
         if convention not in CONVENTIONS:
             raise ValueError(f"unknown convention {convention!r}")
-        if (t, convention) not in self._results:
-            self._results[t, convention] = self._checked(t, convention)
-        return self._results[t, convention]
+        return self._tau((t.numerator, t.denominator), convention)
 
-    def _checked(self, t: Fraction, convention: str) -> TauResult:
-        if t == 0:
+    def _tau(self, t: Point, convention: str = "ceil_pe") -> TauResult:
+        """`tau` at t >= 0 in lowest terms, kept per (t, convention)."""
+        key = (t, convention)
+        if key not in self._results:
+            self._results[key] = self._checked(t, convention)
+        return self._results[key]
+
+    def _checked(self, t: Point, convention: str) -> TauResult:
+        a, b = t
+        if a == 0:
             return self._at_zero
         exact, sweeps = self._value(t, below=False)
 
         if convention == "ceil_pe_minus_1":
-            # the series to the level cap, and the last level (at least 1) it
-            # changed at; the smaller exponents need the test element deepened
-            # by f^ceil(t), otherwise the series overshoots tau for t > 1
-            value, stable = self.M.pres.N, 1
+            # the series up to the level cap, and the last level (at least 1)
+            # it changed at; the smaller exponents need the test element
+            # deepened by f^ceil(t), otherwise the series overshoots tau for
+            # t > 1.  Level e adds kappa^e(f^B cD) with
+            # B = ceil(t(p^e - 1)) + ceil(t) >= ceil(t p^e), a summand of
+            # tau(t) itself, so once the sum reaches tau(t) nothing changes.
+            p, value, stable = self.M.ring.p, self.M.pres.N, 1
             for e in range(1, self.cap + 1):
-                b = exponent_at(t, self.M.ring.p, e, convention) + math.ceil(t)
-                nxt = value.add(self._kappa_power(e, b)).minimal_gens()
+                B = -(-a * (p ** e - 1) // b) - (-a // b)  # ceil(t(p^e - 1)) + ceil(t)
+                nxt = value.add(self._kappa_power(e, B)).minimal_gens()
                 if e > 1 and nxt != value:
                     stable = e
                 value = nxt
+                if value == exact:
+                    break
             if value == exact:
                 return TauResult(value, stable, "series+orbit")
             raise StabilizationCapExceededError(
@@ -321,17 +339,22 @@ class Pair:
         t = Fraction(t)
         if t <= 0:
             raise ValueError("left limit needs t > 0")
+        return self._left_limit((t.numerator, t.denominator))
+
+    def _left_limit(self, t: Point) -> TauResult:
         value, sweeps = self._value(t, below=True)
-        if not value.contains(self.tau(t).value):
-            raise CartierError(f"left limit at {t} does not contain tau({t})")
+        if not value.contains(self._tau(t).value):
+            q = Fraction(*t)
+            raise CartierError(f"left limit at {q} does not contain tau({q})")
         return TauResult(value, sweeps, "left-limit")
 
-    def _value(self, t: Fraction, below: bool) -> tuple[FreeSubmodule, int]:
+    def _value(self, t: Point, below: bool) -> tuple[FreeSubmodule, int]:
         """tau at, or just below, t > 0 and its sweep count."""
         self.c  # a refused test element is reported before a zerodivisor f
         self.require_regular()
-        m0 = math.ceil(t) - 1
-        value, sweeps = self._solve(t - m0, below)
+        a, b = t
+        m0 = (a - 1) // b
+        value, sweeps = self._solve((a - m0 * b, b), below)
         if m0:
             value = value.scaled(self._power(m0)).add(self.M.pres.N).minimal_gens()
         if not self.D.contains(value):
@@ -346,15 +369,30 @@ class Pair:
         return self._seeds[m]
 
     def _step(self, m: int, X: FreeSubmodule) -> FreeSubmodule:
-        """The orbit relation at a point of shift m whose successor holds X,
-        kept per (m, X); the systems of tau and of the left limit share it."""
+        """The orbit relation kappa(f^m X) + N at a point of shift m whose
+        successor holds X, kept per (m, X); the systems of tau and of the
+        left limit share it.
+
+        The relation of the series is seed(m) + kappa(f^m X); the seed adds
+        nothing to it.  Every X that `_solve` steps contains the seed
+        kappa(f^(m'+1) cD) + N of its own shift m' <= p - 1: the start values
+        are seeds or tau(0), which contains kappa(cD); a solved successor is
+        a tau value or a left limit, which contains one; and each step keeps
+        this, since from X containing kappa(f^(m'+1) cD),
+
+            kappa(f^m X) contains kappa^2(f^(mp + m' + 1) cD),
+            which contains kappa^2(f^((m+1)p) c^p D) = kappa(f^(m+1) c kappa(D)),
+
+        and D = kappa(D) + N with kappa(N) in N gives
+        seed(m) = kappa(f^(m+1) cD) + N in kappa(f^m X) + N.
+        """
         out = self._steps.get((m, X))
         if out is None:
             incoming = kappa_span(self.M.structure, X.scaled(self._power(m)))
-            out = self._steps[m, X] = self._seed(m).add(incoming).minimal_gens()
+            out = self._steps[m, X] = incoming.add(self.M.pres.N).minimal_gens()
         return out
 
-    def _solve(self, t0: Fraction, below: bool = False) -> tuple[FreeSubmodule, int]:
+    def _solve(self, t0: Point, below: bool = False) -> tuple[FreeSubmodule, int]:
         """Converged value at (or, when `below`, just below) t0 in (0, 1] and
         its sweep count.
 
@@ -370,14 +408,15 @@ class Pair:
         if t0 in solved:
             return solved[t0].value, solved[t0].sweeps
         p = self.M.ring.p
-        index: dict[Fraction, int] = {}  # the new orbit points, in order
+        index: dict[Point, int] = {}  # the new orbit points, in order
+        shifts: list[int] = []
         s = t0
         while s not in solved and s not in index:
             if len(index) == MAX_ORBIT:
                 raise StabilizationCapExceededError("orbit of t did not close")
             index[s] = len(index)
-            s = p * s - math.ceil(p * s) + 1
-        shifts = [math.ceil(p * x) - 1 for x in index]
+            m, s = _next_point(p, s)
+            shifts.append(m)
         n = len(shifts)
         after = solved.get(s)
         ahead = 0 if after is None else after.length
@@ -438,20 +477,23 @@ class Pair:
         so none above max(N, ladder) is evaluated: reaching that bound shows
         c is no candidate, and that none lies strictly between L and R.
         """
+        an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+
         @cache
-        def at_or_above(q: Fraction) -> bool:
-            if q <= a or q >= b:
-                return q >= b
-            v = self.tau(q).value
+        def at_or_above(h: int, d: int) -> bool:
+            # h/d is a Stern-Brocot node, so in lowest terms
+            if h * ad <= an * d or h * bd >= bn * d:
+                return h * bd >= bn * d
+            v = self._tau((h, d)).value
             if not (va.contains(v) and v.contains(vb)):
-                raise CartierError(f"tau not monotone at t={q}")
+                raise CartierError(f"tau not monotone at t={Fraction(h, d)}")
             return v != va
 
         def run(base, step, side: bool) -> tuple[int, int]:
             # the last node base + k step on `side` of c within the bound, galloping
             def stays(k: int) -> bool:
                 h, d = base[0] + k * step[0], base[1] + k * step[1]
-                return d <= top and at_or_above(Fraction(h, d)) == side
+                return d <= top and at_or_above(h, d) == side
             k, gap = 0, 1
             while stays(k + gap):
                 k, gap = k + gap, 2 * gap
@@ -466,10 +508,9 @@ class Pair:
             L = run(L, R, False)
             if L[1] + R[1] <= top:
                 R = run(R, L, True)
-                c = Fraction(*R)
-                if c <= b and (left := self.left_limit(c).value) == va:
-                    if c.denominator <= N or ladder % c.denominator == 0:
-                        return c, self.tau(c).value, left
+                if R[0] * bd <= bn * R[1] and (left := self._left_limit(R).value) == va:
+                    if R[1] <= N or ladder % R[1] == 0:
+                        return Fraction(*R), self._tau(R).value, left
                     break
         q = min(Fraction(math.ceil(Fraction(*R) * d), d) for d in chain(range(1, N + 1), [ladder]))
         return q, None, None
@@ -506,6 +547,16 @@ class Pair:
             a, va = c, vc
         return FiltrationTable(self.f, lo, hi, v0, tuple(jumps), tuple(values),
                                tuple(limits))
+
+
+def _next_point(p: int, s: Point) -> tuple[int, Point]:
+    """The shift m and the next point s' of the orbit of s = a/b in (0, 1]:
+    p s = m + s' with s' in (0, 1], in lowest terms."""
+    a, b = s
+    m = (p * a - 1) // b
+    a = p * a - m * b
+    g = math.gcd(a, b)
+    return m, (a // g, b // g)
 
 
 def _ladder(p: int, e_cap: int | None, limit: float = math.inf) -> int:

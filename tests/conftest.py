@@ -9,6 +9,7 @@ from itertools import count, islice
 from operator import itemgetter, le
 from typing import Sequence
 
+from cartierv.cartier_mod import kappa_span
 from cartierv.field_poly import Monomial, cartier_trace
 from cartierv.groebner import (
     FreeSubmodule,
@@ -21,7 +22,7 @@ from cartierv.groebner import (
     unit_vector,
 )
 from cartierv.suites import random_poly  # noqa: F401  (shared by the test modules)
-from cartierv.testmod import tau
+from cartierv.testmod import Pair, tau
 
 
 @contextmanager
@@ -79,6 +80,16 @@ def verify_test_element(M, f, t, c) -> bool:
         if tau(M, f, t, other).value != base:
             return False
     return True
+
+
+class SeededPair(Pair):
+    """A `Pair` whose orbit step is the relation of the defining series as
+    written, seed(m) + kappa(f^m X) (the seed holds N), unkept: the
+    reference for the seedless step of `Pair._step`."""
+
+    def _step(self, m, X):
+        incoming = kappa_span(self.M.structure, X.scaled(self.f ** m))
+        return self._seed(m).add(incoming).minimal_gens()
 
 
 def replace_value(table, index: int, value):

@@ -912,3 +912,22 @@ def test_packed_built_submodules_decode_their_generators():
         assert sub.gens == sub.groebner()
     with pytest.raises(RingMismatchError):
         S.scaled(Ring(5, ("x",)).one())
+
+
+def test_a_sum_with_nothing_new_keeps_its_basis(monkeypatch):
+    """S + T is S itself when T brings no new generator, so a basis S keeps
+    serves the sum; a new generator makes a new submodule."""
+    R = Ring(5, ("x", "y"))
+    x, y = R.gens()
+    S = FreeSubmodule(R, 1, [(x * y + y,), (x * x,)]).minimal_gens()
+    runs = []
+    real = groebner._buchberger
+    monkeypatch.setattr(groebner, "_buchberger", lambda *a: runs.append(a) or real(*a))
+    for T in (zero_module(R, 1), FreeSubmodule(R, 1, [S.gens[0]]), S):
+        assert S.add(T) is S
+        assert S.add(T).minimal_gens() == S
+    assert runs == []
+    T = FreeSubmodule(R, 1, [(x,)])
+    bigger = S.add(T)
+    assert bigger is not S and bigger.gens == S.gens + ((x,),)
+    assert S.gens == S.groebner()  # the summand keeps its own generators

@@ -15,7 +15,12 @@ from cartierv.cartier_mod import (
     reduce_from_graph,
     shriek_finite,
 )
-from cartierv.errors import CartierError, FptDivergenceError, NonDegenerateError
+from cartierv.errors import (
+    CartierError,
+    FptDivergenceError,
+    NonDegenerateError,
+    StabilizationCapExceededError,
+)
 from cartierv.field_poly import Ring
 from cartierv.frobenius import level_cap
 from cartierv.groebner import (
@@ -43,6 +48,7 @@ from cartierv.testmod import (
 from cartierv.vfilt import compute_vfiltration
 
 from conftest import (
+    SeededPair,
     colon_by_elimination,
     intersect_by_elimination,
     random_poly,
@@ -434,7 +440,7 @@ def assert_pair_matches_fresh(M, f, c, rng, left_probes=3):
         assert (got.value, got.path) == (want.value, want.path), t
     for t in rng.sample([t for t in grid if t > 0], left_probes):
         assert pair.left_limit(t) == tau_left_limit(M, f, t, c), t
-    assert Fraction(1, 2) in pair._solved
+    assert (1, 2) in pair._solved  # points are kept as int pairs in lowest terms
 
 
 def test_pair_memo_random_twisted():
@@ -474,9 +480,9 @@ def test_orbit_runs_into_a_solved_1_cycle():
     f = x ** 2 * y
     pair = Pair(M, f)
     assert pair.tau(Fraction(1, 2)) == tau(M, f, Fraction(1, 2))
-    assert set(pair._solved) == {Fraction(1, 2)}
+    assert set(pair._solved) == {(1, 2)}
     assert pair.tau(Fraction(1, 6)) == tau(M, f, Fraction(1, 6))
-    assert set(pair._solved) == {Fraction(1, 6), Fraction(1, 2)}
+    assert set(pair._solved) == {(1, 6), (1, 2)}
     assert pair.tau(Fraction(7, 6)) == tau(M, f, Fraction(7, 6))
 
 
@@ -534,8 +540,7 @@ def test_shared_pair_serves_points_of_a_solved_orbit(monkeypatch):
     pair = Pair(M, f)
     first = pair.tau(Fraction(1, 12))
     assert first == tau(M, f, Fraction(1, 12))
-    assert set(pair._solved) == {Fraction(1, 12), Fraction(1, 6), Fraction(1, 3),
-                                 Fraction(2, 3)}
+    assert set(pair._solved) == {(1, 12), (1, 6), (1, 3), (2, 3)}
     fresh = {t: tau(M, f, t) for t in (Fraction(1, 6), Fraction(2, 3))}
     shifts = counted_steps(monkeypatch)
     for t, want in fresh.items():
@@ -569,7 +574,7 @@ def test_each_value_is_checked_once(monkeypatch):
     first = pair.tau(Fraction(1, 2))
     assert pair.left_limit(Fraction(1, 2)).value == full_module(R, 1)
     assert pair.tau(Fraction(1, 2)) is first
-    assert checked == [Fraction(1, 2)]
+    assert checked == [(1, 2)]
 
 
 def spans_in_steps(monkeypatch):
@@ -644,6 +649,95 @@ def test_left_limit_reuses_the_steps_of_tau(monkeypatch):
     assert pair.left_limit(t).value == value == want
     assert len(shifts) == 2 and spanned == []
     assert len(pair._steps) == kept
+
+
+def lemma_cases(rng):
+    """(M, f, c) for the seed lemma and the seeded reference: twisted rank 1
+    with an arbitrary test element, the rank-2 permutation, three modules
+    with relations N != 0 (the quotient modules of Artin-Schreier covers and
+    of the cusp cover) and the shriek of the cusp cover."""
+    for p in (2, 3, 5):
+        for names in (("x",), ("x", "y")):
+            R = Ring(p, names)
+            x = R.var("x")
+            u = random_poly(rng, R, 2, nonzero=True)
+            f = x * (random_poly(rng, R, 1) + R.one())
+            yield CartierModule.over_ring(R, u), f, random_poly(rng, R, 2, nonzero=True)
+    R = Ring(3, ("x",))
+    x = R.var("x")
+    swap = CartierStructure(R, 2, ((R.zero(), R.one()), (R.one(), R.zero())))
+    yield CartierModule.free(R, swap), x, x + R.one()
+    for p in (2, 3):
+        P = Ring(p, ("x", "y"))
+        x, y = P.gens()
+        yield make_extension(P, y ** p - y - x).quotient_module(), x, x
+    P = Ring(3, ("x", "y"))
+    x, y = P.gens()
+    ext = make_extension(P, y ** 2 - x ** 3)
+    yield ext.quotient_module(), x, x
+    xb = ext.base.gens()[0]
+    yield shriek_finite(ext, CartierModule.over_ring(ext.base)), xb, xb
+
+
+def test_orbit_step_contains_the_seed():
+    # the lemma behind the seedless `Pair._step`: for X containing
+    # seed(m') = kappa(f^(m'+1) cD) + N, m' < p, every seed(m) lies in
+    # kappa(f^m X) + N; spans are taken here, not through the Pair's memos
+    rng = random.Random(83)
+    with_relations = 0
+    for M, f, c in lemma_cases(rng):
+        pair, S, N = Pair(M, f, c), M.structure, M.pres.N
+        if not pair.is_regular:
+            continue
+        with_relations += not N.is_zero()
+        p, R = M.ring.p, M.ring
+        seeds = [kappa_span(S, pair.cD.scaled(f ** (m + 1))).add(N) for m in range(p)]
+        for seed in seeds:
+            for _ in range(2):
+                extra = [tuple(random_poly(rng, R, 2) for _ in range(M.rank))
+                         for _ in range(rng.randrange(3))]
+                X = seed.add(FreeSubmodule(R, M.rank, extra))
+                for m in range(p):
+                    stepped = kappa_span(S, X.scaled(f ** m)).add(N)
+                    assert stepped.contains(seeds[m]), (M, f, c, m)
+    assert with_relations == 3
+
+
+def test_seedless_step_matches_the_seeded_reference():
+    # the step without its seed gives every value and sweep count of the
+    # step of the series, on a shared Pair and on fresh ones
+    rng = random.Random(89)
+    grid = [Fraction(k, d) for d in (1, 2, 3, 4, 5, 6, 9) for k in range(1, 2 * d + 1)]
+    for M, f, c in lemma_cases(rng):
+        if not is_regular_element(M, f):
+            continue
+        shared, seeded = Pair(M, f, c), SeededPair(M, f, c)
+        for t in rng.sample(grid, 6):
+            for convention in ("ceil_pe", "ceil_pe_minus_1"):
+                try:
+                    want = seeded.tau(t, convention)
+                except StabilizationCapExceededError:
+                    with pytest.raises(StabilizationCapExceededError):
+                        shared.tau(t, convention)
+                    continue
+                assert shared.tau(t, convention) == want, (M, f, c, t)
+                assert Pair(M, f, c).tau(t, convention) == SeededPair(M, f, c).tau(t, convention)
+            assert shared.left_limit(t) == seeded.left_limit(t), (M, f, c, t)
+            assert Pair(M, f, c).left_limit(t) == SeededPair(M, f, c).left_limit(t)
+
+
+def test_integer_orbit_walk():
+    # the orbit walk on int pairs: s' = p s - ceil(p s) + 1 in lowest terms,
+    # shift ceil(p s) - 1, also where p s is an integer
+    rng = random.Random(97)
+    for p in (2, 3, 5, 7):
+        points = [Fraction(rng.randint(1, d), d) for d in (rng.randint(1, 60) for _ in range(40))]
+        points += [Fraction(1), Fraction(1, p), Fraction(p - 1, p), Fraction(2, p * p)]
+        for s in points:
+            m, (a, b) = testmod._next_point(p, (s.numerator, s.denominator))
+            assert m == math.ceil(p * s) - 1, (p, s)
+            assert Fraction(a, b) == p * s - math.ceil(p * s) + 1, (p, s)
+            assert b > 0 and math.gcd(a, b) == 1, (p, s, a, b)
 
 
 def test_ceil_pe_minus_1_levels():
@@ -818,12 +912,9 @@ def test_kappa_power_matches_direct_powers():
 
 def test_series_levels_share_their_digits(monkeypatch):
     # ceil_pe_minus_1 at t = 1/2, p = 3 reads kappa^e(f^{b_e} cD) for
-    # b_e = (3^e + 1)/2 = 2, 5, 14, 41, 122, 365: each extends the digits of
-    # the last, so the six levels take one kappa each, and the seed of the
-    # orbit of 1/2 is the first level.  Plus one orbit step.
-    import cartierv.testmod as testmod
-    R = Ring(3, ("x",))
-    x = R.var("x")
+    # b_e = (3^e + 1)/2 = 2, 5, 14, ...: each extends the digits of the last,
+    # so every level takes one kappa, and the seed of the orbit of 1/2 is the
+    # first level.  The series stops at the first level whose sum is tau.
     calls = []
     real = testmod.kappa_span
 
@@ -831,6 +922,22 @@ def test_series_levels_share_their_digits(monkeypatch):
         calls.append(W)
         return real(structure, W)
     monkeypatch.setattr(testmod, "kappa_span", counted)
-    got = tau(CartierModule.over_ring(R, x), x, Fraction(1, 2), convention="ceil_pe_minus_1")
-    assert (got.value, got.path) == (ideal(R, x), "series+orbit")
-    assert len(calls) == 7
+    # on the twisted line tau(1/2) = (x) is the first level: one kappa for
+    # it, one orbit step
+    R = Ring(3, ("x",))
+    x = R.var("x")
+    pair = Pair(CartierModule.over_ring(R, x), x)
+    got = pair.tau(Fraction(1, 2), convention="ceil_pe_minus_1")
+    assert (got.value, got.stabilized_at_e, got.path) == (ideal(R, x), 1, "series+orbit")
+    assert set(pair._kappas) == {(1, 2)}
+    assert len(calls) == 2
+    # with twist x + y and f = xy the sum reaches tau at level 3: three
+    # levels, one kappa each, beside the orbit's steps
+    R = Ring(3, ("x", "y"))
+    x, y = R.gens()
+    pair = Pair(CartierModule.over_ring(R, x + y), x * y)
+    calls.clear()
+    got = pair.tau(Fraction(1, 2), convention="ceil_pe_minus_1")
+    assert (got.stabilized_at_e, got.path) == (3, "series+orbit")
+    assert set(pair._kappas) == {(1, 2), (2, 5), (3, 14)}
+    assert len(calls) == 3 + len(pair._steps)
