@@ -185,6 +185,8 @@ def _build_module(args, ring: Ring) -> CartierModule:
     else:
         structure = CartierStructure.scalar(ring)
         rank = 1
+    if not (args.gens or args.rels):
+        return CartierModule.free(ring, structure)  # R^r and 0 are stable under any twist
     W = (FreeSubmodule(ring, rank, _parse_vectors(args.gens, ring, rank))
          if args.gens else full_module(ring, rank))
     N = (FreeSubmodule(ring, rank, _parse_vectors(args.rels, ring, rank))
@@ -422,7 +424,8 @@ def _add_output_args(sub, max_e=True):
                      help="include wall-clock phase timings in the report")
     if max_e:
         sub.add_argument("--max-e", type=int, default=None,
-                         help="level cap for this computation (default 6)")
+                         help="level cap N: the ceil_pe_minus_1 series runs at most N levels "
+                              "and ladder rungs (p-1) p^k have k <= N (default 6)")
 
 
 SCAN_DENOMINATOR_HELP = ("a jump is answered when its denominator divides some n up to "

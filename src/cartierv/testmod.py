@@ -7,7 +7,8 @@ relations walked out by the multiply-by-p orbit of t in (0, 1]:
     tau(t + 1) = f tau(t)            for t > 0,
 
 seeded with the first summand kappa(f^{ceil(s p)} c D) + N at every orbit
-point, D being the image-stable part of M and N the relations.  Each value
+point, D being the image-stable part of M and N the relations: the seed of
+shift m is the step kappa(f^(m+1) X) + N at X = cD.  Each value
 the system meets contains the seed at its point (see `Pair._step`), so one
 sweep, kappa(f^m X) + N at every point, turns the level-e summand of the
 defining series into the level-(e+1) summand and the iteration converges to
@@ -22,17 +23,16 @@ greatest fixed point below tau(0).  The sweeps down from tau(0) stop since
 F-jumping numbers are discrete (Blickle-Schwede-Takagi-Zhang).
 
 A `Pair` solves one (M, f, c) for many t: the checks that do not depend on
-t run once, the seeds are kept per shift m < p, and the converged value at
-every orbit point is kept, so a later orbit that runs into a solved point
-sweeps only its new points, with the solved one as a constant successor.
-Each step kappa(f^m X) + N is kept per (m, X), shared by the systems
-of tau and of the left limit: tau takes finitely many values in a
-decreasing chain (Blickle-Mustata-Smith), so the orbits of many t meet the
-same few.
-The scans build one `Pair` per call and drop it when they return.  The
-seeds and the ceil_pe_minus_1 series take one base-p digit of their
-exponent B per level (`Pair._kappa_power`), and share every level k among
-the exponents that agree in B mod p^k.
+t run once, and the converged value at every orbit point is kept, so a
+later orbit that runs into a solved point sweeps only its new points, with
+the solved one as a constant successor.  Each step kappa(f^m X) + N is kept
+per (m, X), the one memo of kappa in a `Pair`, shared by the seeds, the
+systems of tau and of the left limit, and the ceil_pe_minus_1 series: tau
+takes finitely many values in a decreasing chain (Blickle-Mustata-Smith),
+so the orbits of many t meet the same few.  The series takes one base-p
+digit of its exponent B per level (`Pair._kappa_power`), each level a step
+from the last, so levels of exponents that agree in B mod p^k are one entry.
+The scans build one `Pair` per call and drop it when they return.
 
 The scans (`jumping_numbers`, `fpt`) find each jump c above a point a by a
 Stern-Brocot descent on "tau(q) != tau(a)", which holds exactly for q >= c
@@ -207,13 +207,12 @@ class Pair:
     What does not depend on t is done at most once, on first use: the test
     element (`suggest_test_element` when c is None), regularity of f, the
     image-stable part D = underline(M), cD and the value at 0.  Memos fill
-    as values are asked for: the seed of every shift m < p, the orbit step
-    kappa(f^m X) + N per (shift, successor value X), the converged value at
-    and just below every orbit point in (0, 1], the levels of
-    kappa^e(f^B cD) per (k, B mod p^k), and every `tau` answer per (t,
-    convention).  Points are keyed as (numerator, denominator) int pairs in
-    lowest terms.  Every value passes `D.contains` once, before its answer
-    is kept.
+    as values are asked for: the step kappa(f^m X) + N per (m, X), which
+    serves the orbit steps, the seeds (X = cD) and the levels of the
+    ceil_pe_minus_1 series; the converged value at and just below every
+    orbit point in (0, 1]; and every `tau` answer per (t, convention).
+    Points are keyed as (numerator, denominator) int pairs in lowest terms.
+    Every value passes `D.contains` once, before its answer is kept.
 
     The memos live as long as the Pair; the scans build one per call.
     A Pair gives the values and paths of fresh calls.  The sweep count in
@@ -229,12 +228,10 @@ class Pair:
         self.M = M
         self.f = f
         self._c = c
-        self.e_cap = e_cap
+        self.cap = level_cap(e_cap)
         self._results: dict[tuple[Point, str], TauResult] = {}
         self._solved: dict[Point, _Solved] = {}
         self._below: dict[Point, _Solved] = {}
-        self._kappas: dict[tuple[int, int], FreeSubmodule] = {}
-        self._seeds: dict[int, FreeSubmodule] = {}
         self._steps: dict[tuple[int, FreeSubmodule], FreeSubmodule] = {}
         self._powers: dict[int, Scalar] = {}
 
@@ -265,10 +262,6 @@ class Pair:
     def cD(self) -> FreeSubmodule:
         c = self.c
         return self.D.scaled(c)
-
-    @cached_property
-    def cap(self) -> int:
-        return level_cap(self.e_cap)
 
     @cached_property
     def _at_zero(self) -> TauResult:
@@ -361,17 +354,14 @@ class Pair:
             raise CartierError("tau escaped the image-stable part; test element invalid")
         return value, sweeps
 
-    def _seed(self, m: int) -> FreeSubmodule:
-        """kappa(f^{m+1} cD) + N: the first summand at every orbit point of
-        shift m, kept per shift."""
-        if m not in self._seeds:
-            self._seeds[m] = self._kappa_power(1, m + 1).add(self.M.pres.N).minimal_gens()
-        return self._seeds[m]
-
     def _step(self, m: int, X: FreeSubmodule) -> FreeSubmodule:
         """The orbit relation kappa(f^m X) + N at a point of shift m whose
         successor holds X, kept per (m, X); the systems of tau and of the
-        left limit share it.
+        left limit share it.  The seed of shift m is `_step(m + 1, cD)`, and
+        each level of the ceil_pe_minus_1 series is a step from the last.  A
+        shift m >= p, the seed of shift p - 1, is f times the step of shift
+        m - p, as kappa(f^p Y) = f kappa(Y): the span of f^p X directly takes
+        f^p and a larger basis.
 
         The relation of the series is seed(m) + kappa(f^m X); the seed adds
         nothing to it.  Every X that `_solve` steps contains the seed
@@ -388,7 +378,11 @@ class Pair:
         """
         out = self._steps.get((m, X))
         if out is None:
-            incoming = kappa_span(self.M.structure, X.scaled(self._power(m)))
+            p = self.M.ring.p
+            if m >= p:
+                incoming = self._step(m - p, X).scaled(self._power(1))
+            else:
+                incoming = kappa_span(self.M.structure, X.scaled(self._power(m)))
             out = self._steps[m, X] = incoming.add(self.M.pres.N).minimal_gens()
         return out
 
@@ -422,7 +416,7 @@ class Pair:
         ahead = 0 if after is None else after.length
         if n + ahead > MAX_ORBIT:
             raise StabilizationCapExceededError("orbit of t did not close")
-        X = [self._at_zero.value if below else self._seed(m) for m in shifts]
+        X = [self._at_zero.value if below else self._step(m + 1, self.cD) for m in shifts]
         if after is not None:
             X.append(after.value)
         last = index.get(s, n)  # where the last new point leads: X[n] when s is solved
@@ -447,18 +441,14 @@ class Pair:
         return X[0], sweeps
 
     def _kappa_power(self, e: int, B: int) -> FreeSubmodule:
-        """kappa^e(f^B cD), one base-p digit of B per level: level k is kappa
-        of f^(digit k-1) times level k-1.  Level k depends on B only through
-        B mod p^k, so it is kept per (k, B mod p^k), shared by every e and B.
+        """kappa^e(f^B cD) up to N, for the series, whose sum holds N: one
+        base-p digit of B per level, level k the step `_step(digit k-1,
+        level k-1)`, so exponents that agree in B mod p^k share level k.
         The part B // p^e of f^B pulls out at the end."""
         p = self.M.ring.p
         Z = self.cD
-        for k in range(1, e + 1):
-            key = (k, B % p ** k)
-            if key not in self._kappas:
-                d = B // p ** (k - 1) % p
-                self._kappas[key] = kappa_span(self.M.structure, Z.scaled(self._power(d)))
-            Z = self._kappas[key]
+        for k in range(e):
+            Z = self._step(B // p ** k % p, Z)
         b = B // p ** e
         return Z.scaled(self._power(b)) if b else Z
 
@@ -529,7 +519,7 @@ class Pair:
             raise ValueError("need 0 <= t_min < t_max")
         if max_denominator < 1:
             raise ValueError("max_denominator must be >= 1")
-        ladder = _ladder(self.M.ring.p, self.e_cap, self.M.ring.p * max_denominator)
+        ladder = _ladder(self.M.ring.p, self.cap, self.M.ring.p * max_denominator)
         v0 = self.tau(lo).value
         end = self.tau(hi).value
         if not v0.contains(end):
@@ -559,11 +549,11 @@ def _next_point(p: int, s: Point) -> tuple[int, Point]:
     return m, (a // g, b // g)
 
 
-def _ladder(p: int, e_cap: int | None, limit: float = math.inf) -> int:
+def _ladder(p: int, cap: int, limit: float = math.inf) -> int:
     """The top rung (p-1) p^k <= limit, k at most the level cap, of the
     ladder of candidate denominators; every lower rung divides it."""
     d = p - 1
-    for _ in range(level_cap(e_cap)):
+    for _ in range(cap):
         if d * p > limit:
             break
         d *= p
@@ -664,7 +654,7 @@ def fpt(ring: Ring, f: Poly, max_denominator: int | None = None,
     lo, hi = nu_interval(ring, f, level)
     pair = Pair(CartierModule.over_ring(ring), f, e_cap=e_cap)
     full = full_module(ring, 1)
-    ladder = _ladder(p, e_cap)
+    ladder = _ladder(p, pair.cap)
     end = pair.tau(hi).value
     if end != full:
         q, value, _ = pair._first_jump(lo, full, hi, end, max_denominator, ladder)

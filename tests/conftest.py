@@ -83,13 +83,16 @@ def verify_test_element(M, f, t, c) -> bool:
 
 
 class SeededPair(Pair):
-    """A `Pair` whose orbit step is the relation of the defining series as
-    written, seed(m) + kappa(f^m X) (the seed holds N), unkept: the
-    reference for the seedless step of `Pair._step`."""
+    """A `Pair` whose step is the relation of the defining series as
+    written, seed(m) + kappa(f^m X) with seed(m) = kappa(f^(m+1) cD) + N
+    spanned here, unkept: the reference for the seedless step of
+    `Pair._step`.  Its seeds and first series levels are steps at X = cD,
+    where seed(m) lies in kappa(f^m cD) and adds nothing."""
 
     def _step(self, m, X):
-        incoming = kappa_span(self.M.structure, X.scaled(self.f ** m))
-        return self._seed(m).add(incoming).minimal_gens()
+        S, f = self.M.structure, self.f
+        seed = kappa_span(S, self.cD.scaled(f ** (m + 1))).add(self.M.pres.N)
+        return seed.add(kappa_span(S, X.scaled(f ** m))).minimal_gens()
 
 
 def replace_value(table, index: int, value):

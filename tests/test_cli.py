@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from cartierv import groebner
+from cartierv import cartier_mod, groebner
 from cartierv.cli import main, parse_fraction, parse_polynomial, parse_range
 from cartierv.errors import ParseError
 from cartierv.field_poly import Ring
@@ -314,6 +314,49 @@ def test_max_e_stays_with_its_call(capsys):
     assert level_cap() == 6
     assert run_cli(capsys, *series)[0] == 0
     assert run_cli(capsys, *jumps) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ("tau", "--vars", "x", "--f", "x", "--t", "1/2"),
+    ("tau", "--vars", "x", "--f", "x", "--t", "1/2", "--convention", "ceil_pe_minus_1"),
+    ("jumps", "--vars", "x", "--f", "x", "--range", "0..2"),
+    ("vfilt", "--vars", "x", "--f", "x", "--t-max", "2"),
+    ("gr", "--vars", "x", "--f", "x", "--range", "0..2"),
+    ("fpt", "--vars", "x,y", "--f", "x^2+y^3"),
+])
+def test_an_invalid_level_cap_exits_3(capsys, argv):
+    code, out, err = run_cli(capsys, argv[0], "--p", "3", *argv[1:], "--max-e", "0", "--json")
+    assert (code, out) == (3, "")
+    assert err == "cartierv: error [value] level cap must be >= 1\n"
+
+
+def test_a_module_without_gens_or_rels_runs_no_stability_check(capsys, monkeypatch):
+    # R^r and 0 are stable under any twist, so the CLI builds them unchecked
+    calls = []
+    real = cartier_mod._stability_failure
+
+    def counted(structure, sub):
+        calls.append(sub)
+        return real(structure, sub)
+    monkeypatch.setattr(cartier_mod, "_stability_failure", counted)
+    for twist in ((), ("--twist", "1,y;0,x")):
+        code, _, _ = run_cli(capsys, "tau", "--p", "3", "--vars", "x,y", *twist,
+                             "--f", "x", "--c", "x", "--t", "1/2", "--json")
+        assert code == 0
+    assert calls == []
+    # given generators are checked, and so is the zero module beside them
+    code, _, _ = run_cli(capsys, "tau", "--p", "3", "--vars", "x,y", "--twist", "x^2",
+                         "--gens", "x", "--f", "y", "--c", "x", "--t", "1/2", "--json")
+    assert code == 0
+    assert len(calls) == 2
+
+
+def test_a_numerator_the_twist_does_not_preserve_is_rejected(capsys):
+    code, out, err = run_cli(capsys, "tau", "--p", "3", "--vars", "x,y", "--twist", "1,y;0,x",
+                             "--gens", "x*y,y^2;0,x^2", "--f", "x", "--c", "x", "--t", "1/2")
+    assert (code, out) == (3, "")
+    assert err == ("cartierv: error [non-degenerate] module rejected: structure does not "
+                   "preserve the numerator: kappa of (x*y, y^2) times x^(1, 0) escapes\n")
 
 
 def test_left_limit_below_the_old_probe_ladder(capsys):

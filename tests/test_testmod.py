@@ -425,6 +425,21 @@ def test_pair_spec_validation():
     assert pair.tau(Fraction(1, 2)).value == full_module(R, 1)
 
 
+def test_an_invalid_level_cap_is_refused():
+    R = Ring(3, ("x",))
+    x = R.var("x")
+    M = CartierModule.over_ring(R)
+    for e_cap in (0, -1):
+        for convention in ("ceil_pe", "ceil_pe_minus_1"):
+            with pytest.raises(ValueError, match="level cap must be >= 1"):
+                tau(M, x, Fraction(1, 2), convention=convention, e_cap=e_cap)
+        with pytest.raises(ValueError, match="level cap must be >= 1"):
+            jumping_numbers(M, x, 0, 2, 6, e_cap=e_cap)
+        with pytest.raises(ValueError, match="level cap must be >= 1"):
+            fpt(R, x, e_cap=e_cap)
+    assert Pair(M, x).cap == level_cap() and Pair(M, x, e_cap=2).cap == 2
+
+
 MEMO_GRID = tuple(sorted({Fraction(0), Fraction(2), Fraction(7, 3)}
                          | {Fraction(k, d) for d in (1, 2, 3, 4, 6) for k in range(1, 2 * d)}))
 
@@ -499,27 +514,38 @@ def counted_steps(monkeypatch):
 
 
 def test_pair_keeps_one_seed_per_shift():
+    # the seed of shift m < p is the step kept under (m + 1, cD); the one of
+    # shift p - 1 is f times the step (0, cD)
     R = Ring(3, ("x", "y"))
     x, y = R.gens()
     pair = Pair(CartierModule.over_ring(R, x + y), x ** 2 * y)
+
+    def seeds():
+        return {m for m, X in pair._steps if X == pair.cD}
     for t in MEMO_GRID:
         pair.tau(t)
         if t > 0:
             pair.left_limit(t)
-        assert set(pair._seeds) <= {0, 1, 2}
-    assert set(pair._seeds) == {0, 1, 2}
+        assert seeds() <= {0, 1, 2, 3}
+    assert seeds() == {0, 1, 2, 3}
+    for m in range(3):
+        want = kappa_span(pair.M.structure, pair.cD.scaled(pair.f ** (m + 1)))
+        assert pair._steps[m + 1, pair.cD] == want
 
 
 def test_confirming_sweep_takes_no_step(monkeypatch):
-    # p = 2: 1/3 -> 2/3 -> 1/3 is a 2-cycle solved in 3 sweeps; the second
-    # sweep steps both points, the third (confirming) one steps neither
+    # p = 2: 1/3 -> 2/3 -> 1/3 is a 2-cycle of shifts 0 and 1 solved in 3
+    # sweeps; after the seeds (steps 1 and 2 at cD, where step 2 = p takes
+    # step 0 at cD), the first and second sweeps step both points, the third
+    # (confirming) one steps neither
     R = Ring(2, ("x",))
     x = R.var("x")
     shifts = counted_steps(monkeypatch)
     got = Pair(CartierModule.over_ring(R), x).tau(Fraction(1, 3))
     assert got.stabilized_at_e == 3
-    assert len(shifts) == 4
-    # a point whose orbit runs into a solved one is stepped once
+    assert shifts == [1, 2, 0, 1, 0, 1, 0]
+    # a point whose orbit runs into a solved one is stepped once, after its
+    # seed
     R3 = Ring(3, ("x", "y"))
     x, y = R3.gens()
     M, f = CartierModule.over_ring(R3, x + y), x ** 2 * y
@@ -528,7 +554,7 @@ def test_confirming_sweep_takes_no_step(monkeypatch):
     pair.tau(Fraction(1, 2))
     shifts.clear()
     assert pair.tau(Fraction(1, 6)) == want
-    assert shifts == [0]
+    assert shifts == [1, 0]
 
 
 def test_shared_pair_serves_points_of_a_solved_orbit(monkeypatch):
@@ -601,27 +627,29 @@ def spans_in_steps(monkeypatch):
 
 def test_scan_spans_each_orbit_step_once(monkeypatch):
     # the orbits of a scan's tau values and left limits keep meeting the same
-    # (shift, value); each is spanned once per Pair
+    # (shift, value), and the seeds the same (m + 1, cD); each is spanned
+    # once per Pair
     R = Ring(3, ("x", "y"))
     x, y = R.gens()
     M, f = CartierModule.over_ring(R, x + y), x ** 2 * y
     want = jumping_numbers(M, f, 0, 2, 18)
     pair = Pair(M, f)
-    for m in range(3):
-        pair._seed(m)  # seeds are kept per shift; only the steps' spans are counted
     shifts = counted_steps(monkeypatch)
     spanned = spans_in_steps(monkeypatch)
     assert pair.jumping_numbers(0, 2, 18) == want
     assert len(spanned) == len(set(spanned))
     assert len(shifts) > len(spanned)  # the scan repeats steps
-    assert len(pair._steps) == len(spanned)
+    # a step of shift p = 3, the seed of shift 2, spans nothing of its own
+    assert len(pair._steps) == len(spanned) + 1
+    assert {(m, pair.cD.groebner()) for m in (0, 1, 2)} <= set(spanned)
+    assert (3, pair.cD) in pair._steps
 
 
 def test_equal_value_in_another_object_hits_the_step_memo(monkeypatch):
     R = Ring(3, ("x", "y"))
     x, y = R.gens()
     pair = Pair(CartierModule.over_ring(R, x + y), x ** 2 * y)
-    X = pair._seed(0)
+    X = pair._step(1, pair.cD)  # the seed of shift 0
     first = {m: pair._step(m, X) for m in range(3)}
     # the memo must tell the shifts apart, and the values
     assert first[0] != first[2]
@@ -630,6 +658,9 @@ def test_equal_value_in_another_object_hits_the_step_memo(monkeypatch):
     same = FreeSubmodule(R, 1, X.gens + ((x * X.gens[0][0],),))
     assert same is not X and same.gens != X.gens
     assert all(pair._step(m, same) is first[m] for m in range(3))
+    # and a cD in another object finds the seed
+    cD = FreeSubmodule(R, 1, pair.cD.gens + ((x * pair.cD.gens[0][0],),))
+    assert cD is not pair.cD and pair._step(1, cD) is X
     assert spanned == []
 
 
@@ -890,31 +921,45 @@ def test_pushforward_of_a_root_cover_has_the_cover_jumps():
 
 
 def test_kappa_power_matches_direct_powers():
-    # a level kept under (k, B mod p^k) serves every e and B sharing those digits
+    # kappa^e(f^B cD) modulo N, one step per base-p digit of B: level k is
+    # one step memo entry, shared by every e and B that agree in B mod p^k
     rng = random.Random(71)
+    cases = []
     for p in (2, 3, 5):
         for names in (("x",), ("x", "y")):
             R = Ring(p, names)
             x = R.var("x")
             u = random_poly(rng, R, 2, nonzero=True)
             f = x * (random_poly(rng, R, 1) + R.one())
-            if (u * f).is_zero():
-                continue
-            pair = Pair(CartierModule.over_ring(R, u), f)
-            for e in (1, 2, 3):
-                for B in [0, p ** e - 1, p ** e] + [rng.randrange(p ** 3) for _ in range(3)]:
-                    want = pair.cD.scaled(f ** B)
-                    for _ in range(e):
-                        want = kappa_span(pair.M.structure, want)
-                    assert pair._kappa_power(e, B) == want, (p, names, e, B)
-            assert all(r < p ** k for k, r in pair._kappas)
+            if not (u * f).is_zero():
+                cases.append((CartierModule.over_ring(R, u), f, None))
+    for p in (2, 3):
+        P = Ring(p, ("x", "y"))
+        x, y = P.gens()
+        cases.append((make_extension(P, y ** p - y - x).quotient_module(), x, x))
+    with_relations = 0
+    for M, f, c in cases:
+        pair, p, N = Pair(M, f, c), M.ring.p, M.pres.N
+        with_relations += not N.is_zero()
+        levels = set()
+        for e in (1, 2, 3):
+            for B in [0, p ** e - 1, p ** e] + [rng.randrange(p ** 3) for _ in range(3)]:
+                want = pair.cD.scaled(f ** B)
+                for _ in range(e):
+                    want = kappa_span(M.structure, want)
+                assert pair._kappa_power(e, B).add(N) == want.add(N), (M, f, e, B)
+                levels |= {(k, B % p ** k) for k in range(1, e + 1)}
+        assert len(pair._steps) <= len(levels)
+    assert with_relations == 2
 
 
 def test_series_levels_share_their_digits(monkeypatch):
     # ceil_pe_minus_1 at t = 1/2, p = 3 reads kappa^e(f^{b_e} cD) for
-    # b_e = (3^e + 1)/2 = 2, 5, 14, ...: each extends the digits of the last,
-    # so every level takes one kappa, and the seed of the orbit of 1/2 is the
-    # first level.  The series stops at the first level whose sum is tau.
+    # b_e = (3^e + 1)/2 = 2, 5, 14, ...: each extends the digits of the last
+    # (2, then 1s), so level e is the step of shift 1 from level e - 1.  The
+    # orbit of 1/2 = 3/2 - 1 is a 1-cycle of shift 1 seeded at level 1, so
+    # its sweeps step the same (shift, value) as the series.  The series
+    # stops at the first level whose sum is tau.
     calls = []
     real = testmod.kappa_span
 
@@ -923,21 +968,22 @@ def test_series_levels_share_their_digits(monkeypatch):
         return real(structure, W)
     monkeypatch.setattr(testmod, "kappa_span", counted)
     # on the twisted line tau(1/2) = (x) is the first level: one kappa for
-    # it, one orbit step
+    # it, which is also the seed of 1/2, and one orbit step
     R = Ring(3, ("x",))
     x = R.var("x")
     pair = Pair(CartierModule.over_ring(R, x), x)
     got = pair.tau(Fraction(1, 2), convention="ceil_pe_minus_1")
     assert (got.value, got.stabilized_at_e, got.path) == (ideal(R, x), 1, "series+orbit")
-    assert set(pair._kappas) == {(1, 2)}
-    assert len(calls) == 2
-    # with twist x + y and f = xy the sum reaches tau at level 3: three
-    # levels, one kappa each, beside the orbit's steps
+    assert len(pair._steps) == len(calls) == 2
+    # with twist x + y and f = xy the sum reaches tau at level 3 and the
+    # orbit converges in 3 sweeps: the seed and the first two sweeps' steps
+    # are the three levels, so the series takes no kappa of its own and the
+    # four are the seed and the orbit's three steps
     R = Ring(3, ("x", "y"))
     x, y = R.gens()
     pair = Pair(CartierModule.over_ring(R, x + y), x * y)
     calls.clear()
     got = pair.tau(Fraction(1, 2), convention="ceil_pe_minus_1")
     assert (got.stabilized_at_e, got.path) == (3, "series+orbit")
-    assert set(pair._kappas) == {(1, 2), (2, 5), (3, 14)}
-    assert len(calls) == 3 + len(pair._steps)
+    assert pair.tau(Fraction(1, 2)).stabilized_at_e == 3
+    assert len(pair._steps) == len(calls) == 4
