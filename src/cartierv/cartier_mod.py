@@ -13,13 +13,14 @@ with U packed once per structure, serves both: `kappa_span` splits U W,
 
 Quotients are never first-class: a module supported on a closed subscheme
 is presented as a subquotient W/N of a free module over the ambient ring,
-with both W and N kappa-stable.
+with both W and N kappa-stable.  Both finite functors write their twist in
+closed form, from U and the reductions of y-powers mod g.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import CartierError, RankMismatchError, RingMismatchError
 from .field_poly import Poly, Ring, cartier_trace
@@ -33,7 +34,6 @@ from .groebner import (
     pack_matrix,
     preimage_within,
     twist_digits,
-    unit_vector,
     zero_module,
 )
 
@@ -418,9 +418,6 @@ class FiniteExtension:
             h = h - lead * self.y_power(k - d) * self.g
         return h
 
-    def reduce_vec(self, v: Vec) -> Vec:
-        return tuple(self.reduce(c) for c in v)
-
     def _coords(self, h: Poly) -> tuple[Poly, ...]:
         """Coordinates of a y-reduced element in the y-power basis, over base."""
         coeffs = h.coeffs_in_var(self.yidx)
@@ -443,17 +440,6 @@ class FiniteExtension:
         """P^r vector (y-reduced) -> base^{d r}, blocks indexed by y-power."""
         coords = [self._coords(self.reduce(c)) for c in v]
         return tuple(cs[j] for j in range(self.degree) for cs in coords)
-
-    def unsplit(self, w: Vec, r: int) -> Vec:
-        """Inverse of split: base^{d r} -> P^r."""
-        if len(w) != self.degree * r:
-            raise RankMismatchError("unsplit length mismatch")
-        out = [self.P.zero()] * r
-        for j in range(self.degree):
-            yj = self.y_power(j)
-            for i in range(r):
-                out[i] = out[i] + w[j * r + i].map_ring(self.P) * yj
-        return tuple(out)
 
     def quotient_structure(self, u: Poly | None = None) -> CartierStructure:
         """The Cartier structure C_P o g^{p-1} (times an optional base twist)
@@ -489,53 +475,40 @@ def make_extension(P: Ring, g: Poly) -> FiniteExtension:
     return FiniteExtension(P, g)
 
 
-def semilinear_structure(ring: Ring, rank: int,
-                         action: Callable[[Vec], Vec]) -> CartierStructure:
-    """Reconstruct the twist matrix of a p^{-1}-linear action.
-
-    A p^{-1}-linear map psi is psi(v) = C(G v) with
-    G = sum_a psi(x^{(p-1)(1,..,1)-a})^p x^a over digit monomials a; the
-    result is verified against the action on every digit monomial.
-    """
-    p = ring.p
-    top = tuple(p - 1 for _ in range(ring.n))
-    rows: list[list[Poly]] = [[ring.zero() for _ in range(rank)] for _ in range(rank)]
-    for j in range(rank):
-        for a in ring.digit_monomials(1):
-            comp = tuple(t - ai for t, ai in zip(top, a))
-            w = action(unit_vector(ring, rank, j, ring.monomial(comp)))
-            for i in range(rank):
-                rows[i][j] = rows[i][j] + w[i].frobenius_power(1).mul_monomial(a)
-    structure = CartierStructure(ring, rank, rows)
-    # a map defined only on digit monomials always looks semilinear, so the
-    # consistency probes go up to exponent 2p-2 in every variable
-    probes = sorted({tuple(ai + bi for ai, bi in zip(a, b))
-                     for a in ring.digit_monomials(1)
-                     for b in ring.digit_monomials(1)})
-    for j in range(rank):
-        for mon in probes:
-            probe = unit_vector(ring, rank, j, ring.monomial(mon))
-            if structure.apply(probe) != tuple(action(probe)):
-                raise CartierError("action is not p^{-1}-linear over the ring")
-    return structure
-
-
 def pushforward_finite(ext: FiniteExtension, M: CartierModule) -> CartierModule:
     """View a module over P = base[y] annihilated by g as a module over the
-    base ring, rank d*r, with the transported structure."""
+    base ring, rank d*r, with the transported structure.
+
+    Slot (j, i) holds the y^j coordinate of component i, as in `split`.  For
+    a in base, C_P(a y^k) = C(a) y^{(k-p+1)/p} when k = p-1 mod p and 0
+    otherwise, so with U y^j = sum_k y^k U_{jk} block (l, j) of the twist is
+    sum_{k = p-1 mod p} (coordinate l of y^{(k-p+1)/p} mod g)^p U_{jk}.
+    """
     if M.ring != ext.P:
         raise RingMismatchError("module not presented over the extension ring")
     g_full = full_module(ext.P, M.rank).scaled(ext.g)
     if not M.pres.N.contains(g_full):
         raise CartierError("denominator must absorb g times the free module")
-    r = M.rank
+    r, d, p = M.rank, ext.degree, ext.P.p
     W = pushforward_submodule(ext, M.pres.W, r)
     N = pushforward_submodule(ext, M.pres.N, r)
-
-    def action(v: Vec) -> Vec:
-        return ext.split(ext.reduce_vec(M.structure.apply(ext.unsplit(v, r))))
-
-    structure = semilinear_structure(ext.base, ext.degree * r, action)
+    U = M.structure.U
+    top = max(e.degree_in_var(ext.yidx) for row in U for e in row) + d - 1
+    # (coordinates of y^m mod g)^p, for each m that C_P reaches
+    lifts = [tuple(c.frobenius_power(1) for c in ext.split((ext.y_power(m),)))
+             for m in range(top // p + 1)]
+    rows: list[list[Poly]] = [[ext.base.zero()] * (d * r) for _ in range(d * r)]
+    for i in range(r):
+        for i2 in range(r):
+            for e, c in U[i][i2].coeffs_in_var(ext.yidx).items():
+                c = c.map_ring(ext.base)
+                # c y^e in U is c in U_{jk} for k = e + j; those k = p-1 mod p
+                # go to y^{(k-p+1)/p} = y^{k // p}
+                for j in range((p - 1 - e) % p, d, p):
+                    for l, a in enumerate(lifts[(e + j) // p]):
+                        if a.terms:
+                            rows[l * r + i][j * r + i2] += a * c
+    structure = CartierStructure(ext.base, d * r, rows)
     return CartierModule(QuotientPresentation(W, N), structure)
 
 

@@ -535,7 +535,8 @@ class FreeSubmodule:
                 and self._basis() == other._basis())
 
     def __hash__(self):
-        return hash((self.rank, tuple(frozenset(d.items()) for d, _ in self._basis())))
+        """The leads of the reduced basis, which equal submodules share."""
+        return hash((self.rank, tuple(lead for _, lead in self._basis())))
 
     def _compat(self, other: "FreeSubmodule"):
         if self.ring != other.ring:

@@ -9,7 +9,8 @@ from itertools import count, islice
 from operator import itemgetter, le
 from typing import Sequence
 
-from cartierv.cartier_mod import kappa_span
+from cartierv.cartier_mod import CartierStructure, kappa_span
+from cartierv.errors import CartierError, RankMismatchError
 from cartierv.field_poly import Monomial, cartier_trace
 from cartierv.groebner import (
     FreeSubmodule,
@@ -69,6 +70,49 @@ def trace_surjective(ext) -> bool:
     `FiniteExtension` generate the unit ideal."""
     I = ideal(ext.base, *ext.trace_values)
     return I.contains_vector((ext.base.one(),))
+
+
+def unsplit(ext, w, r: int):
+    """Inverse of `FiniteExtension.split`: base^{d r} -> P^r."""
+    if len(w) != ext.degree * r:
+        raise RankMismatchError("unsplit length mismatch")
+    out = [ext.P.zero()] * r
+    for j in range(ext.degree):
+        yj = ext.y_power(j)
+        for i in range(r):
+            out[i] = out[i] + w[j * r + i].map_ring(ext.P) * yj
+    return tuple(out)
+
+
+def semilinear_structure(ring, rank: int, action) -> CartierStructure:
+    """Reconstruct the twist matrix of a p^{-1}-linear action: the reference
+    for the closed-form twist of `pushforward_finite`.
+
+    A p^{-1}-linear map psi is psi(v) = C(G v) with
+    G = sum_a psi(x^{(p-1)(1,..,1)-a})^p x^a over digit monomials a; the
+    result is verified against the action on every digit monomial.
+    """
+    p = ring.p
+    top = tuple(p - 1 for _ in range(ring.n))
+    rows = [[ring.zero() for _ in range(rank)] for _ in range(rank)]
+    for j in range(rank):
+        for a in ring.digit_monomials(1):
+            comp = tuple(t - ai for t, ai in zip(top, a))
+            w = action(unit_vector(ring, rank, j, ring.monomial(comp)))
+            for i in range(rank):
+                rows[i][j] = rows[i][j] + w[i].frobenius_power(1).mul_monomial(a)
+    structure = CartierStructure(ring, rank, rows)
+    # a map defined only on digit monomials always looks semilinear, so the
+    # consistency probes go up to exponent 2p-2 in every variable
+    probes = sorted({tuple(ai + bi for ai, bi in zip(a, b))
+                     for a in ring.digit_monomials(1)
+                     for b in ring.digit_monomials(1)})
+    for j in range(rank):
+        for mon in probes:
+            probe = unit_vector(ring, rank, j, ring.monomial(mon))
+            if structure.apply(probe) != tuple(action(probe)):
+                raise CartierError("action is not p^{-1}-linear over the ring")
+    return structure
 
 
 def verify_test_element(M, f, t, c) -> bool:

@@ -20,7 +20,6 @@ from cartierv.cartier_mod import (
     nilpotence_order,
     pullback_etale,
     pushforward_finite,
-    semilinear_structure,
     shriek_finite,
     trace_kappa_commutes,
     underline,
@@ -45,8 +44,10 @@ from conftest import (
     apply_iter,
     intersect_by_elimination,
     random_poly,
+    semilinear_structure,
     trace_surjective,
     twisted_power,
+    unsplit,
 )
 
 
@@ -447,9 +448,9 @@ def test_split_unsplit_roundtrip():
     ext = make_extension(P, y ** 2 + y + x)
     for _ in range(10):
         v = tuple(random_poly(rng, ext.base, 4) for _ in range(4))
-        assert ext.split(ext.unsplit(v, 2)) == v
+        assert ext.split(unsplit(ext, v, 2)) == v
         h = random_poly(rng, P, 5)
-        assert ext.unsplit(ext.split((h,)), 1)[0] == ext.reduce(h)
+        assert unsplit(ext, ext.split((h,)), 1)[0] == ext.reduce(h)
 
 
 def test_trace_kappa_commutes_artin_schreier():
@@ -534,6 +535,43 @@ def test_pushforward_artin_schreier_structure():
     assert push.structure.apply((one, zero)) == (zero, zero)
     assert push.structure.apply((zero, one)) == (one, zero)
     assert is_F_pure(push)
+
+
+def _pushforward_modules(ext):
+    """The quotient module; the quotient with the twist y^(p d) + x, whose
+    kappa reaches y^d, the first y-power with coordinates mod g that are not
+    constants; and W = P^2 over N = g P^2 with U = g^(p-1) times entries in
+    y, stable since kappa(g v) = g kappa(v)."""
+    P, p, d = ext.P, ext.P.p, ext.degree
+    x, y = P.var("x"), P.var("y")
+    gp = ext.g ** (p - 1)
+    U = ((gp * y, gp), (gp * (y ** 2 + x), gp * y ** (d + 1)))
+    rank2 = CartierModule(QuotientPresentation(full_module(P, 2), full_module(P, 2).scaled(ext.g)),
+                          CartierStructure(P, 2, U))
+    return ext.quotient_module(), ext.quotient_module(y ** (p * d) + x), rank2
+
+
+def test_pushforward_twist_matches_the_reconstruction():
+    # the closed-form twist against the one the reference rebuilds from the
+    # transported action v -> split(reduce(kappa_M(unsplit(v))))
+    for p in (2, 3, 5, 7):
+        P = Ring(p, ("x", "y"))
+        x, y = P.gens()
+        covers = [(P, g) for g in (y ** 2 - x, y ** 3 - x, y ** 4 - x, y ** p - y - x,
+                                   y ** 2 - x ** 3, y ** 3 - y - x, y ** 2 + x * y + x)]
+        P3 = Ring(p, ("x", "z", "y"))
+        x, z, y = P3.gens()
+        covers.append((P3, y ** 2 - x * z))
+        for ring, g in covers:
+            ext = make_extension(ring, g)
+            for M in _pushforward_modules(ext):
+                r = M.rank
+
+                def action(v):
+                    return ext.split(tuple(ext.reduce(c) for c in
+                                           M.structure.apply(unsplit(ext, v, r))))
+                rebuilt = semilinear_structure(ext.base, ext.degree * r, action)
+                assert pushforward_finite(ext, M).structure.U == rebuilt.U, (p, g, r)
 
 
 def test_pushforward_requires_annihilator():

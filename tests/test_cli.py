@@ -107,10 +107,11 @@ def test_zero_ideal_generators(capsys):
 
 # the exact --json stdout of ten scan calls (the four vfilt pairs of
 # acceptance test_03 at p = 3, two jumps, the cusp fpt at p = 2 and 3, gr on
-# the twisted line in both conventions) and twelve tau calls (both
+# the twisted line in both conventions), twelve tau calls (both
 # conventions, t > 1, an explicit --c, twisted modules), whose bytes carry
-# stabilized_at_e; a change to how the scans or the orbit solver compute
-# must keep these bytes
+# stabilized_at_e, and `check --seed 0/1/2` and the six repro scenarios; a
+# change to how the scans, the orbit solver, the suites or the functors
+# compute must keep these bytes
 SCAN_GOLDEN = json.loads((Path(__file__).parent / "scan_golden.json").read_text("utf-8"))
 
 

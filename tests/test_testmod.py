@@ -12,6 +12,7 @@ from cartierv.cartier_mod import (
     kappa_span,
     make_extension,
     pushforward_finite,
+    pushforward_submodule,
     reduce_from_graph,
     shriek_finite,
 )
@@ -21,6 +22,7 @@ from cartierv.errors import (
     NonDegenerateError,
     StabilizationCapExceededError,
 )
+from cartierv.cli import parse_polynomial
 from cartierv.field_poly import Ring
 from cartierv.frobenius import level_cap
 from cartierv.groebner import (
@@ -918,6 +920,30 @@ def test_pushforward_of_a_root_cover_has_the_cover_jumps():
         f = ext.base.var("x")
         table = Pair(push, f, c=f).jumping_numbers(0, 2, 4 * n)
         assert table.jumps == tuple(Fraction(k, n) for k in range(1, 2 * n + 1)), (p, n)
+
+
+@pytest.mark.parametrize("p, names, g, f", [
+    (5, "x,y", "y^2 - x^3", "x"), (7, "x,y", "y^2 - x^3", "x"),
+    (2, "x,y", "y^3 - x^2", "x"), (5, "x,y", "y^3 - x^2", "x"),
+    (3, "x,z,y", "y^2 - x*z", "x"), (3, "x,z,y", "y^2 - x*z", "x*z"),
+    (2, "x,y", "y^3 - y - x", "x^2"), (5, "x,y", "y^3 - y - x", "x^2"),
+    (3, "x,y", "y^2 + x*y + x", "x"), (5, "x,y", "y^2 + x*y + x", "x"),
+])
+def test_pushforward_carries_the_whole_table(p, names, g, f):
+    # the tables of the cover S = P/(g) and of its pushforward to the base,
+    # both with c = f: the same jumps on [0, 2], and pushforward_submodule
+    # sends v0, each value and each left limit of the cover to the base's
+    P = Ring(p, tuple(names.split(",")))
+    ext = make_extension(P, parse_polynomial(g, P))
+    MS = ext.quotient_module()
+    f = parse_polynomial(f, P)
+    fb = f.map_ring(ext.base)
+    cover = Pair(MS, f, c=f).jumping_numbers(0, 2, 12)
+    base = Pair(pushforward_finite(ext, MS), fb, c=fb).jumping_numbers(0, 2, 12)
+    assert cover.jumps and base.jumps == cover.jumps
+    pushed = [pushforward_submodule(ext, V, 1)
+              for V in (cover.v0, *cover.values, *cover.left_limits)]
+    assert pushed == [base.v0, *base.values, *base.left_limits]
 
 
 def test_kappa_power_matches_direct_powers():
