@@ -14,7 +14,7 @@ with U packed once per structure, serves both: `kappa_span` splits U W,
 Quotients are never first-class: a module supported on a closed subscheme
 is presented as a subquotient W/N of a free module over the ambient ring,
 with both W and N kappa-stable.  Both finite functors write their twist in
-closed form, from U and the reductions of y-powers mod g.
+closed form, from U and the coordinates of y-powers mod g.
 """
 
 from __future__ import annotations
@@ -39,29 +39,6 @@ from .groebner import (
 
 MAX_IMAGE_ITERATIONS = 256
 GRAPH_VAR = "s"
-
-
-# -- vector helpers -----------------------------------------------------------
-
-
-def vec_mul_poly(v: Vec, g: Poly) -> Vec:
-    return tuple(g * f for f in v)
-
-
-def vec_sub(v: Vec, w: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(v, w))
-
-
-def _mat_vec(ring: Ring, rows: Sequence[Sequence[Poly]], v: Vec) -> list[Poly]:
-    """rows * v, skipping zero entries."""
-    out = []
-    for row in rows:
-        acc = ring.zero()
-        for entry, comp in zip(row, v):
-            if entry.terms and comp.terms:
-                acc = acc + entry * comp
-        out.append(acc)
-    return out
 
 
 # -- structures ---------------------------------------------------------------
@@ -270,7 +247,10 @@ class CartierMorphism:
         self.matrix = rows
 
     def apply(self, v: Vec) -> Vec:
-        return tuple(_mat_vec(self.source.ring, self.matrix, v))
+        """matrix * v, skipping zero entries."""
+        zero = self.source.ring.zero()
+        return tuple(sum((e * c for e, c in zip(row, v) if e.terms and c.terms), zero)
+                     for row in self.matrix)
 
 
 def morphism_check(phi: CartierMorphism) -> tuple[bool, str]:
@@ -292,7 +272,8 @@ def morphism_check(phi: CartierMorphism) -> tuple[bool, str]:
         images = zip(digits, src.structure.digit_images(w),
                      tgt.structure.digit_images(phi.apply(w)))
         for a, lhs, rhs in images:
-            if not tgt.pres.N.contains_vector(vec_sub(phi.apply(lhs), rhs)):
+            diff = tuple(s - t for s, t in zip(phi.apply(lhs), rhs))
+            if not tgt.pres.N.contains_vector(diff):
                 return False, f"structures do not intertwine on x^{a} * {_vec_str(w)}"
     return True, "ok"
 
@@ -350,8 +331,7 @@ def graph_embed(M: CartierModule, f: Poly) -> CartierModule:
     s = ext.var(GRAPH_VAR)
     f_ext = f.map_ring(ext)
     W = M.pres.W.map_ring(ext)
-    relations = [vec_mul_poly(tuple(c.map_ring(ext) for c in w), s - f_ext)
-                 for w in M.pres.W.gens]
+    relations = [tuple((s - f_ext) * c.map_ring(ext) for c in w) for w in M.pres.W.gens]
     N = M.pres.N.map_ring(ext).add_vectors(relations)
     twist = (s - f_ext) ** (ext.p - 1)
     structure = M.structure.map_ring(ext).twisted(twist)
@@ -373,11 +353,12 @@ def reduce_from_graph(sub: FreeSubmodule, base: Ring, f: Poly) -> FreeSubmodule:
 class FiniteExtension:
     """S = P/(g) finite free over the base ring, g monic in the last variable.
 
-    Carries the y-power basis 1, y, .., y^{d-1}, the Frobenius reduction
-    rows (y^{jp} mod g), trace values and the discriminant.
+    Elements are held by their coordinates over the base in the basis 1, .., y^{d-1}.
+    `_coords` reduces any h in P to them, for `split`, `reduce`, `trace`, the Frobenius
+    rows y^{jp}, the traces Tr(y^k) = sum_j (y^{k+j})_j and the discriminant.
     """
 
-    __slots__ = ("P", "base", "g", "yidx", "degree", "frob_rows", "trace_values",
+    __slots__ = ("P", "base", "g", "yidx", "degree", "_tail", "frob_rows", "trace_values",
                  "discriminant")
 
     def __init__(self, P: Ring, g: Poly):
@@ -389,17 +370,18 @@ class FiniteExtension:
         d = g.degree_in_var(yidx)
         if d < 1:
             raise ValueError("extension polynomial must involve the last variable")
-        lead = g.coeffs_in_var(yidx).get(d)
-        if lead is None or not lead.is_one():
+        if not g.coeffs_in_var(yidx)[d].is_one():
             raise ValueError("extension polynomial must be monic in the last variable")
         self.P = P
         self.base = P.drop_last()
         self.g = g
         self.yidx = yidx
         self.degree = d
-        self.frob_rows = tuple(self._coords(self.reduce(self.y_power(j * P.p)))
-                               for j in range(d))
-        traces = [self._trace_reduced(self.reduce(self.y_power(k))) for k in range(2 * d - 1)]
+        self._tail = self._coords(g - self.y_power(d))  # below degree d: takes no step
+        self.frob_rows = tuple(self._coords(self.y_power(j * P.p)) for j in range(d))
+        powers = [self._coords(self.y_power(m)) for m in range(3 * d - 2)]
+        traces = [sum((powers[k + j][j] for j in range(d)), self.base.zero())
+                  for k in range(2 * d - 1)]
         self.trace_values = tuple(traces[:d])
         self.discriminant = _det([[traces[i + j] for j in range(d)] for i in range(d)])
 
@@ -408,37 +390,29 @@ class FiniteExtension:
         exps[self.yidx] = k
         return self.P.monomial(tuple(exps))
 
-    def reduce(self, h: Poly) -> Poly:
-        """Normal form with y-degree < d, dividing by the monic g."""
-        d = self.degree
-        while h.degree_in_var(self.yidx) >= d:
-            k = h.degree_in_var(self.yidx)
-            coeffs = h.coeffs_in_var(self.yidx)
-            lead = coeffs[k]
-            h = h - lead * self.y_power(k - d) * self.g
-        return h
-
     def _coords(self, h: Poly) -> tuple[Poly, ...]:
-        """Coordinates of a y-reduced element in the y-power basis, over base."""
-        coeffs = h.coeffs_in_var(self.yidx)
-        return tuple(coeffs.get(k, self.P.zero()).map_ring(self.base)
-                     for k in range(self.degree))
+        """Coordinates of h mod g over base, by Horner's rule from the top d coefficients
+        down: y (c_0, .., c_{d-1}) = (0, c_0, .., c_{d-2}) - c_{d-1} (g - y^d)."""
+        coeffs = {k: c.map_ring(self.base) for k, c in h.coeffs_in_var(self.yidx).items()}
+        zero, low = self.base.zero(), max(max(coeffs, default=0) - self.degree + 1, 0)
+        out = [coeffs.get(k, zero) for k in range(low, low + self.degree)]
+        for k in range(low - 1, -1, -1):
+            top, out = out[-1], [coeffs.get(k, zero)] + out[:-1]
+            out = [c - top * t if t.terms else c for c, t in zip(out, self._tail)]
+        return tuple(out)
 
-    def _trace_reduced(self, h: Poly) -> Poly:
-        """Trace of multiplication by a y-reduced element."""
-        acc = self.base.zero()
-        for j in range(self.degree):
-            prod = self.reduce(h * self.y_power(j))
-            acc = acc + self._coords(prod)[j]
-        return acc
+    def reduce(self, h: Poly) -> Poly:
+        """Normal form of h mod g, of y-degree below d."""
+        return sum((c.map_ring(self.P) * self.y_power(k) for k, c in enumerate(self._coords(h))),
+                   self.P.zero())
 
     def trace(self, s: Poly) -> Poly:
-        """Field trace S -> base ring."""
-        return self._trace_reduced(self.reduce(s))
+        """Field trace S -> base ring, sum_k s_k Tr(y^k) over the coordinates s_k."""
+        return sum((c * t for c, t in zip(self._coords(s), self.trace_values)), self.base.zero())
 
     def split(self, v: Vec) -> Vec:
-        """P^r vector (y-reduced) -> base^{d r}, blocks indexed by y-power."""
-        coords = [self._coords(self.reduce(c)) for c in v]
+        """P^r vector -> base^{d r}, coordinates mod g in blocks indexed by y-power."""
+        coords = [self._coords(c) for c in v]
         return tuple(cs[j] for j in range(self.degree) for cs in coords)
 
     def quotient_structure(self, u: Poly | None = None) -> CartierStructure:
@@ -459,16 +433,22 @@ class FiniteExtension:
 
 
 def _det(matrix: list[list[Poly]]) -> Poly:
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    ring = matrix[0][0].ring
-    out = ring.zero()
-    for j in range(n):
-        minor = [[matrix[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = matrix[0][j] * _det(minor)
-        out = out + (term if j % 2 == 0 else -term)
-    return out
+    """Determinant by Bareiss elimination: each division by the last pivot is exact
+    in the domain, and a row swap negates the row it moves down."""
+    a = [list(row) for row in matrix]
+    n = len(a)
+    prev = a[0][0].ring.one()
+    for k in range(n - 1):
+        if a[k][k].is_zero():
+            swap = next((i for i in range(k + 1, n) if a[i][k].terms), None)
+            if swap is None:
+                return prev.ring.zero()
+            a[k], a[swap] = a[swap], [-e for e in a[k]]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]).div_exact(prev)
+        prev = a[k][k]
+    return a[-1][-1]
 
 
 def make_extension(P: Ring, g: Poly) -> FiniteExtension:
@@ -592,7 +572,7 @@ def trace_kappa_commutes(ext: FiniteExtension, samples: Iterable[Poly],
     for s in samples:
         if s.ring != ext.P:
             raise RingMismatchError("sample over wrong ring")
-        lhs = ext.trace(ext.reduce(kS.apply((s,))[0]))
+        lhs = ext.trace(kS.apply((s,))[0])
         rhs = cartier_trace(base_u * ext.trace(s), 1)
         if lhs != rhs:
             return False

@@ -11,7 +11,7 @@ from typing import Sequence
 
 from cartierv.cartier_mod import CartierStructure, kappa_span
 from cartierv.errors import CartierError, RankMismatchError
-from cartierv.field_poly import Monomial, cartier_trace
+from cartierv.field_poly import Monomial, Poly, Ring, cartier_trace
 from cartierv.groebner import (
     FreeSubmodule,
     _Code,
@@ -113,6 +113,37 @@ def semilinear_structure(ring, rank: int, action) -> CartierStructure:
             if structure.apply(probe) != tuple(action(probe)):
                 raise CartierError("action is not p^{-1}-linear over the ring")
     return structure
+
+
+def sympy_symbols(ring: Ring):
+    import sympy
+
+    syms = sympy.symbols(ring.names)
+    return (syms,) if ring.n == 1 else syms
+
+
+def to_sympy(f: Poly, syms):
+    import sympy
+
+    expr = sympy.Integer(0)
+    for m, c in f.terms.items():
+        t = sympy.Integer(c)
+        for s, e in zip(syms, m):
+            t *= s**e
+        expr += t
+    return expr
+
+
+def from_sympy(ring: Ring, expr, syms) -> Poly:
+    """A sympy expression over F_p back as a Poly; sympy's symmetric
+    coefficients are taken mod p."""
+    import sympy
+
+    poly = sympy.Poly(expr, *syms, modulus=ring.p)
+    f = ring.zero()
+    for mon, coeff in poly.terms():
+        f = f + ring.monomial(tuple(mon), int(coeff) % ring.p)
+    return f
 
 
 def verify_test_element(M, f, t, c) -> bool:

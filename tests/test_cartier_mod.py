@@ -42,9 +42,13 @@ from cartierv.groebner import (
 
 from conftest import (
     apply_iter,
+    budget,
+    from_sympy,
     intersect_by_elimination,
     random_poly,
     semilinear_structure,
+    sympy_symbols,
+    to_sympy,
     trace_surjective,
     twisted_power,
     unsplit,
@@ -427,6 +431,18 @@ def test_extension_artin_schreier_traces():
     assert trace_surjective(ext3)
 
 
+def _random_covers(rng):
+    """20 random monic covers y^d + (lower terms in y) over F_p[x] and
+    F_p[x, z], one for each p in {2, 3, 5, 7} and d = 1..5."""
+    for i in range(20):
+        p, d = (2, 3, 5, 7)[i % 4], 1 + i % 5
+        P = Ring(p, (("x", "y"), ("x", "z", "y"))[i // 4 % 2])
+        y = P.gens()[-1]
+        g = sum((random_poly(rng, P.drop_last(), 2).map_ring(P) * y ** k for k in range(d)),
+                y ** d)
+        yield make_extension(P, g)
+
+
 def test_extension_reduce_roundtrip():
     rng = random.Random(13)
     P = Ring(3, ("x", "y"))
@@ -439,6 +455,61 @@ def test_extension_reduce_roundtrip():
         assert r.degree_in_var(1) < 2
         diff = h - r
         assert diff.is_zero() or diff.div_exact(g) is not None
+    # h of y-degree 3d on random covers: g divides h - reduce(h)
+    for ext in _random_covers(random.Random(14)):
+        d, y = ext.degree, ext.P.gens()[-1]
+        h = sum((random_poly(rng, ext.base, 1, nonzero=k == 3 * d).map_ring(ext.P) * y ** k
+                 for k in (0, rng.randrange(1, 3 * d), 3 * d)), ext.P.zero())
+        r = ext.reduce(h)
+        assert r.degree_in_var(ext.yidx) < d
+        assert (h - r).div_exact(ext.g) is not None, (ext, h)
+
+
+def test_discriminant_matches_sympy():
+    # sympy's discriminant of g over Z, reduced mod p: for monic g it is an
+    # integer polynomial in the coefficients, so reduction commutes with it
+    import sympy
+
+    for ext in _random_covers(random.Random(83)):
+        syms = sympy_symbols(ext.P)
+        want = sympy.discriminant(to_sympy(ext.g, syms), syms[-1])
+        assert ext.discriminant == from_sympy(ext.base, want, syms[:-1]), ext
+
+
+def test_trace_values_match_newtons_identities():
+    # the power sums p_k of the roots of g = y^d + a_{d-1} y^{d-1} + .. + a_0:
+    # p_k = -(k a_{d-k} + sum_{i=1}^{min(k-1, d)} a_{d-i} p_{k-i}), the first
+    # term only for k <= d
+    for ext in _random_covers(random.Random(89)):
+        d, zero = ext.degree, ext.base.zero()
+        a = {k: c.map_ring(ext.base) for k, c in ext.g.coeffs_in_var(ext.yidx).items()}
+        sums = [ext.base.constant(d)]
+        for k in range(1, 2 * d - 1):
+            s = a.get(d - k, zero).scale(k) if k <= d else zero
+            for i in range(1, min(k, d + 1)):
+                s = s + a.get(d - i, zero) * sums[k - i]
+            sums.append(-s)
+        assert ext.trace_values == tuple(sums[:d]), ext
+        y = ext.P.gens()[-1]
+        assert [ext.trace(y ** k) for k in range(2 * d - 1)] == sums, ext
+
+
+def test_discriminants_of_large_covers_in_closed_form():
+    # disc(y^p - y - x) = (-1)^{p(p+1)/2}, disc(y^n - x) = (-1)^{n(n-1)/2} n^n (-x)^{n-1};
+    # the Hankel matrix of y^p - y - x needs row swaps, since Tr(1) = p = 0
+    for p in (7, 11, 13):
+        P = Ring(p, ("x", "y"))
+        x, y = P.gens()
+        with budget(1):
+            ext = make_extension(P, y ** p - y - x)
+        assert ext.discriminant == ext.base.constant((-1) ** (p * (p + 1) // 2)), p
+    for p, n in ((3, 10), (7, 11), (5, 12)):
+        P = Ring(p, ("x", "y"))
+        x, y = P.gens()
+        with budget(1):
+            ext = make_extension(P, y ** n - x)
+        want = (-ext.base.var("x")) ** (n - 1)
+        assert ext.discriminant == want.scale((-1) ** (n * (n - 1) // 2) * n ** n), (p, n)
 
 
 def test_split_unsplit_roundtrip():

@@ -32,46 +32,18 @@ from cartierv.groebner import (
 from conftest import (
     budget,
     colon_by_elimination,
+    from_sympy,
     intersect_by_elimination,
     random_poly,
     reference_buchberger,
     reference_key,
+    sympy_symbols,
+    to_sympy,
     total_degree,
 )
 
 
 # -- independent oracles -------------------------------------------------------
-
-
-def sympy_symbols(ring: Ring):
-    import sympy
-
-    syms = sympy.symbols(ring.names)
-    return (syms,) if ring.n == 1 else syms
-
-
-def to_sympy(f: Poly, syms):
-    import sympy
-
-    expr = sympy.Integer(0)
-    for m, c in f.terms.items():
-        t = sympy.Integer(c)
-        for s, e in zip(syms, m):
-            t *= s**e
-        expr += t
-    return expr
-
-
-def from_sympy(ring: Ring, expr, syms) -> Poly:
-    """A sympy expression over F_p back as a Poly; sympy's symmetric
-    coefficients are taken mod p."""
-    import sympy
-
-    poly = sympy.Poly(expr, *syms, modulus=ring.p)
-    f = ring.zero()
-    for mon, coeff in poly.terms():
-        f = f + ring.monomial(tuple(mon), int(coeff) % ring.p)
-    return f
 
 
 def sympy_reduced_gb(ring: Ring, polys, order="grevlex"):

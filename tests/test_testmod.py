@@ -11,6 +11,7 @@ from cartierv.cartier_mod import (
     graph_embed,
     kappa_span,
     make_extension,
+    pullback_etale,
     pushforward_finite,
     pushforward_submodule,
     reduce_from_graph,
@@ -28,6 +29,7 @@ from cartierv.frobenius import level_cap
 from cartierv.groebner import (
     FreeSubmodule,
     QuotientPresentation,
+    eliminate,
     full_module,
     ideal,
     zero_module,
@@ -912,7 +914,7 @@ def test_root_path_summands_lie_in_tau():
 def test_pushforward_of_a_root_cover_has_the_cover_jumps():
     # S = F_p[x, y]/(y^n - x) pushed down to F_p[x], f = c = x: x is y^n on
     # S = F_p[y], whose tau(y^{n t}) = (y^floor(n t)) jumps at k/n
-    for p, n in ((3, 2), (5, 2), (2, 3), (5, 3), (7, 3), (3, 4)):
+    for p, n in ((3, 2), (5, 2), (2, 3), (5, 3), (7, 3), (3, 4), (3, 10), (7, 11), (5, 12)):
         P = Ring(p, ("x", "y"))
         x, y = P.gens()
         ext = make_extension(P, y ** n - x)
@@ -928,6 +930,9 @@ def test_pushforward_of_a_root_cover_has_the_cover_jumps():
     (3, "x,z,y", "y^2 - x*z", "x"), (3, "x,z,y", "y^2 - x*z", "x*z"),
     (2, "x,y", "y^3 - y - x", "x^2"), (5, "x,y", "y^3 - y - x", "x^2"),
     (3, "x,y", "y^2 + x*y + x", "x"), (5, "x,y", "y^2 + x*y + x", "x"),
+    (7, "x,y", "y^7 - y - x", "x"), (7, "x,y", "y^7 - y - x", "x^2"),
+    (11, "x,y", "y^11 - y - x", "x"), (11, "x,y", "y^11 - y - x", "x^2"),
+    (13, "x,y", "y^13 - y - x", "x"), (13, "x,y", "y^13 - y - x", "x^2"),
 ])
 def test_pushforward_carries_the_whole_table(p, names, g, f):
     # the tables of the cover S = P/(g) and of its pushforward to the base,
@@ -944,6 +949,29 @@ def test_pushforward_carries_the_whole_table(p, names, g, f):
     pushed = [pushforward_submodule(ext, V, 1)
               for V in (cover.v0, *cover.values, *cover.left_limits)]
     assert pushed == [base.v0, *base.values, *base.left_limits]
+
+
+def test_pullback_carries_the_whole_table():
+    # the etale pullback of (F_p[x], C) to S = F_p[x, y]/(y^p - y - x) and the
+    # base, both with c = f = x^k: the same jumps on [0, 2], which are j/k by
+    # the monomial formula, and eliminating y sends v0, each value and each
+    # left limit of the pullback to the base's
+    for p in (2, 3, 5, 7, 11):
+        P = Ring(p, ("x", "y"))
+        x, y = P.gens()
+        ext = make_extension(P, y ** p - y - x)
+        R = ext.base
+        M = CartierModule.over_ring(R)
+        pull = pullback_etale(ext, M)
+        for k in (1, 2, 3):
+            f, fb = x ** k, R.var("x") ** k
+            cover = Pair(pull, f, c=f).jumping_numbers(0, 2, 12)
+            base = Pair(M, fb, c=fb).jumping_numbers(0, 2, 12)
+            assert base.jumps == tuple(Fraction(j, k) for j in range(1, 2 * k + 1)), (p, k)
+            assert cover.jumps == base.jumps, (p, k)
+            down = [eliminate(V, {1}).map_ring(R)
+                    for V in (cover.v0, *cover.values, *cover.left_limits)]
+            assert down == [base.v0, *base.values, *base.left_limits], (p, k)
 
 
 def test_kappa_power_matches_direct_powers():
