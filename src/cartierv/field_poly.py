@@ -13,6 +13,7 @@ and satisfies C_e(g^{p^e} f) = g C_e(f).
 
 from __future__ import annotations
 
+import heapq
 import operator
 from itertools import product
 
@@ -280,9 +281,14 @@ class Poly:
         gm, gc = g.leading()
         gc_inv = pow(gc, p - 2, p)
         rem = dict(self.terms)
+        # the remainder's terms, grevlex-largest on top: (-degree, reversed exponents)
+        heap = [(-sum(m), m[::-1]) for m in rem]
+        heapq.heapify(heap)
         quot: dict[Monomial, int] = {}
-        while rem:
-            m = max(rem, key=grevlex_key)
+        while heap:
+            m = heapq.heappop(heap)[1][::-1]
+            if m not in rem:
+                continue  # cancelled after it was pushed
             q = mon_div(m, gm)
             if q is None:
                 return None
@@ -291,10 +297,12 @@ class Poly:
             for m2, c2 in g.terms.items():
                 mm = mon_mul(q, m2)
                 v = (rem.get(mm, 0) - c * c2) % p
-                if v:
-                    rem[mm] = v
-                else:
+                if not v:
                     rem.pop(mm, None)
+                    continue
+                if mm not in rem:
+                    heapq.heappush(heap, (-sum(mm), mm[::-1]))
+                rem[mm] = v
         return Poly(self.ring, quot)
 
     # -- structural maps ----------------------------------------------------

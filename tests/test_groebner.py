@@ -211,15 +211,20 @@ def _katsura(R: Ring) -> list[Poly]:
     return polys
 
 
+def _dense_quadrics(rng: random.Random, p: int) -> list[Poly]:
+    """Four quadrics in four variables over F_p with every monomial of
+    degree at most 2."""
+    R = Ring(p, ("x", "y", "z", "w"))
+    quad = [m for m in product(range(3), repeat=4) if sum(m) <= 2]
+    return [sum((R.monomial(m, rng.randint(1, p - 1)) for m in quad), R.zero())
+            for _ in range(4)]
+
+
 def test_reduced_gb_matches_sympy_where_pair_criteria_fire():
     """Ideals whose bases drop many pairs by the chain criterion."""
     cases = [_cyclic(Ring(101, ("a", "b", "c", "d"))), _katsura(Ring(101, ("a", "b", "c", "d")))]
     rng = random.Random(61)
-    quad = [m for m in product(range(3), repeat=4) if sum(m) <= 2]
-    for p in (5, 7, 5, 7):
-        R = Ring(p, ("x", "y", "z", "w"))
-        cases.append([sum((R.monomial(m, rng.randint(1, p - 1)) for m in quad), R.zero())
-                      for _ in range(4)])
+    cases += [_dense_quadrics(rng, p) for p in (5, 7, 5, 7)]
     for gens in cases:
         R = gens[0].ring
         mine = sorted(v[0].to_str() for v in ideal(R, *gens).groebner())
@@ -367,16 +372,60 @@ def test_signature_criteria_leave_few_reductions(monkeypatch):
 
     monkeypatch.setattr(groebner, "_reduce", counted)
     rng = random.Random(61)
-    quad = [m for m in product(range(3), repeat=4) if sum(m) <= 2]
     cases = [(_cyclic(Ring(101, ("a", "b", "c", "d", "e"))), 55, 8)]
-    for p in (5, 7, 5, 7):
-        R = Ring(p, ("x", "y", "z", "w"))
-        cases.append(([sum((R.monomial(m, rng.randint(1, p - 1)) for m in quad), R.zero())
-                       for _ in range(4)], 17, 4))
+    cases += [(_dense_quadrics(rng, p), 17, 4) for p in (5, 7, 5, 7)]
     for gens, most, zero in cases:
         counts[:] = [0, 0]
         ideal(gens[0].ring, *gens).groebner()
         assert counts[0] <= most and counts[1] <= zero, (counts, most, zero)
+
+
+def test_reductions_take_reducers_by_decreasing_lead(monkeypatch):
+    """The engine hands `_reduce` its reducers by decreasing lead, so the
+    front cut skips the ones above a term.  A tail reduction gets only the
+    elements below the lead of the vector it reduces, which are reduced
+    already.  Every remainder coefficient lies in 1..p-1.  The cases are
+    cyclic-5 mod 101, the four dense quadrics above, and cyclic-4 mod 2 and
+    mod 3, where coefficients cancel mod p during reductions (23 and 29
+    times); those two bases match sympy's."""
+    seen = {"engine": 0, "tail": 0}
+    real = groebner._reduce
+
+    def checked(work, elems, code, p, sig=None, bits=0):
+        leads = [e[1] for e in elems]
+        assert leads == sorted(leads, reverse=True)
+        if sig is None:
+            assert all(b < max(work) for b in leads)
+        seen["tail" if sig is None else "engine"] += len(elems) > 1
+        r = real(work, elems, code, p, sig, bits)
+        assert all(0 < c < p for c in r.values())
+        return r
+
+    monkeypatch.setattr(groebner, "_reduce", checked)
+    rng = random.Random(61)
+    cases = [_cyclic(Ring(101, ("a", "b", "c", "d", "e")))]
+    cases += [_dense_quadrics(rng, p) for p in (5, 7, 5, 7)]
+    for gens in cases:
+        ideal(gens[0].ring, *gens).groebner()
+    for p in (2, 3):
+        R = Ring(p, ("a", "b", "c", "d"))
+        gens = _cyclic(R)
+        assert sorted(v[0].to_str() for v in ideal(R, *gens).groebner()) == sorted(
+            f.to_str() for f in sympy_reduced_gb(R, gens))
+    assert min(seen.values()) >= 50, seen
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_a_coefficient_that_cancels_mod_p_leaves_the_remainder(p):
+    """Reducing x^2 + xy by x^2 + y^2 and xy + (p-1) y^2 adds -1 and then
+    -(p-1) to the coefficient of y^2: -p, which is 0 mod p, so the
+    remainder is 0; with x^2 + xy + y^2 it is y^2."""
+    R = Ring(p, ("x", "y"))
+    code = groebner._code(R, 1, GREVLEX)
+    x2, xy, y2 = (code.encode(0, m) for m in ((2, 0), (1, 1), (0, 2)))
+    elems = [({x2: 1, y2: 1}, x2), ({xy: 1, y2: p - 1}, xy)]
+    assert groebner._reduce({x2: 1, xy: 1}, elems, code, p) == {}
+    assert groebner._reduce({x2: 1, xy: 1, y2: 1}, elems, code, p) == {y2: 1}
 
 
 def test_gb_is_reduced_and_idempotent():
