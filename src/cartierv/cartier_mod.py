@@ -14,12 +14,16 @@ with U packed once per structure, serves both: `kappa_span` splits U W,
 Quotients are never first-class: a module supported on a closed subscheme
 is presented as a subquotient W/N of a free module over the ambient ring,
 with both W and N kappa-stable.  Both finite functors write their twist in
-closed form, from U and the coordinates of y-powers mod g.
+closed form, from U and the coordinates of y-powers mod g, which each
+`FiniteExtension` reduces once, one step from the last, and keeps.  Its
+discriminant is computed only when read, by the etale pullback's guard and
+the trace comparison.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import CartierError, RankMismatchError, RingMismatchError
@@ -354,12 +358,12 @@ class FiniteExtension:
     """S = P/(g) finite free over the base ring, g monic in the last variable.
 
     Elements are held by their coordinates over the base in the basis 1, .., y^{d-1}.
-    `_coords` reduces any h in P to them, for `split`, `reduce`, `trace`, the Frobenius
-    rows y^{jp}, the traces Tr(y^k) = sum_j (y^{k+j})_j and the discriminant.
+    One step, `_step`, maps the coordinates of h to those of y h + a.  `_coords` walks it
+    by Horner's rule to reduce any h in P, for `split`, `reduce` and `trace`; `power`
+    grows a table of the coordinates of y^m, one step per entry, for the Frobenius rows
+    y^{jp}, the traces Tr(y^k) = sum_j (y^{k+j})_j and the pushforward's twist.  The
+    discriminant det Tr(y^{i+j}) is computed when it is first read.
     """
-
-    __slots__ = ("P", "base", "g", "yidx", "degree", "_tail", "frob_rows", "trace_values",
-                 "discriminant")
 
     def __init__(self, P: Ring, g: Poly):
         if g.ring != P:
@@ -378,28 +382,47 @@ class FiniteExtension:
         self.yidx = yidx
         self.degree = d
         self._tail = self._coords(g - self.y_power(d))  # below degree d: takes no step
-        self.frob_rows = tuple(self._coords(self.y_power(j * P.p)) for j in range(d))
-        powers = [self._coords(self.y_power(m)) for m in range(3 * d - 2)]
-        traces = [sum((powers[k + j][j] for j in range(d)), self.base.zero())
-                  for k in range(2 * d - 1)]
-        self.trace_values = tuple(traces[:d])
-        self.discriminant = _det([[traces[i + j] for j in range(d)] for i in range(d)])
+        self._powers = [self._coords(P.one())]
+        self.frob_rows = tuple(self.power(j * P.p) for j in range(d))
+        self.trace_values = tuple(self._power_trace(k) for k in range(d))
+
+    @cached_property
+    def discriminant(self) -> Poly:
+        """det Tr(y^{i+j}), by Bareiss elimination."""
+        traces = [self._power_trace(k) for k in range(2 * self.degree - 1)]
+        return _det([traces[i:i + self.degree] for i in range(self.degree)])
 
     def y_power(self, k: int) -> Poly:
         exps = [0] * self.P.n
         exps[self.yidx] = k
         return self.P.monomial(tuple(exps))
 
+    def power(self, m: int) -> tuple[Poly, ...]:
+        """Coordinates of y^m mod g, from a table grown one `_step` at a time."""
+        while len(self._powers) <= m:
+            self._powers.append(self._step(self._powers[-1], self.base.zero()))
+        return self._powers[m]
+
+    def _power_trace(self, k: int) -> Poly:
+        """Tr(y^k), the sum of the diagonal coordinates (y^{k+j})_j."""
+        return sum((self.power(k + j)[j] for j in range(self.degree)), self.base.zero())
+
+    def _step(self, c: tuple[Poly, ...], low: Poly) -> tuple[Poly, ...]:
+        """Coordinates of y h + low from those of h:
+        y (c_0, .., c_{d-1}) = (0, c_0, .., c_{d-2}) - c_{d-1} (g - y^d)."""
+        top = c[-1]
+        return tuple(a - top * t if t.terms else a
+                     for a, t in zip((low,) + c[:-1], self._tail))
+
     def _coords(self, h: Poly) -> tuple[Poly, ...]:
         """Coordinates of h mod g over base, by Horner's rule from the top d coefficients
-        down: y (c_0, .., c_{d-1}) = (0, c_0, .., c_{d-2}) - c_{d-1} (g - y^d)."""
+        down, one `_step` per lower coefficient."""
         coeffs = {k: c.map_ring(self.base) for k, c in h.coeffs_in_var(self.yidx).items()}
         zero, low = self.base.zero(), max(max(coeffs, default=0) - self.degree + 1, 0)
-        out = [coeffs.get(k, zero) for k in range(low, low + self.degree)]
+        out = tuple(coeffs.get(k, zero) for k in range(low, low + self.degree))
         for k in range(low - 1, -1, -1):
-            top, out = out[-1], [coeffs.get(k, zero)] + out[:-1]
-            out = [c - top * t if t.terms else c for c, t in zip(out, self._tail)]
-        return tuple(out)
+            out = self._step(out, coeffs.get(k, zero))
+        return out
 
     def reduce(self, h: Poly) -> Poly:
         """Normal form of h mod g, of y-degree below d."""
@@ -475,8 +498,7 @@ def pushforward_finite(ext: FiniteExtension, M: CartierModule) -> CartierModule:
     U = M.structure.U
     top = max(e.degree_in_var(ext.yidx) for row in U for e in row) + d - 1
     # (coordinates of y^m mod g)^p, for each m that C_P reaches
-    lifts = [tuple(c.frobenius_power(1) for c in ext.split((ext.y_power(m),)))
-             for m in range(top // p + 1)]
+    lifts = [tuple(c.frobenius_power(1) for c in ext.power(m)) for m in range(top // p + 1)]
     rows: list[list[Poly]] = [[ext.base.zero()] * (d * r) for _ in range(d * r)]
     for i in range(r):
         for i2 in range(r):
@@ -542,11 +564,18 @@ def shriek_finite(ext: FiniteExtension, M: CartierModule) -> CartierModule:
 def pullback_etale(ext: FiniteExtension, M: CartierModule) -> CartierModule:
     """M tensored up to S = P/(g), with the g^{p-1}-lifted structure.
 
-    Only full free numerators are supported, which covers structures on the
-    ring itself.
+    S is etale over the base exactly when the discriminant of g is a unit, and
+    over a polynomial base the units are the nonzero constants; any other cover
+    raises CartierError.  That refuses covers etale only away from a closed
+    set, such as y^2 - x - 1 off x = -1: localizing the base first is the
+    caller's job.  Only full free numerators are supported, which covers
+    structures on the ring itself.
     """
     if M.ring != ext.base:
         raise RingMismatchError("pullback input must live over the base ring")
+    disc = ext.discriminant
+    if disc.is_zero() or any(any(m) for m in disc.terms):
+        raise CartierError(f"cover is not etale: discriminant {disc.to_str()} is not a unit")
     if not M.is_full_free():
         raise CartierError("pullback implemented for full free modules only")
     r = M.rank

@@ -123,11 +123,6 @@ class FiltrationTable:
         return self.value_at(t)
 
 
-def exponent_at(t: Fraction, p: int, e: int, convention: str = "ceil_pe") -> int:
-    scale = p ** e if convention == "ceil_pe" else p ** e - 1
-    return max(0, math.ceil(t * scale))
-
-
 def is_regular_element(M: CartierModule, f: Poly) -> bool:
     """Is multiplication by f injective on W/N?"""
     return injective_on(f, M.pres.W, M.pres.N)

@@ -2,9 +2,12 @@
 forms the tests compare the library against."""
 
 import heapq
+import math
+import signal
 import time
 from contextlib import contextmanager
 from dataclasses import replace
+from fractions import Fraction
 from itertools import count, islice
 from operator import itemgetter, le
 from typing import Sequence
@@ -28,11 +31,38 @@ from cartierv.testmod import Pair, tau
 
 @contextmanager
 def budget(seconds):
-    """Fails the test when the block takes `seconds` of wall-clock time or more."""
+    """Fails the test when the block takes `seconds` of wall-clock time or more.
+
+    Where there is SIGALRM, a real-time timer raises at the deadline, so a
+    block that never returns fails instead of hanging the suite; a timer armed
+    before (an enclosing budget) is restored on exit with what is left of it.
+    The assert after the block is the check where there is no SIGALRM."""
     start = time.monotonic()
-    yield
-    elapsed = time.monotonic() - start
+    armed = hasattr(signal, "SIGALRM")
+    if armed:
+        def expire(signum, frame):
+            raise AssertionError(f"budget {seconds}s exceeded: interrupted at the deadline")
+
+        handler = signal.signal(signal.SIGALRM, expire)
+        outer, _ = signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        elapsed = time.monotonic() - start
+        if armed:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, handler)
+            if outer:
+                # an outer deadline already passed fires at once
+                signal.setitimer(signal.ITIMER_REAL, max(outer - elapsed, 1e-6))
     assert elapsed < seconds, f"budget {seconds}s exceeded: {elapsed:.1f}s"
+
+
+def exponent_at(t: Fraction, p: int, e: int, convention: str = "ceil_pe") -> int:
+    """The exponent of f at level e for t: ceil(t p^e), or ceil(t (p^e - 1))
+    under ceil_pe_minus_1, never below 0."""
+    scale = p ** e if convention == "ceil_pe" else p ** e - 1
+    return max(0, math.ceil(t * scale))
 
 
 def total_degree(g) -> int:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cartierv import groebner
+from cartierv import cartier_mod, groebner
 from cartierv.cartier_mod import (
     CartierModule,
     CartierMorphism,
@@ -24,6 +24,7 @@ from cartierv.cartier_mod import (
     trace_kappa_commutes,
     underline,
 )
+from cartierv.cli import parse_polynomial
 from cartierv.errors import (
     CartierError,
     ExponentOverflowError,
@@ -89,6 +90,7 @@ def test_structure_shape_validation():
         CartierStructure(R, 2, ((R.one(), R.zero()),))
 
 
+@budget(5)
 def test_kappa_span_membership():
     rng = random.Random(5)
     for p in (2, 3):
@@ -125,6 +127,7 @@ def _random_structure(rng, ring, rank):
     return CartierStructure(ring, rank, U)
 
 
+@budget(10)
 def test_kappa_span_generators_match_brute_force():
     rng = random.Random(8)
     for p in (2, 3, 5):
@@ -510,6 +513,82 @@ def test_discriminants_of_large_covers_in_closed_form():
             ext = make_extension(P, y ** n - x)
         want = (-ext.base.var("x")) ** (n - 1)
         assert ext.discriminant == want.scale((-1) ** (n * (n - 1) // 2) * n ** n), (p, n)
+
+
+def test_power_table_matches_horner():
+    # power(m), grown one step per entry, against split(y^m), Horner's rule
+    # from scratch, for m up to 3d + 2p; the top entry is read first, so the
+    # whole table grows in one call and is then read back.  The Frobenius
+    # rows are the entries y^{jp}.
+    covers = list(_random_covers(random.Random(97)))
+    for p, n in ((2, 2), (3, 3), (7, 7), (11, 11), (13, 13), (3, 10), (7, 11), (5, 12)):
+        P = Ring(p, ("x", "y"))
+        x, y = P.gens()
+        covers.append(make_extension(P, y ** n - x))
+        if n == p:
+            covers.append(make_extension(P, y ** p - y - x))
+    P = Ring(3, ("x", "y"))
+    x, y = P.gens()
+    covers.append(make_extension(P, y ** 2 - x ** 3))
+    for ext in covers:
+        top = 3 * ext.degree + 2 * ext.P.p
+        assert ext.power(top) == ext.split((ext.y_power(top),)), ext
+        for m in range(top + 1):
+            assert ext.power(m) == ext.split((ext.y_power(m),)), (ext, m)
+        assert ext.frob_rows == tuple(ext.split((ext.y_power(j * ext.P.p),))
+                                      for j in range(ext.degree)), ext
+
+
+def test_discriminant_is_computed_on_first_read(monkeypatch):
+    # building a cover, its quotient module and both finite functors take no
+    # determinant; the first read of the discriminant takes one, the next none
+    calls = []
+    det = cartier_mod._det
+    monkeypatch.setattr(cartier_mod, "_det", lambda matrix: calls.append(matrix) or det(matrix))
+    P = Ring(3, ("x", "y"))
+    x, y = P.gens()
+    ext = make_extension(P, y ** 2 - x ** 3)
+    pushforward_finite(ext, ext.quotient_module())
+    shriek_finite(ext, CartierModule.over_ring(ext.base))
+    assert not calls
+    assert ext.discriminant == ext.discriminant == ext.base.var("x") ** 3
+    assert len(calls) == 1
+
+
+def test_pushforward_of_a_high_y_power_twist_takes_one_step_per_power():
+    # the twist g^2 (y^1200 + x) reaches y^402 mod g, and the lifts read the
+    # power table, which takes one step per power
+    P = Ring(3, ("x", "y"))
+    x, y = P.gens()
+    ext = make_extension(P, y ** 3 - y - x)
+    with budget(0.5):
+        push = pushforward_finite(ext, ext.quotient_module(y ** 1200 + x))
+    assert push.rank == 3
+
+
+@pytest.mark.parametrize("p, g, etale", [
+    (3, "y^2 - x", False),  # discriminant x
+    (3, "y^2 - x^3", False),  # x^3
+    (3, "y^3 - x^2", False),  # -27 x^2 = 0
+    (3, "y^2 - x - 1", False),  # x + 1: etale off x = -1 only
+    (2, "y^2 + y + x", True),  # 1
+    (3, "y^3 - y - x", True),  # -1
+    (5, "y^5 - y - x", True),
+    (7, "y^7 - y - x", True),
+])
+def test_pullback_needs_an_etale_cover(p, g, etale):
+    # over F_3 with f = x, the pullback along y^2 - x, y^2 - x^3 or y^3 - x^2
+    # would jump at 1/2 or 1/3 as well as at the base's 1 and 2
+    P = Ring(p, ("x", "y"))
+    ext = make_extension(P, parse_polynomial(g, P))
+    M = CartierModule.over_ring(ext.base)
+    if not etale:
+        with pytest.raises(CartierError, match="not etale"):
+            pullback_etale(ext, M)
+        return
+    pull = pullback_etale(ext, M)
+    assert pull.pres.N == ideal(P, ext.g)
+    assert pull.structure.scalar_twist() == ext.g ** (p - 1)
 
 
 def test_split_unsplit_roundtrip():
