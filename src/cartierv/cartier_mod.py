@@ -573,11 +573,11 @@ def pullback_etale(ext: FiniteExtension, M: CartierModule) -> CartierModule:
     """
     if M.ring != ext.base:
         raise RingMismatchError("pullback input must live over the base ring")
+    if not M.is_full_free():
+        raise CartierError("pullback implemented for full free modules only")
     disc = ext.discriminant
     if disc.is_zero() or any(any(m) for m in disc.terms):
         raise CartierError(f"cover is not etale: discriminant {disc.to_str()} is not a unit")
-    if not M.is_full_free():
-        raise CartierError("pullback implemented for full free modules only")
     r = M.rank
     W = full_module(ext.P, r)
     N = full_module(ext.P, r).scaled(ext.g)

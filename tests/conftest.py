@@ -12,6 +12,8 @@ from itertools import count, islice
 from operator import itemgetter, le
 from typing import Sequence
 
+import pytest
+
 from cartierv.cartier_mod import CartierStructure, kappa_span
 from cartierv.errors import CartierError, RankMismatchError
 from cartierv.field_poly import Monomial, Poly, Ring, cartier_trace
@@ -39,8 +41,11 @@ def budget(seconds):
     The assert after the block is the check where there is no SIGALRM."""
     start = time.monotonic()
     armed = hasattr(signal, "SIGALRM")
+    expired = False
     if armed:
         def expire(signum, frame):
+            nonlocal expired
+            expired = True
             raise AssertionError(f"budget {seconds}s exceeded: interrupted at the deadline")
 
         handler = signal.signal(signal.SIGALRM, expire)
@@ -55,7 +60,17 @@ def budget(seconds):
             if outer:
                 # an outer deadline already passed fires at once
                 signal.setitimer(signal.ITIMER_REAL, max(outer - elapsed, 1e-6))
-    assert elapsed < seconds, f"budget {seconds}s exceeded: {elapsed:.1f}s"
+    # a deadline that fired has failed the test already
+    assert expired or elapsed < seconds, f"budget {seconds}s exceeded: {elapsed:.1f}s"
+
+
+@pytest.fixture(autouse=True)
+def deadline():
+    """Every test runs under a budget of 30 s, more than ten times the slowest
+    test's time, so a test that never ends fails instead of hanging the suite.
+    The tighter budgets inside tests nest under it."""
+    with budget(30):
+        yield
 
 
 def exponent_at(t: Fraction, p: int, e: int, convention: str = "ceil_pe") -> int:

