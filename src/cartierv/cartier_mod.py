@@ -22,9 +22,8 @@ the trace comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CartierError, RankMismatchError, RingMismatchError
 from .field_poly import Poly, Ring, cartier_trace
@@ -298,8 +297,7 @@ def cokernel_presentation(phi: CartierMorphism) -> CartierModule:
     return CartierModule(QuotientPresentation(tgt.pres.W, D), tgt.structure, check=False)
 
 
-@dataclass(frozen=True)
-class NilIsoReport:
+class NilIsoReport(NamedTuple):
     is_morphism: bool
     kernel_nilpotent: bool
     cokernel_nilpotent: bool

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -41,98 +42,76 @@ EXIT_INVALID = 3
 EXIT_CAP = 4
 
 
+# One match per token; whitespace is skipped.  Groups: a natural (decimal
+# digits), a word, an operator, any other character.
+_TOKEN = re.compile(r"(\d+)|(\w+)|([-+*^])|(\S)")
+_NAT, _WORD, _STRAY = 1, 2, 4
+
+
 def parse_polynomial(text: str, ring: Ring) -> Poly:
-    """Recursive-descent parser for the expression grammar.
+    """Parse the expression grammar in one pass, adding each term mod p.
 
     expr := term (('+'|'-') term)*
     term := coeff ('*' factor)* | factor ('*' factor)*
     factor := ident ('^' nat)? ; coeff := nat
+
+    An ident starts with a letter or '_'.  A stray character is reported
+    before any grammar error; every error names its 1-based column.
     """
-    tokens = _tokenize(text)
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        kind = m.lastindex
+        tok = m[kind]
+        if kind == _STRAY or (kind == _WORD and not (tok[0].isalpha() or tok[0] == "_")):
+            raise ParseError(f"unexpected character {tok[0]!r}", m.start() + 1)
+        tokens.append((kind, tok, m.start() + 1))
     if not tokens:
         raise ParseError("empty input", 1)
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def factor() -> Poly:
-        tok = peek()
-        if tok is None or tok[0] != "ident":
-            col = tok[2] if tok else len(text) + 1
-            raise ParseError("expected identifier", col)
-        take()
-        name = tok[1]
-        if name not in ring.names:
-            raise ParseError(f"unknown identifier {name}", tok[2])
-        exponent = 1
-        if peek() and peek()[0] == "^":
-            caret = take()
-            nat = peek()
-            if nat is None or nat[0] != "nat":
-                raise ParseError("malformed exponent", caret[2] + 1)
-            take()
-            exponent = int(nat[1])
-        exps = tuple(exponent if nm == name else 0 for nm in ring.names)
-        return ring.monomial(exps)
-
-    def term() -> Poly:
-        tok = peek()
-        if tok is None:
-            raise ParseError("expected term", len(text) + 1)
-        if tok[0] == "nat":
-            take()
-            out = ring.monomial((0,) * ring.n, int(tok[1]))
-        else:
-            out = factor()
-        while peek() and peek()[0] == "*":
-            take()
-            out = out * factor()
-        return out
-
-    out = term()
-    while peek() is not None:
-        tok = peek()
-        if tok[0] not in ("+", "-"):
-            raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
-        take()
-        rhs = term()
-        out = out + (rhs if tok[0] == "+" else rhs.scale(ring.p - 1))
-    return out
-
-
-def _tokenize(text: str):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("nat", text[i:j], i + 1))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], i + 1))
-            i = j
-        elif ch in "+-*^":
-            tokens.append((ch, ch, i + 1))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i + 1)
-    return tokens
+    tokens.append((None, None, len(text) + 1))  # the end of the input
+    names, p = ring.names, ring.p
+    terms = {}
+    i, sign = 0, 1
+    while True:
+        kind, tok, col = tokens[i]
+        if kind is None:
+            raise ParseError("expected term", col)
+        exps, coeff, more = [0] * ring.n, 1, True
+        if kind == _NAT:
+            coeff = int(tok)
+            more = tokens[i + 1][1] == "*"
+            i += 1 + more
+        while more:
+            kind, tok, col = tokens[i]
+            if kind != _WORD:
+                raise ParseError("expected identifier", col)
+            if tok not in names:
+                raise ParseError(f"unknown identifier {tok}", col)
+            if tokens[i + 1][1] == "^":
+                kind, nat, _ = tokens[i + 2]
+                if kind != _NAT:
+                    raise ParseError("malformed exponent", tokens[i + 1][2] + 1)
+                exps[names.index(tok)] += int(nat)
+                i += 3
+            else:
+                exps[names.index(tok)] += 1
+                i += 1
+            more = tokens[i][1] == "*"
+            i += more
+        coeff = sign * coeff % p
+        if coeff:
+            mon = tuple(exps)
+            v = (terms.get(mon, 0) + coeff) % p
+            if v:
+                terms[mon] = v
+            else:
+                del terms[mon]
+        kind, tok, col = tokens[i]
+        if kind is None:
+            return Poly(ring, terms)
+        if tok != "+" and tok != "-":
+            raise ParseError(f"unexpected token {tok!r}", col)
+        sign = 1 if tok == "+" else -1
+        i += 1
 
 
 def parse_fraction(text: str) -> Fraction:

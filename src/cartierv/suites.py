@@ -9,8 +9,8 @@ hard-coded expected outcomes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cartier_mod import (
     CartierModule,
@@ -35,8 +35,7 @@ from .testmod import jumping_numbers, tau
 from .vfilt import compute_vfiltration, gr_is_crystal_zero, gr_piece, verify_axioms
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     cases: int
     failures: tuple[str, ...]
@@ -213,15 +212,13 @@ def run_suites(names=None, seed: int = 0,
     return results
 
 
-@dataclass(frozen=True)
-class ReproCheck:
+class ReproCheck(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class ReproResult:
+class ReproResult(NamedTuple):
     scenario: str
     checks: tuple[ReproCheck, ...]
 

@@ -44,7 +44,6 @@ O(log den c) tau calls when it gallops (Kwek-Mehlhorn).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import chain
@@ -72,15 +71,13 @@ NU_BUDGET = 2 ** 14
 Point = tuple[int, int]  # a rational t >= 0 as (numerator, denominator), in lowest terms
 
 
-@dataclass(frozen=True)
-class TauResult:
+class TauResult(NamedTuple):
     value: FreeSubmodule
     stabilized_at_e: int
     path: str
 
 
-@dataclass(frozen=True)
-class FiltrationTable:
+class FiltrationTable(NamedTuple):
     """The jumps of t -> tau(M, f^t) on [t_min, t_max], with the value v0
     at t_min and the value and left limit at each jump, so lookups are
     piecewise constant and right continuous."""
@@ -575,8 +572,7 @@ def jumping_numbers(M: CartierModule, f: Poly, t_min, t_max,
     return Pair(M, f, c, e_cap).jumping_numbers(t_min, t_max, max_denominator)
 
 
-@dataclass(frozen=True)
-class FptResult:
+class FptResult(NamedTuple):
     value: Fraction
     nu_lower: Fraction
     nu_upper: Fraction

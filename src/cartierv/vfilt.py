@@ -26,8 +26,8 @@ quotient structure of the embedded zero locus.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cartier_mod import (
     CartierModule,
@@ -63,15 +63,13 @@ def compute_vfiltration(M: CartierModule, f: Poly, t_max, max_denominator: int,
     return pair.jumping_numbers(0, t_max, max_denominator)
 
 
-@dataclass(frozen=True)
-class AxiomFailure:
+class AxiomFailure(NamedTuple):
     axiom: str
     t: Fraction
     detail: str
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     failures: tuple[AxiomFailure, ...]
 
     @property
@@ -150,8 +148,7 @@ def verify_axioms(M: CartierModule, table: FiltrationTable,
     return AxiomReport(tuple(failures))
 
 
-@dataclass(frozen=True)
-class GrPiece:
+class GrPiece(NamedTuple):
     t: Fraction
     convention: str
     twist_exponent: int
@@ -221,8 +218,7 @@ def kappa_gr_surjection_check(M: CartierModule, table: FiltrationTable, t) -> bo
     return top == table.left_value_at(t) and bot == table.value_at(t)
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     status: str  # "pass" | "fail" | "inapplicable"
     detail: str
 

@@ -6,7 +6,6 @@ import math
 import signal
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 from fractions import Fraction
 from itertools import count, islice
 from operator import itemgetter, le
@@ -15,7 +14,7 @@ from typing import Sequence
 import pytest
 
 from cartierv.cartier_mod import CartierStructure, kappa_span
-from cartierv.errors import CartierError, RankMismatchError
+from cartierv.errors import CartierError, ParseError, RankMismatchError
 from cartierv.field_poly import Monomial, Poly, Ring, cartier_trace
 from cartierv.groebner import (
     FreeSubmodule,
@@ -219,7 +218,7 @@ def replace_value(table, index: int, value):
     """Copy of a `FiltrationTable` with one stored value swapped out."""
     values = list(table.values)
     values[index] = value
-    return replace(table, values=tuple(values))
+    return table._replace(values=tuple(values))
 
 
 def intersect_by_elimination(W, V):
@@ -345,3 +344,99 @@ def reference_buchberger(code: _Code, p: int, gens: Sequence[dict[int, int]]) ->
         reduced.append(_monic(_reduce(dict(d), minimal[:n] + minimal[n + 1:], code, p), p))
     reduced.sort(key=itemgetter(1), reverse=True)
     return reduced
+
+
+def reference_parse_polynomial(text: str, ring: Ring) -> Poly:
+    """The recursive-descent parser of the expression grammar, with its
+    own tokenizer and `Poly` arithmetic per factor and per term: the
+    reference for the one-pass `cli.parse_polynomial`.
+
+    expr := term (('+'|'-') term)*
+    term := coeff ('*' factor)* | factor ('*' factor)*
+    factor := ident ('^' nat)? ; coeff := nat
+    """
+    tokens = _reference_tokenize(text)
+    if not tokens:
+        raise ParseError("empty input", 1)
+    pos = 0
+
+    def peek():
+        return tokens[pos] if pos < len(tokens) else None
+
+    def take():
+        nonlocal pos
+        tok = tokens[pos]
+        pos += 1
+        return tok
+
+    def factor() -> Poly:
+        tok = peek()
+        if tok is None or tok[0] != "ident":
+            col = tok[2] if tok else len(text) + 1
+            raise ParseError("expected identifier", col)
+        take()
+        name = tok[1]
+        if name not in ring.names:
+            raise ParseError(f"unknown identifier {name}", tok[2])
+        exponent = 1
+        if peek() and peek()[0] == "^":
+            caret = take()
+            nat = peek()
+            if nat is None or nat[0] != "nat":
+                raise ParseError("malformed exponent", caret[2] + 1)
+            take()
+            exponent = int(nat[1])
+        exps = tuple(exponent if nm == name else 0 for nm in ring.names)
+        return ring.monomial(exps)
+
+    def term() -> Poly:
+        tok = peek()
+        if tok is None:
+            raise ParseError("expected term", len(text) + 1)
+        if tok[0] == "nat":
+            take()
+            out = ring.monomial((0,) * ring.n, int(tok[1]))
+        else:
+            out = factor()
+        while peek() and peek()[0] == "*":
+            take()
+            out = out * factor()
+        return out
+
+    out = term()
+    while peek() is not None:
+        tok = peek()
+        if tok[0] not in ("+", "-"):
+            raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
+        take()
+        rhs = term()
+        out = out + (rhs if tok[0] == "+" else rhs.scale(ring.p - 1))
+    return out
+
+
+def _reference_tokenize(text: str):
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            tokens.append(("nat", text[i:j], i + 1))
+            i = j
+        elif ch.isalpha() or ch == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("ident", text[i:j], i + 1))
+            i = j
+        elif ch in "+-*^":
+            tokens.append((ch, ch, i + 1))
+            i += 1
+        else:
+            raise ParseError(f"unexpected character {ch!r}", i + 1)
+    return tokens

@@ -1,13 +1,19 @@
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
 import runpy
+import subprocess
+import sys
 import typing
 from functools import cached_property
 from pathlib import Path
 
+import pytest
+
 import cartierv
+from cartierv import cartier_mod, suites, testmod, vfilt
 
 
 def test_all_names_resolve():
@@ -104,3 +110,48 @@ def test_no_unread_imports():
     unread = [hit for path in files for hit in _unread_imports(path)
               if hit != "conftest.py: random_poly"]
     assert not unread
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """Start-up stays light.  A fresh interpreter, because pytest itself
+    loads both modules."""
+    code = ("import sys, cartierv, cartierv.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    src = str(Path(cartierv.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
+
+
+RECORDS = {
+    cartier_mod.NilIsoReport: ("is_morphism", "kernel_nilpotent", "cokernel_nilpotent",
+                               "detail"),
+    suites.SuiteResult: ("name", "cases", "failures"),
+    suites.ReproCheck: ("name", "ok", "detail"),
+    suites.ReproResult: ("scenario", "checks"),
+    testmod.TauResult: ("value", "stabilized_at_e", "path"),
+    testmod.FiltrationTable: ("f", "t_min", "t_max", "v0", "jumps", "values", "left_limits"),
+    testmod.FptResult: ("value", "nu_lower", "nu_upper", "nu_level"),
+    vfilt.AxiomFailure: ("axiom", "t", "detail"),
+    vfilt.AxiomReport: ("failures",),
+    vfilt.GrPiece: ("t", "convention", "twist_exponent", "module"),
+    vfilt.ComparisonReport: ("status", "detail"),
+}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_records_keep_their_fields_repr_equality_and_hash(cls):
+    """The result records are named tuples: fields in their declared
+    order, Name(field=...) reprs, equality and hash by fields, no
+    assignment; as tuples they also index, iterate and equal plain tuples."""
+    fields = RECORDS[cls]
+    assert cls._fields == fields
+    values = tuple(f"{name}-value" for name in fields)
+    rec = cls(*values)
+    args = ", ".join(f"{name}={value!r}" for name, value in zip(fields, values))
+    assert repr(rec) == f"{cls.__name__}({args})"
+    assert rec == cls(*values) and hash(rec) == hash(cls(*values))
+    assert rec != cls(*values[:-1], "other")
+    assert rec == values and tuple(rec) == values and rec[0] == values[0]
+    with pytest.raises(AttributeError):
+        setattr(rec, fields[0], None)

@@ -11,7 +11,7 @@ from cartierv.errors import ParseError
 from cartierv.field_poly import Ring
 from cartierv.frobenius import level_cap
 
-from conftest import random_poly
+from conftest import random_poly, reference_parse_polynomial
 
 
 def test_parse_polynomial_known():
@@ -55,6 +55,81 @@ def test_parse_roundtrip_random():
         for _ in range(50):
             f = random_poly(rng, ring, 5)
             assert parse_polynomial(f.to_str(), ring) == f
+
+
+def _parse_outcome(parse, text, ring):
+    """The terms in insertion order, or the ParseError message."""
+    try:
+        return list(parse(text, ring).terms.items())
+    except ParseError as exc:
+        return str(exc)
+
+
+# Fragments the random strings are drawn from: the rings' variables, an
+# unknown identifier, naturals (0 and multiples of p among them), the
+# operators, spaces and a stray character.  Adjacent fragments run together,
+# as in "x" "1" -> "x1" or "2" "5" -> "25".
+_FRAGMENTS = ("x", "y", "x1", "_a", "w", "0", "1", "2", "3", "5", "7", "10", "14",
+              "25", "123", "+", "-", "*", "^", " ", "  ", "$")
+_RINGS = (Ring(2, ("x", "y")), Ring(5, ("x", "y", "x1")), Ring(7, ("_a", "y")), Ring(3, ()))
+
+
+def _random_expression(rng, ring):
+    """A well-formed sum of few small terms, so that terms repeat, cancel
+    and come back, with one fragment spliced in at random half the time."""
+    def term():
+        factors = [f"{v}^{rng.randint(0, 2)}" if rng.random() < 0.5 else v
+                   for v in rng.choices(ring.names, k=rng.randint(0, 2))]
+        if not factors or rng.random() < 0.5:
+            factors.insert(0, str(rng.randint(0, 2 * ring.p)))
+        return "*".join(factors)
+
+    text = term()
+    for _ in range(rng.randint(0, 6)):
+        text += rng.choice((" + ", "-", " - ", "+")) + term()
+    if rng.random() < 0.5:
+        cut = rng.randint(0, len(text))
+        text = text[:cut] + rng.choice(_FRAGMENTS) + text[cut + rng.randint(0, 1):]
+    return text
+
+
+def test_parse_polynomial_matches_the_reference_parser():
+    # same terms in the same insertion order, or the same message and column
+    rng = random.Random(28)
+    parsed = 0
+    for i in range(12000):
+        ring = rng.choice(_RINGS)
+        if i % 2 and ring.n:
+            text = _random_expression(rng, ring)
+        else:
+            text = "".join(rng.choices(_FRAGMENTS, k=rng.randint(0, 14)))
+        want = _parse_outcome(reference_parse_polynomial, text, ring)
+        assert _parse_outcome(parse_polynomial, text, ring) == want, text
+        parsed += isinstance(want, list)
+    assert parsed > 3000
+
+
+def test_parse_polynomial_on_unicode_matches_the_reference_parser():
+    # Unicode letters, decimal digits and spaces act as their ASCII kin.  A
+    # digit that is not decimal ('²') starting a natural or following its
+    # digits is refused as a stray character; the reference made it part of
+    # a natural and then failed in int() or reported the whole token.
+    ring = Ring(5, ("x", "α"))
+    fragments = ("x", "α", "é", "x²", "٣", "1", "\u00a0", "\u3000", " ", "½", "²",
+                 "+", "-", "*", "^")
+    rng = random.Random(28)
+    for _ in range(3000):
+        text = "".join(rng.choices(fragments, k=rng.randint(1, 8)))
+        try:
+            want = _parse_outcome(reference_parse_polynomial, text, ring)
+        except ValueError:
+            want = None
+        got = _parse_outcome(parse_polynomial, text, ring)
+        if got != want:
+            assert isinstance(got, str) and got.startswith("unexpected character '²'"), text
+    assert parse_polynomial("٣*α^٢", ring) == parse_polynomial("3*α^2", ring)
+    with pytest.raises(ParseError, match="unexpected character '²' at column 2"):
+        parse_polynomial("3²", ring)
 
 
 def test_parse_fraction():

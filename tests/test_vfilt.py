@@ -1,6 +1,5 @@
 import functools
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -108,7 +107,7 @@ def test_axioms_on_table_starting_above_zero():
                for fl in report.failures)
     assert any(fl.axiom == "shift" and fl.t == Fraction(3, 2)
                for fl in report.failures)
-    wrong_start = replace(table, v0=ideal(R, x))
+    wrong_start = table._replace(v0=ideal(R, x))
     assert verify_axioms(M, wrong_start).failures[0] == AxiomFailure(
         "zero-value", Fraction(1, 3), "tabulated V^0 differs from tau at 0")
 
@@ -121,8 +120,8 @@ def test_orbit_closure_flags_a_removed_jump():
     table = compute_vfiltration(M, x ** 2 * y, 1, 4)
     assert table.jumps == (Fraction(1, 2), Fraction(1))
     assert verify_axioms(M, table).ok
-    bad = replace(table, jumps=table.jumps[:1], values=table.values[:1],
-                  left_limits=table.left_limits[:1])
+    bad = table._replace(jumps=table.jumps[:1], values=table.values[:1],
+                         left_limits=table.left_limits[:1])
     failures = verify_axioms(M, bad).failures
     assert failures[-1] == AxiomFailure("orbit-closure", Fraction(1),
                                         "the jump 1/2 maps to 1, which is not a jump")
