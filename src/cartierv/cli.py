@@ -139,36 +139,46 @@ def _build_ring(args) -> Ring:
     return Ring(args.p, names)
 
 
-def _parse_matrix(text: str, ring: Ring):
-    rows = [row.split(",") for row in text.split(";")]
-    rank = len(rows)
-    if any(len(r) != rank for r in rows):
-        raise ParseError("twist matrix must be square", 1)
-    return tuple(tuple(parse_polynomial(e, ring) for e in row) for row in rows), rank
-
-
-def _parse_vectors(text: str, ring: Ring, rank: int):
-    vecs = []
-    for row in text.split(";"):
-        entries = row.split(",")
-        if len(entries) != rank:
-            raise ParseError(f"vector needs {rank} entries", 1)
-        vecs.append(tuple(parse_polynomial(e, ring) for e in entries))
-    return vecs
+def _parse_rows(option: str, text: str, ring: Ring, width: int | None = None):
+    """The ';'-separated rows of ','-separated polynomials in an option's
+    text, each row `width` long (as long as the row count when None); a row
+    of another length is reported before any polynomial.  An error names the
+    option and counts its column from the start of the text."""
+    rows, starts, start = [], [], 0
+    for part in text.split(";"):
+        rows.append(part.split(","))
+        starts.append(start)
+        start += len(part) + 1
+    for row, start in zip(rows, starts):
+        if len(row) != (len(rows) if width is None else width):
+            what = "twist matrix must be square" if width is None else f"vector needs {width} entries"
+            raise ParseError(f"{option}: {what}", start + 1)
+    out = []
+    for row, start in zip(rows, starts):
+        polys = []
+        for e in row:
+            try:
+                polys.append(parse_polynomial(e, ring))
+            except ParseError as exc:
+                raise ParseError(f"{option}: {exc.message}", start + exc.column) from None
+            start += len(e) + 1
+        out.append(tuple(polys))
+    return out
 
 
 def _build_module(args, ring: Ring) -> CartierModule:
     if args.twist:
-        U, rank = _parse_matrix(args.twist, ring)
+        U = _parse_rows("--twist", args.twist, ring)
+        rank = len(U)
         structure = CartierStructure(ring, rank, U)
     else:
         structure = CartierStructure.scalar(ring)
         rank = 1
     if not (args.gens or args.rels):
         return CartierModule.free(ring, structure)  # R^r and 0 are stable under any twist
-    W = (FreeSubmodule(ring, rank, _parse_vectors(args.gens, ring, rank))
+    W = (FreeSubmodule(ring, rank, _parse_rows("--gens", args.gens, ring, rank))
          if args.gens else full_module(ring, rank))
-    N = (FreeSubmodule(ring, rank, _parse_vectors(args.rels, ring, rank))
+    N = (FreeSubmodule(ring, rank, _parse_rows("--rels", args.rels, ring, rank))
          if args.rels else zero_module(ring, rank))
     try:
         return CartierModule(QuotientPresentation(W, N), structure)

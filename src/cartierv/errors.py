@@ -53,3 +53,4 @@ class ParseError(CartierError):
 
     def __init__(self, message: str, column: int):
         super().__init__(f"{message} at column {column}")
+        self.message, self.column = message, column

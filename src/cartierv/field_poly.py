@@ -85,7 +85,7 @@ def grevlex_key(mon: Monomial):
 class Ring:
     """Context object for F_p[names]; n = 0 variables is allowed."""
 
-    __slots__ = ("field", "p", "names", "n", "_digit_cache", "_codes")
+    __slots__ = ("field", "p", "names", "n", "_digit_cache")
 
     def __init__(self, p: int, names: tuple[str, ...] | list[str]):
         self.field = PrimeField(p)
@@ -96,7 +96,6 @@ class Ring:
         self.names = names
         self.n = len(names)
         self._digit_cache: dict[int, list[Monomial]] = {}
-        self._codes: dict[tuple, object] = {}  # packed-term codes of the Groebner engine
 
     def __eq__(self, other):
         return isinstance(other, Ring) and other.p == self.p and other.names == self.names

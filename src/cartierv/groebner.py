@@ -29,9 +29,10 @@ in an order that puts the image block above the W block, and gives
 intersections, colons, preimages, syzygies and kernels.  Elimination serves
 only `eliminate` and `saturate_element`, whose answers are eliminations.
 
-Each term (component, monomial) is packed into one int for a fixed ring,
-rank and order (`_Code`, after Bachmann and Schoenemann, "Monomial
-representations for Groebner bases computations", ISSAC 1998).  The low
+Each term (component, monomial) is packed into one int for a fixed number
+of variables, rank and order (`_Code`, after Bachmann and Schoenemann,
+"Monomial representations for Groebner bases computations", ISSAC 1998),
+one code per three, which all rings share.  The low
 fields hold the exponents and the component, each with a guard bit on top;
 the high fields hold the order's key, which is linear in the exponents.  So
 the term is its own sort key (a bigger int is a bigger term), a product with
@@ -51,6 +52,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import struct
+from functools import cache
 from itertools import chain, count, islice
 from operator import itemgetter, le, mul
 from typing import Iterable, Sequence
@@ -183,12 +185,14 @@ class _Code:
 
 
 def _code(ring: Ring, rank: int, order: TermOrder) -> _Code:
-    """The ring's code for (rank, order), made on first use."""
-    key = (rank, order._sig)
-    code = ring._codes.get(key)
-    if code is None:
-        code = ring._codes[key] = _Code(ring.n, rank, order)
-    return code
+    """The code of the terms of ring^rank under order, made once per number of
+    variables, rank and order: every ring and every equal order share it."""
+    return _code_of(ring.n, rank, order._sig)
+
+
+@cache
+def _code_of(n: int, rank: int, sig: tuple) -> _Code:
+    return _Code(n, rank, TermOrder(*sig))
 
 
 def _vec_to_dict(code: _Code, v: Vec) -> dict[int, int]:
@@ -666,6 +670,29 @@ def pack_matrix(ring: Ring, rank: int, rows: Sequence[Sequence[Poly]]) -> Twist:
     return tuple(tuple((comps[i] - comps[j] + code.shift(m), c)
                        for i in range(rank) for m, c in rows[i][j].terms.items())
                  for j in range(rank))
+
+
+def unpack_matrix(ring: Ring, twist: Twist) -> tuple[tuple[Poly, ...], ...]:
+    """The rows of the matrix that `pack_matrix` packed into `twist`."""
+    rank = len(twist)
+    code = _code(ring, rank, GREVLEX)
+    rows: list[list[dict[Monomial, int]]] = [[{} for _ in range(rank)] for _ in range(rank)]
+    for j, (base, col) in enumerate(zip(code._comps, twist)):
+        for off, c in col:
+            i, m = code.decode(base + off)
+            rows[i][j][m] = c
+    return tuple(tuple(Poly(ring, t) for t in row) for row in rows)
+
+
+def twist_times(ring: Ring, twist: Twist, g: Scalar) -> Twist:
+    """The packed matrix U g, for U packed by `pack_matrix` and g by `pack_scalar`:
+    column j, read as the packed vector of its terms, times g.  A `Scalar` is the
+    column of a rank-1 `Twist`, so `twist_times(ring, (a,), b)[0]` is the product a b."""
+    code, p = _code(ring, len(twist), GREVLEX), ring.p
+    gs = (g,) * len(twist)
+    return tuple(tuple((u - base, c) for u, c in
+                       _times({base + off: a for off, a in col}, gs, code, p).items())
+                 for base, col in zip(code._comps, twist))
 
 
 def twist_digits(ring: Ring, twist: Twist, v: Vec, keys: Iterable[int]) -> list[Vec]:

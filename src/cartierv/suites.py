@@ -31,8 +31,8 @@ from .errors import StabilizationCapExceededError
 from .field_poly import Poly, Ring, cartier_trace
 from .frobenius import bracket_power, frobenius_root
 from .groebner import FreeSubmodule, eliminate, full_module, ideal
-from .testmod import jumping_numbers, tau
-from .vfilt import compute_vfiltration, gr_is_crystal_zero, gr_piece, verify_axioms
+from .testmod import Pair, tau
+from .vfilt import compute_vfiltration, gr_is_crystal_zero, gr_piece, verify_axioms, vfiltration
 
 
 class SuiteResult(NamedTuple):
@@ -236,20 +236,21 @@ def repro_ex712() -> ReproResult:
         R = Ring(p, ("x",))
         x = R.gens()[0]
         M = CartierModule.over_ring(R, x)
+        pair = Pair(M, x)
         t0 = Fraction(p - 2, p - 1)
         full = full_module(R, 1)
         checks.append(ReproCheck(
             f"p={p}: tau below the jump is the whole ring",
-            tau(M, x, t0 / 2).value == full))
+            pair.tau(t0 / 2).value == full))
         checks.append(ReproCheck(
             f"p={p}: tau equals (x) on [({p - 2})/({p - 1}), 1]",
-            tau(M, x, t0).value == ideal(R, x)
-            and tau(M, x, 1).value == ideal(R, x)))
-        scan = jumping_numbers(M, x, 0, 1, p - 1)
+            pair.tau(t0).value == ideal(R, x)
+            and pair.tau(1).value == ideal(R, x)))
+        scan = pair.jumping_numbers(0, 1, p - 1)
         checks.append(ReproCheck(
             f"p={p}: jump set on (0, 1] is {{{t0}}}",
             scan.jumps == (t0,)))
-        table = compute_vfiltration(M, x, 1, p - 1)
+        table = vfiltration(pair, 1, p - 1)
         pa = gr_piece(M, table, t0, "a")
         one = (R.one(),)
         fixed = pa.module.pres.reduce(pa.module.structure.apply(one)) == pa.module.pres.reduce(one)
@@ -275,6 +276,7 @@ def repro_ex621() -> ReproResult:
     xb = R.gens()[0]
     M = CartierModule.over_ring(R)
     sh = shriek_finite(ext, M)
+    shriek_pair, base_pair = Pair(sh, xb, xb), Pair(M, xb)
     checks = [ReproCheck("f^! R not F-pure", not is_F_pure(sh))]
     V, _ = underline(sh)
     checks.append(ReproCheck(
@@ -283,13 +285,13 @@ def repro_ex621() -> ReproResult:
     incl_ok = True
     trace_ok = True
     for t in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2)):
-        ts = tau(sh, xb, t, c=xb).value
+        ts = shriek_pair.tau(t).value
         k = int(t)
         shriek_of_tau = FreeSubmodule(R, 2, [(xb ** k, R.zero()),
                                              (R.zero(), xb ** k)])
         incl_ok = incl_ok and shriek_of_tau.contains(ts)
         ev = ideal(R, *[g[0] for g in ts.gens])
-        trace_ok = trace_ok and tau(M, xb, t).value.contains(ev)
+        trace_ok = trace_ok and base_pair.tau(t).value.contains(ev)
     checks.append(ReproCheck(
         "test module of f^! R sits inside f^! of the test module", incl_ok))
     checks.append(ReproCheck(
@@ -306,8 +308,8 @@ def repro_cor79() -> ReproResult:
     for p in (2, 3, 5, 7):
         R = Ring(p, ("x",))
         x = R.gens()[0]
-        M = CartierModule.over_ring(R)
-        ok = all(tau(M, x, t).value == ideal(R, x ** int(t)) for t in ts)
+        pair = Pair(CartierModule.over_ring(R), x)
+        ok = all(pair.tau(t).value == ideal(R, x ** int(t)) for t in ts)
         checks.append(ReproCheck(f"p={p}: tau(x^t) = (x^floor(t)) on the grid", ok))
     return ReproResult("cor79", tuple(checks))
 
@@ -321,11 +323,12 @@ def repro_prop38() -> ReproResult:
     for f in (x, x ** 2):
         G = graph_embed(M, f)
         s = G.ring.gens()[-1]
+        graph, direct = Pair(G, s, s), Pair(M, f)
         for t in (Fraction(1, 2), Fraction(1)):
-            got = reduce_from_graph(tau(G, s, t, c=s).value, R, f)
+            got = reduce_from_graph(graph.tau(t).value, R, f)
             checks.append(ReproCheck(
                 f"f={f.to_str()}, t={t}: graph tau reduces to the direct tau",
-                got == tau(M, f, t).value))
+                got == direct.tau(t).value))
     return ReproResult("prop38", tuple(checks))
 
 
@@ -345,10 +348,9 @@ def repro_thm75() -> ReproResult:
         R = ext.base
         xb = R.gens()[0]
         M = CartierModule.over_ring(R)
-        pull = pullback_etale(ext, M)
+        pull, base = Pair(pullback_etale(ext, M), x, x), Pair(M, xb)
         ok = all(
-            eliminate(tau(pull, x, t, c=x).value, {1}).map_ring(R)
-            == tau(M, xb, t).value
+            eliminate(pull.tau(t).value, {1}).map_ring(R) == base.tau(t).value
             for t in ts)
         checks.append(ReproCheck(
             f"p={p}: eliminating y from the pulled-back test module", ok))
@@ -365,10 +367,9 @@ def repro_lemma62() -> ReproResult:
         R = ext.base
         xb = R.gens()[0]
         MS = ext.quotient_module()
-        push = pushforward_finite(ext, MS)
+        up, down = Pair(MS, x, x), Pair(pushforward_finite(ext, MS), xb, xb)
         ok = all(
-            pushforward_submodule(ext, tau(MS, x, t, c=x).value, 1)
-            == tau(push, xb, t, c=xb).value
+            pushforward_submodule(ext, up.tau(t).value, 1) == down.tau(t).value
             for t in ts)
         checks.append(ReproCheck(
             f"p={p}: pushforward commutes with the filtration on the grid", ok))

@@ -32,7 +32,15 @@ takes finitely many values in a decreasing chain (Blickle-Mustata-Smith),
 so the orbits of many t meet the same few.  The series takes one base-p
 digit of its exponent B per level (`Pair._kappa_power`), each level a step
 from the last, so levels of exponents that agree in B mod p^k are one entry.
-The scans build one `Pair` per call and drop it when they return.
+A step spans kappa o f^m in one pass: per shift m < p the `Pair` keeps the
+twist U f^m packed, each one packed product with f from the shift before,
+and it keeps the packed powers f^m that scale its values, each one packed
+product with f from the last.
+The scans build one `Pair` per call and drop it when they return; the
+`repro` scenarios build one per (M, f, c) and ask it every t, while the
+`check` suites that compare two solves (`prop32`, `lemma31`, `prop38`)
+build a fresh one per tau, so that no comparison reads a memo against
+itself.
 
 The scans (`jumping_numbers`, `fpt`) find each jump c above a point a by a
 Stern-Brocot descent on "tau(q) != tau(a)", which holds exactly for q >= c
@@ -49,7 +57,7 @@ from functools import cache, cached_property
 from itertools import chain
 from typing import NamedTuple
 
-from .cartier_mod import CartierModule, kappa_span, underline
+from .cartier_mod import CartierModule, CartierStructure, kappa_span, underline
 from .errors import (
     CartierError,
     FptDivergenceError,
@@ -60,7 +68,8 @@ from .errors import (
 )
 from .field_poly import Poly, Ring
 from .frobenius import level_cap
-from .groebner import FreeSubmodule, Scalar, full_module, injective_on, pack_scalar
+from .groebner import (FreeSubmodule, Scalar, full_module, injective_on, pack_scalar,
+                       twist_times)
 
 CONVENTIONS = ("ceil_pe", "ceil_pe_minus_1")
 MAX_SWEEPS = 64
@@ -199,10 +208,12 @@ class Pair:
     What does not depend on t is done at most once, on first use: the test
     element (`suggest_test_element` when c is None), regularity of f, the
     image-stable part D = underline(M), cD and the value at 0.  Memos fill
-    as values are asked for: the step kappa(f^m X) + N per (m, X), which
-    serves the orbit steps, the seeds (X = cD) and the levels of the
-    ceil_pe_minus_1 series; the converged value at and just below every
-    orbit point in (0, 1]; and every `tau` answer per (t, convention).
+    as values are asked for: per shift m < p the structure kappa o f^m,
+    that is U f^m packed (`_shift`); the packed powers of f (`_power`); the
+    step kappa(f^m X) + N per (m, X), which serves the orbit steps, the
+    seeds (X = cD) and the levels of the ceil_pe_minus_1 series; the
+    converged value at and just below every orbit point in (0, 1]; and
+    every `tau` answer per (t, convention).
     Points are keyed as (numerator, denominator) int pairs in lowest terms.
     Every value passes `D.contains` once, before its answer is kept.
 
@@ -225,7 +236,8 @@ class Pair:
         self._solved: dict[Point, _Solved] = {}
         self._below: dict[Point, _Solved] = {}
         self._steps: dict[tuple[int, FreeSubmodule], FreeSubmodule] = {}
-        self._powers: dict[int, Scalar] = {}
+        self._shifts: list[CartierStructure] = [M.structure]
+        self._powers: list[Scalar] = []
 
     # -- what does not depend on t ----------------------------------------------
 
@@ -261,10 +273,24 @@ class Pair:
         return TauResult(value, steps, "fixed-sum")
 
     def _power(self, m: int) -> Scalar:
-        """f^m, packed once per m for `FreeSubmodule.scaled`."""
-        if m not in self._powers:
-            self._powers[m] = pack_scalar(self.f ** m)
-        return self._powers[m]
+        """f^m packed for `FreeSubmodule.scaled`, kept: the table of the
+        powers of f grows by one packed product with f per entry, in a loop,
+        and a product with an exponent past 2^63 - 1 raises
+        ExponentOverflowError, as `pack_scalar` does."""
+        powers = self._powers
+        if not powers:
+            powers += (pack_scalar(self.M.ring.one()), pack_scalar(self.f))
+        while len(powers) <= m:
+            powers.append(twist_times(self.M.ring, (powers[-1],), powers[1])[0])
+        return powers[m]
+
+    def _shift(self, m: int) -> CartierStructure:
+        """The structure kappa o f^m of a shift m < p, that is U f^m packed,
+        kept per m: each one packed product with f from the shift before."""
+        shifts = self._shifts
+        while len(shifts) <= m:
+            shifts.append(shifts[-1].times(self._power(1)))
+        return shifts[m]
 
     # -- values ---------------------------------------------------------------
 
@@ -351,9 +377,11 @@ class Pair:
         successor holds X, kept per (m, X); the systems of tau and of the
         left limit share it.  The seed of shift m is `_step(m + 1, cD)`, and
         each level of the ceil_pe_minus_1 series is a step from the last.  A
-        shift m >= p, the seed of shift p - 1, is f times the step of shift
-        m - p, as kappa(f^p Y) = f kappa(Y): the span of f^p X directly takes
-        f^p and a larger basis.
+        shift m < p spans kappa(f^m X) in one pass, as the root of U f^m X
+        with the twist U f^m of `_shift(m)`.  A shift m >= p, the seed of
+        shift p - 1, is f times the step of shift m - p, as
+        kappa(f^p Y) = f kappa(Y): the span of f^p X directly takes f^p and
+        a larger basis.
 
         The relation of the series is seed(m) + kappa(f^m X); the seed adds
         nothing to it.  Every X that `_solve` steps contains the seed
@@ -374,7 +402,7 @@ class Pair:
             if m >= p:
                 incoming = self._step(m - p, X).scaled(self._power(1))
             else:
-                incoming = kappa_span(self.M.structure, X.scaled(self._power(m)))
+                incoming = kappa_span(self._shift(m), X)
             out = self._steps[m, X] = incoming.add(self.M.pres.N).minimal_gens()
         return out
 

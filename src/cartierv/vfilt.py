@@ -47,7 +47,12 @@ GR_CONVENTIONS = ("a", "b")
 
 def compute_vfiltration(M: CartierModule, f: Poly, t_max, max_denominator: int,
                         c: Poly | None = None, e_cap: int | None = None) -> FiltrationTable:
-    """Tabulate V^t = tau(M, f^t) on [0, t_max].
+    """Tabulate V^t = tau(M, f^t) on [0, t_max]; see `vfiltration`."""
+    return vfiltration(Pair(M, f, c, e_cap), t_max, max_denominator)
+
+
+def vfiltration(pair: Pair, t_max, max_denominator: int) -> FiltrationTable:
+    """The V-filtration of a pair on [0, t_max], from the pair's memos.
 
     Refuses pairs where f is a zerodivisor and modules that are not
     F-regular for the chosen test element, since the filtration axioms are
@@ -56,9 +61,8 @@ def compute_vfiltration(M: CartierModule, f: Poly, t_max, max_denominator: int,
     W is image-stable, so D = W and the two sums coincide.  The table is
     the pair's scan of [0, t_max].
     """
-    pair = Pair(M, f, c, e_cap)
     pair.require_regular()
-    if not pair.tau(0).value.contains(M.pres.W):
+    if not pair.tau(0).value.contains(pair.M.pres.W):
         raise NotFRegularError("module is not F-regular; filtration not tabulated")
     return pair.jumping_numbers(0, t_max, max_denominator)
 

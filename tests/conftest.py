@@ -24,6 +24,7 @@ from cartierv.groebner import (
     _reduce,
     eliminate,
     ideal,
+    pack_scalar,
     unit_vector,
 )
 from cartierv.suites import random_poly  # noqa: F401  (shared by the test modules)
@@ -212,6 +213,27 @@ class SeededPair(Pair):
         S, f = self.M.structure, self.f
         seed = kappa_span(S, self.cD.scaled(f ** (m + 1))).add(self.M.pres.N)
         return seed.add(kappa_span(S, X.scaled(f ** m))).minimal_gens()
+
+
+class TwoPassPair(Pair):
+    """A `Pair` whose step takes two passes, X times f^m and then kappa,
+    with f^m a Poly power packed afterwards: the reference for the one-pass
+    step of `Pair`, which keeps U f^m packed per shift, and for the packed
+    products of `Pair._power`."""
+
+    def _power(self, m):
+        return pack_scalar(self.f ** m)
+
+    def _step(self, m, X):
+        out = self._steps.get((m, X))
+        if out is None:
+            p = self.M.ring.p
+            if m >= p:
+                incoming = self._step(m - p, X).scaled(self._power(1))
+            else:
+                incoming = kappa_span(self.M.structure, X.scaled(self._power(m)))
+            out = self._steps[m, X] = incoming.add(self.M.pres.N).minimal_gens()
+        return out
 
 
 def replace_value(table, index: int, value):

@@ -189,14 +189,15 @@ def test_a_packed_twist_product_past_the_range_is_refused():
 def test_over_ring_builds_no_basis(monkeypatch):
     # the set-up of every classical pair: containment of the zero
     # denominator is answered before any code or basis is made
-    runs = []
-    real = groebner._buchberger
+    runs, codes = [], []
+    real, real_code = groebner._buchberger, groebner._code
     monkeypatch.setattr(groebner, "_buchberger", lambda *a: runs.append(a) or real(*a))
+    monkeypatch.setattr(groebner, "_code", lambda *a: codes.append(a) or real_code(*a))
     R = Ring(5, ("x", "y"))
     M = CartierModule.over_ring(R, R.var("x"))
     CartierModule.over_ring(R)
     assert M.pres.W.contains(M.pres.N)
-    assert runs == [] and R._codes == {}
+    assert runs == [] and codes == []
 
 
 def test_module_constructor_rejects_unstable_numerator():

@@ -270,6 +270,38 @@ def test_exit_codes(capsys):
     assert exc.value.code == 3
 
 
+def parse_failure(capsys, *argv):
+    code, out, err = run_cli(capsys, "tau", "--p", "3", "--vars", "x,y", "--f", "x",
+                             "--t", "1/2", *argv)
+    assert (code, out) == (3, "")
+    return err
+
+
+def test_twist_errors_name_the_option_and_count_from_its_start(capsys):
+    # the '$' is character 8 of the option's text, 2 of its entry
+    assert parse_failure(capsys, "--twist", "x,0;0,y$") == (
+        "cartierv: error [parse] --twist: unexpected character '$' at column 8\n")
+    assert parse_failure(capsys, "--twist", "x,0;y ^ 2,x+*y") == (
+        "cartierv: error [parse] --twist: expected identifier at column 13\n")
+    # a ragged row is reported at its start, before the polynomials are read
+    assert parse_failure(capsys, "--twist", "x$,0;0") == (
+        "cartierv: error [parse] --twist: twist matrix must be square at column 6\n")
+
+
+def test_gens_errors_name_the_option_and_count_from_its_start(capsys):
+    assert parse_failure(capsys, "--gens", "x;y;x*z") == (
+        "cartierv: error [parse] --gens: unknown identifier z at column 7\n")
+    assert parse_failure(capsys, "--twist", "x,0;0,1", "--gens", "x,1;y") == (
+        "cartierv: error [parse] --gens: vector needs 2 entries at column 5\n")
+
+
+def test_rels_errors_name_the_option_and_count_from_its_start(capsys):
+    assert parse_failure(capsys, "--rels", "x^2;x^") == (
+        "cartierv: error [parse] --rels: malformed exponent at column 7\n")
+    assert parse_failure(capsys, "--twist", "1,0;0,1", "--rels", "x,0;,y") == (
+        "cartierv: error [parse] --rels: empty input at column 5\n")
+
+
 def test_an_exponent_past_the_groebner_range_exits_4(capsys):
     # packed Groebner terms hold exponents below 2^63; such an input is
     # refused, never wrapped, in f and in the module generators alike, and
@@ -283,6 +315,15 @@ def test_an_exponent_past_the_groebner_range_exits_4(capsys):
         assert (code, out) == (4, "")
         assert err == ("cartierv: error [exponent-overflow] exponent 9223372036854775808 "
                        "is above 2^63 - 1, the largest a Groebner term holds\n")
+
+
+def test_an_f_whose_square_overflows_exits_4(capsys):
+    for p in ("2", "3", "5"):
+        code, out, err = run_cli(capsys, "tau", "--p", p, "--vars", "x,y",
+                                 "--f", f"x^{2 ** 62}", "--t", "1/2", "--json")
+        assert (code, out) == (4, "")
+        assert err.startswith("cartierv: error [exponent-overflow] exponent ")
+        assert err.endswith(" is above 2^63 - 1, the largest a Groebner term holds\n")
 
 
 def test_a_reduction_past_the_step_cap_exits_4(capsys, monkeypatch):

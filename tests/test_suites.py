@@ -1,6 +1,7 @@
 import pytest
 
 from cartierv.suites import REPROS, SUITES, run_repro, run_suites
+from cartierv.testmod import Pair
 
 
 def test_all_suites_small_counts():
@@ -37,3 +38,43 @@ def test_repro_scenarios(name):
     assert result.scenario == name
     assert result.ok, [(c.name, c.detail) for c in result.checks if not c.ok]
     assert all(check.name for check in result.checks)
+
+
+# (module, f, c) pairs each scenario asks tau of: one Pair serves each
+REPRO_PAIRS = {"ex712": 3, "ex621": 2, "cor79": 4, "prop38": 4, "thm75": 4, "lemma62": 4}
+
+
+def pairs_built(monkeypatch) -> list:
+    """Record the (module, f, c) of every `Pair` built; the list keeps each
+    module alive, so no two of them share an id."""
+    built = []
+    real = Pair.__init__
+
+    def init(self, M, f, c=None, e_cap=None):
+        built.append((M, f, c))
+        real(self, M, f, c, e_cap)
+    monkeypatch.setattr(Pair, "__init__", init)
+    return built
+
+
+@pytest.mark.parametrize("name", sorted(REPROS))
+def test_repro_builds_one_pair_per_pair(monkeypatch, name):
+    built = pairs_built(monkeypatch)
+    assert run_repro(name).ok
+    keys = [(id(M), f, c) for M, f, c in built]
+    assert len(keys) == len(set(keys)) == REPRO_PAIRS[name]
+
+
+@pytest.mark.parametrize("name", ["prop32", "lemma31", "prop38"])
+def test_check_suites_solve_each_tau_on_a_fresh_pair(monkeypatch, name):
+    # each of these compares two solves, which must not share memos
+    built, asked = pairs_built(monkeypatch), []
+    real = Pair.tau
+
+    def tau(self, t, convention="ceil_pe"):
+        asked.append(self)
+        return real(self, t, convention)
+    monkeypatch.setattr(Pair, "tau", tau)
+    (result,) = run_suites([name], seed=0, cases=6)
+    assert result.ok, result.failures
+    assert len(asked) == len(built) == len({id(pair) for pair in asked}) >= 12

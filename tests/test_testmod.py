@@ -19,6 +19,7 @@ from cartierv.cartier_mod import (
 )
 from cartierv.errors import (
     CartierError,
+    ExponentOverflowError,
     FptDivergenceError,
     NonDegenerateError,
     StabilizationCapExceededError,
@@ -32,6 +33,8 @@ from cartierv.groebner import (
     eliminate,
     full_module,
     ideal,
+    pack_matrix,
+    pack_scalar,
     zero_module,
 )
 from cartierv.suites import _root_oracle
@@ -52,6 +55,7 @@ from cartierv.vfilt import compute_vfiltration
 
 from conftest import (
     SeededPair,
+    TwoPassPair,
     colon_by_elimination,
     exponent_at,
     intersect_by_elimination,
@@ -535,6 +539,81 @@ def test_pair_keeps_one_seed_per_shift():
     for m in range(3):
         want = kappa_span(pair.M.structure, pair.cD.scaled(pair.f ** (m + 1)))
         assert pair._steps[m + 1, pair.cD] == want
+
+
+def packed_pairs(rng):
+    """(M, f) over p = 2, 3, 5, with scalar twists on the ring and free
+    rank-2 modules with a random twist matrix, and f in the maximal ideal."""
+    for p in (2, 3, 5):
+        R = Ring(p, ("x", "y"))
+        x, y = R.gens()
+        for _ in range(2):
+            f = x * (R.one() + x * random_poly(rng, R, 2)) + y * random_poly(rng, R, 2)
+            yield CartierModule.over_ring(R, random_poly(rng, R, 3, nonzero=True)), f
+            U = [[random_poly(rng, R, 2) for _ in range(2)] for _ in range(2)]
+            yield CartierModule.free(R, CartierStructure(R, 2, U)), f
+
+
+def test_packed_powers_match_poly_powers():
+    rng = random.Random(97)
+    for M, f in packed_pairs(rng):
+        p = M.ring.p
+        pair = Pair(M, f)
+        assert dict(pair._power(3 * p)) == dict(pack_scalar(f ** (3 * p)))
+        for m in range(3 * p + 1):
+            assert dict(pair._power(m)) == dict(pack_scalar(f ** m)), (f, m)
+
+
+def test_kept_shift_twists_match_poly_products():
+    # each shift m < p keeps U f^m packed, and reads back as U f^m
+    rng = random.Random(101)
+    for M, f in packed_pairs(rng):
+        R, p, r = M.ring, M.ring.p, M.rank
+        pair = Pair(M, f)
+        for m in range(p):
+            want = tuple(tuple(e * f ** m for e in row) for row in M.structure.U)
+            got = pair._shift(m)
+            assert [dict(col) for col in got.packed()] == \
+                [dict(col) for col in pack_matrix(R, r, want)], (f, m)
+            assert got.U == want
+        assert len(pair._shifts) == p
+
+
+def test_one_pass_step_matches_the_two_pass_reference():
+    # kappa(U f^m X) + N in one pass equals kappa(U (f^m X)) + N, for the
+    # shifts below p and, through kappa(f^p Y) = f kappa(Y), above
+    rng = random.Random(103)
+    grid = [Fraction(k, d) for d in (1, 2, 3, 4, 6) for k in range(1, 2 * d + 1)]
+    for M, f in packed_pairs(rng):
+        R, p, r = M.ring, M.ring.p, M.rank
+        pair, ref = Pair(M, f), TwoPassPair(M, f)
+        for _ in range(3):
+            X = FreeSubmodule(R, r, [tuple(random_poly(rng, R, 3) for _ in range(r))
+                                     for _ in range(rng.randint(1, 3))])
+            for m in range(2 * p + 1):
+                assert pair._step(m, X) == ref._step(m, X), (f, m, X)
+        if r == 1:
+            for t in rng.sample(grid, 4):
+                assert Pair(M, f).tau(t) == TwoPassPair(M, f).tau(t), (f, t)
+                assert pair.tau(t).value == ref.tau(t).value, (f, t)
+
+
+def test_an_f_whose_square_overflows_raises():
+    # f fits a packed term, f^2 does not: the packed products refuse it
+    for p in (2, 3, 5):
+        R = Ring(p, ("x", "y"))
+        x, y = R.gens()
+        f = R.monomial((2 ** 62, 0))
+        for M in (CartierModule.over_ring(R), CartierModule.over_ring(R, x + y)):
+            for t in (Fraction(1, 2), Fraction(1), Fraction(3, 2)):
+                with pytest.raises(ExponentOverflowError, match="is above 2"):
+                    tau(M, f, t)
+        pair = Pair(CartierModule.over_ring(R), f)
+        with pytest.raises(ExponentOverflowError):
+            pair._power(2)
+        if p > 2:
+            with pytest.raises(ExponentOverflowError):
+                pair._shift(2)
 
 
 def test_confirming_sweep_takes_no_step(monkeypatch):
