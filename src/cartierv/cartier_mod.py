@@ -30,7 +30,6 @@ from .field_poly import Poly, Ring, cartier_trace
 from .groebner import (
     FreeSubmodule,
     QuotientPresentation,
-    Scalar,
     Twist,
     Vec,
     full_module,
@@ -38,8 +37,6 @@ from .groebner import (
     pack_matrix,
     preimage_within,
     twist_digits,
-    twist_times,
-    unpack_matrix,
     zero_module,
 )
 
@@ -51,14 +48,9 @@ GRAPH_VAR = "s"
 
 
 class CartierStructure:
-    """kappa(v) = C(U v) entrywise, level 1.
+    """kappa(v) = C(U v) entrywise, level 1."""
 
-    U is held as Poly rows, packed (`pack_matrix`), or both, and each form is
-    made from the other on first use: a structure built by `times` holds
-    only the packed product.
-    """
-
-    __slots__ = ("ring", "rank", "_U", "_twist")
+    __slots__ = ("ring", "rank", "U", "_twist")
 
     def __init__(self, ring: Ring, rank: int, U: Sequence[Sequence[Poly]]):
         rows = tuple(tuple(row) for row in U)
@@ -70,14 +62,8 @@ class CartierStructure:
                     raise RingMismatchError("twist entry over wrong ring")
         self.ring = ring
         self.rank = rank
-        self._U: tuple[tuple[Poly, ...], ...] | None = rows
+        self.U = rows
         self._twist: Twist | None = None
-
-    @property
-    def U(self) -> tuple[tuple[Poly, ...], ...]:
-        if self._U is None:
-            self._U = unpack_matrix(self.ring, self._twist)
-        return self._U
 
     @staticmethod
     def scalar(ring: Ring, u: Poly | None = None) -> "CartierStructure":
@@ -110,14 +96,6 @@ class CartierStructure:
         if self._twist is None:
             self._twist = pack_matrix(self.ring, self.rank, self.U)
         return self._twist
-
-    def times(self, g: Scalar) -> "CartierStructure":
-        """The structure kappa composed with multiplication by g packed by
-        `pack_scalar`, in one packed product U g (`twist_times`)."""
-        out = CartierStructure.__new__(CartierStructure)
-        out.ring, out.rank, out._U = self.ring, self.rank, None
-        out._twist = twist_times(self.ring, self.packed(), g)
-        return out
 
     def twisted(self, g: Poly) -> "CartierStructure":
         """The structure kappa composed with multiplication by g."""

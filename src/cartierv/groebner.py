@@ -672,18 +672,6 @@ def pack_matrix(ring: Ring, rank: int, rows: Sequence[Sequence[Poly]]) -> Twist:
                  for j in range(rank))
 
 
-def unpack_matrix(ring: Ring, twist: Twist) -> tuple[tuple[Poly, ...], ...]:
-    """The rows of the matrix that `pack_matrix` packed into `twist`."""
-    rank = len(twist)
-    code = _code(ring, rank, GREVLEX)
-    rows: list[list[dict[Monomial, int]]] = [[{} for _ in range(rank)] for _ in range(rank)]
-    for j, (base, col) in enumerate(zip(code._comps, twist)):
-        for off, c in col:
-            i, m = code.decode(base + off)
-            rows[i][j][m] = c
-    return tuple(tuple(Poly(ring, t) for t in row) for row in rows)
-
-
 def twist_times(ring: Ring, twist: Twist, g: Scalar) -> Twist:
     """The packed matrix U g, for U packed by `pack_matrix` and g by `pack_scalar`:
     column j, read as the packed vector of its terms, times g.  A `Scalar` is the

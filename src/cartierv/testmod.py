@@ -34,8 +34,8 @@ digit of its exponent B per level (`Pair._kappa_power`), each level a step
 from the last, so levels of exponents that agree in B mod p^k are one entry.
 A step spans kappa o f^m in one pass: per shift m < p the `Pair` keeps the
 twist U f^m packed, each one packed product with f from the shift before,
-and it keeps the packed powers f^m that scale its values, each one packed
-product with f from the last.
+and it keeps the packed powers f^m that scale its values, made by
+square-and-multiply on packed polynomials.
 The scans build one `Pair` per call and drop it when they return; the
 `repro` scenarios build one per (M, f, c) and ask it every t, while the
 `check` suites that compare two solves (`prop32`, `lemma31`, `prop38`)
@@ -68,8 +68,8 @@ from .errors import (
 )
 from .field_poly import Poly, Ring
 from .frobenius import level_cap
-from .groebner import (FreeSubmodule, Scalar, full_module, injective_on, pack_scalar,
-                       twist_times)
+from .groebner import (FreeSubmodule, Scalar, Twist, full_module, injective_on,
+                       pack_scalar, twist_times)
 
 CONVENTIONS = ("ceil_pe", "ceil_pe_minus_1")
 MAX_SWEEPS = 64
@@ -202,6 +202,18 @@ class _Solved(NamedTuple):
     length: int
 
 
+class _Shift(NamedTuple):
+    """kappa o f^m for a shift 0 < m < p, as `kappa_span` reads a structure:
+    the ring, the rank and the twist U f^m packed (`pack_matrix`)."""
+
+    ring: Ring
+    rank: int
+    twist: Twist
+
+    def packed(self) -> Twist:
+        return self.twist
+
+
 class Pair:
     """A principal pair (M, f) with test element c, solved for many t.
 
@@ -236,8 +248,8 @@ class Pair:
         self._solved: dict[Point, _Solved] = {}
         self._below: dict[Point, _Solved] = {}
         self._steps: dict[tuple[int, FreeSubmodule], FreeSubmodule] = {}
-        self._shifts: list[CartierStructure] = [M.structure]
-        self._powers: list[Scalar] = []
+        self._shifts: list[CartierStructure | _Shift] = [M.structure]
+        self._powers: dict[int, Scalar] = {}
 
     # -- what does not depend on t ----------------------------------------------
 
@@ -273,23 +285,40 @@ class Pair:
         return TauResult(value, steps, "fixed-sum")
 
     def _power(self, m: int) -> Scalar:
-        """f^m packed for `FreeSubmodule.scaled`, kept: the table of the
-        powers of f grows by one packed product with f per entry, in a loop,
-        and a product with an exponent past 2^63 - 1 raises
+        """f^m packed for `FreeSubmodule.scaled`, by square-and-multiply on
+        packed polynomials (`twist_times` at rank 1) in a loop.  The powers
+        made on the way, f^(2^k) and f^(the low bits of m), are kept with
+        f^m, so a new m costs at most two products per bit and keeps
+        O(log m) entries.  A product with an exponent past 2^63 - 1 raises
         ExponentOverflowError, as `pack_scalar` does."""
         powers = self._powers
-        if not powers:
-            powers += (pack_scalar(self.M.ring.one()), pack_scalar(self.f))
-        while len(powers) <= m:
-            powers.append(twist_times(self.M.ring, (powers[-1],), powers[1])[0])
+        if m not in powers:
+            ring = self.M.ring
+            if not powers:
+                powers[0], powers[1] = pack_scalar(ring.one()), pack_scalar(self.f)
+            done, out, k, square = 0, powers[0], 1, powers[1]  # out = f^done, square = f^k
+            while True:
+                if m & k:
+                    done += k
+                    if done not in powers:
+                        powers[done] = twist_times(ring, (out,), square)[0]
+                    out = powers[done]
+                if done == m:
+                    break
+                k *= 2
+                if k not in powers:
+                    powers[k] = twist_times(ring, (square,), square)[0]
+                square = powers[k]
         return powers[m]
 
-    def _shift(self, m: int) -> CartierStructure:
-        """The structure kappa o f^m of a shift m < p, that is U f^m packed,
-        kept per m: each one packed product with f from the shift before."""
+    def _shift(self, m: int) -> CartierStructure | _Shift:
+        """kappa o f^m for a shift m < p, kept per m: for m > 0 its twist
+        U f^m packed, each one packed product with f from the shift before."""
         shifts = self._shifts
         while len(shifts) <= m:
-            shifts.append(shifts[-1].times(self._power(1)))
+            last = shifts[-1]
+            shifts.append(_Shift(last.ring, last.rank,
+                                 twist_times(last.ring, last.packed(), self._power(1))))
         return shifts[m]
 
     # -- values ---------------------------------------------------------------

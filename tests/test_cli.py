@@ -326,6 +326,16 @@ def test_an_f_whose_square_overflows_exits_4(capsys):
         assert err.endswith(" is above 2^63 - 1, the largest a Groebner term holds\n")
 
 
+def test_a_t_whose_power_overflows_exits_4(capsys):
+    # tau(x^t) at t = 2^63 is x times f^(2^63 - 1): the power itself fits,
+    # the product with the value at 1 does not
+    code, out, err = run_cli(capsys, "tau", "--p", "2", "--vars", "x", "--f", "x",
+                             "--t", str(2 ** 63), "--json")
+    assert (code, out) == (4, "")
+    assert err == ("cartierv: error [exponent-overflow] exponent 9223372036854775808 "
+                   "is above 2^63 - 1, the largest a Groebner term holds\n")
+
+
 def test_a_reduction_past_the_step_cap_exits_4(capsys, monkeypatch):
     # x^a + 2 reduces by x^3 - 2 in about a/3 steps, here while the module is built
     monkeypatch.setattr(groebner, "MAX_REDUCTION_STEPS", 2**12)
