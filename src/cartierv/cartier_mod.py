@@ -172,8 +172,9 @@ class CartierModule:
         return self.pres.rank
 
     def is_full_free(self) -> bool:
-        return self.pres.N.is_zero() and self.pres.W.contains(
-            full_module(self.ring, self.rank))
+        """Whether W/N is R^rank itself: N is zero and W is all of R^rank,
+        read off the reduced basis of W."""
+        return self.pres.N.is_zero() and self.pres.W.is_full()
 
     def __repr__(self):
         return f"<Cartier module {self.structure!r} on W/N in {self.ring}^{self.rank}>"

@@ -16,6 +16,14 @@ mod p once, when its term is popped.  Its callers list the reducers by
 decreasing lead, so it cuts from the front those whose lead lies above the
 popped term, which divide no later term.
 
+The whole module R^rank is recognised without the long way round.  A run
+stops as soon as its leads include the constant of every component, and
+answers with the unit basis; containment in a submodule whose reduced basis
+is the unit basis reduces nothing.  g times a submodule takes its reduced
+basis from the unscaled one's: g times a reduced basis is a Groebner basis,
+and the tail-reduction pass that ends every run (`_tail_reduced`) makes it
+the reduced one.
+
 Module terms (component, monomial) are compared position-over-term with
 component 0 strongest.  An order with a block (the variables to eliminate,
 or the components of an image block) compares the block's weight first, then
@@ -357,10 +365,18 @@ def _buchberger(code: _Code, p: int, gens: Sequence[dict[int, int]]) -> list[_El
     decreasing lead (`by_lead`); `elems` keeps signature order for the
     criteria.  Which element reduces a term does not change the lead or the
     signature of the result, so the criteria fire on the same pairs under
-    either order.  The elements form a Groebner basis, which is minimalised
-    and tail-reduced by `_reduce` without a bound in one pass by increasing
-    lead: each element against the smaller ones, reduced already, since a
-    bigger lead divides no term below its own lead.
+    either order.  The elements form a Groebner basis, which
+    `_tail_reduced` minimalises and tail-reduces in one pass.
+
+    The run stops as soon as the leads of its elements include the constant
+    of every component, at an input or mid-run, and returns the unit basis.
+    This is exact under every `TermOrder`, block orders included: a
+    constant is the smallest term of its component, so every other term of
+    an element whose lead is the constant of component i lies in a
+    component j whose constant is smaller than that of i.  Taken by
+    increasing lead, those elements form a triangular matrix with unit
+    diagonal, so they generate R^rank, whose reduced basis is the unit
+    vectors.  Units in only some of the components stop nothing.
     """
     inputs = sorted(((max(g), g) for g in gens if g), key=itemgetter(0))
     if len(inputs) < 2:
@@ -379,6 +395,7 @@ def _buchberger(code: _Code, p: int, gens: Sequence[dict[int, int]]) -> list[_El
     syz: list[list[int]] = [[] for _ in inputs]  # per generator: known syzygy signatures
     queue: list[int] = []  # pending signatures
     source: dict[int, int] = {}  # pending signature -> newest element it is a multiple of
+    units: set[int] = set()  # the components in which an element has a constant lead
     nxt = 0
     while queue or nxt < len(inputs):
         if queue and (nxt == len(inputs) or queue[0] < inputs[nxt][0] << bits | nxt):
@@ -415,6 +432,10 @@ def _buchberger(code: _Code, p: int, gens: Sequence[dict[int, int]]) -> list[_El
             continue
         h, lead = _monic(r, p)
         ch, eh = head = code.decode(lead)
+        if lead == comps[ch]:
+            units.add(ch)
+            if len(units) == code.rank:
+                return _unit_basis(code)
         k = len(elems)
         for a, ((_, la, _), sa, (ca, ea)) in enumerate(zip(elems, sigs, heads)):
             if ca != ch:
@@ -441,15 +462,30 @@ def _buchberger(code: _Code, p: int, gens: Sequence[dict[int, int]]) -> list[_El
         heads.append(head)
         slots.append(len(rules[i]))
         rules[i].append(sig)
+    return _tail_reduced(code, p, by_lead)
 
-    # by increasing lead: keep one element per minimal lead, tail-reduced
-    # against the smaller ones kept, which are reduced already; a bigger lead
-    # divides no term below its own lead
+
+def _tail_reduced(code: _Code, p: int, elems: Sequence[tuple]) -> list[_Elem]:
+    """The reduced basis of the submodule that a Groebner basis `elems`
+    generates, each element (dict, lead, ...), listed by decreasing lead.
+
+    By increasing lead, one element is kept per minimal lead, reduced by
+    `_reduce` without a bound against the smaller ones kept, which are
+    reduced already (a bigger lead divides no term below its own lead), and
+    made monic; the smallest needs only its terms sorted.
+    """
     reduced: list[_Elem] = []
-    for d, lead, _ in reversed(by_lead):
-        if not any(code.divides(b, lead) for _, b in reduced):
+    for d, lead, *_ in reversed(elems):
+        if not reduced:
+            reduced.append(_monic(dict(sorted(d.items(), reverse=True)), p))
+        elif not any(code.divides(b, lead) for _, b in reduced):
             reduced.insert(0, _monic(_reduce(dict(d), reduced, code, p), p))
     return reduced
+
+
+def _unit_basis(code: _Code) -> list[_Elem]:
+    """The reduced basis of R^rank: the unit vectors, by decreasing lead."""
+    return [({c: 1}, c) for c in sorted(code._comps, reverse=True)]
 
 
 # -- public wrapper ----------------------------------------------------------
@@ -465,11 +501,14 @@ class FreeSubmodule:
     `scaled`, `minimal_gens`, `level1_root`) holds packed dicts, which it
     passes on to the next operation, and decodes `gens` only when a caller
     reads them.  The basis cache is written once per term order and treated
-    as immutable afterwards.  Equality and the hash both read the reduced
-    GREVLEX basis, so two generating sets of one submodule are one dict key.
+    as immutable afterwards.  A submodule made by `scaled` keeps the one it
+    scales with the scalar, and takes its GREVLEX basis from that one's on
+    first use.  Equality and the hash both read the reduced GREVLEX basis,
+    so two generating sets of one submodule are one dict key; the hash is
+    computed once and kept.
     """
 
-    __slots__ = ("ring", "rank", "_vecs", "_dicts", "_gb")
+    __slots__ = ("ring", "rank", "_vecs", "_dicts", "_gb", "_scale", "_hash")
 
     def __init__(self, ring: Ring, rank: int, gens: Iterable[Vec]):
         if rank < 1:
@@ -489,6 +528,8 @@ class FreeSubmodule:
         self._vecs: tuple[Vec, ...] | None = tuple(clean)
         self._dicts: list[dict[int, int]] | None = None
         self._gb: dict[tuple, list] = {}
+        self._scale: tuple[FreeSubmodule, Scalar] | None = None  # (unscaled, scalar)
+        self._hash: int | None = None
 
     @classmethod
     def _of(cls, ring: Ring, rank: int, dicts: list[dict[int, int]]) -> "FreeSubmodule":
@@ -496,6 +537,7 @@ class FreeSubmodule:
         as they are."""
         out = cls.__new__(cls)
         out.ring, out.rank, out._vecs, out._dicts, out._gb = ring, rank, None, dicts, {}
+        out._scale = out._hash = None
         return out
 
     @property
@@ -517,10 +559,18 @@ class FreeSubmodule:
     def _basis(self, order: TermOrder = GREVLEX) -> list[_Elem]:
         sig = order._sig
         if sig not in self._gb:
-            code = _code(self.ring, self.rank, order)
-            gens = (self._packed() if sig == _GREVLEX_SIG
-                    else [_vec_to_dict(code, v) for v in self.gens])
-            self._gb[sig] = _buchberger(code, self.ring.p, gens)
+            code, p = _code(self.ring, self.rank, order), self.ring.p
+            if sig != _GREVLEX_SIG:
+                self._gb[sig] = _buchberger(code, p, [_vec_to_dict(code, v) for v in self.gens])
+            elif self._scale is None:
+                self._gb[sig] = _buchberger(code, p, self._packed())
+            else:
+                # g times a Groebner basis is one, with leads lead(g) lead(b)
+                source, g = self._scale
+                twist, top = (g,) * self.rank, max(g)[0]
+                self._gb[sig] = _tail_reduced(code, p, [(_times(d, twist, code, p), lead + top)
+                                                        for d, lead in source._basis()])
+                self._scale = None
         return self._gb[sig]
 
     def groebner(self, order: TermOrder = GREVLEX) -> tuple[Vec, ...]:
@@ -545,9 +595,18 @@ class FreeSubmodule:
     def contains_vector(self, v: Vec) -> bool:
         return not self._remainder(v)
 
+    def is_full(self) -> bool:
+        """Whether self is all of R^rank: its reduced basis is the unit basis,
+        so its leads are the constants of the components."""
+        leads = [lead for _, lead in self._basis()]
+        return leads == sorted(_code(self.ring, self.rank, GREVLEX)._comps, reverse=True)
+
     def contains(self, other: "FreeSubmodule") -> bool:
+        """Whether other lies in self: every generator of other reduces to 0
+        by the reduced basis of self.  All of R^rank contains every
+        submodule, and reduces nothing."""
         self._compat(other)
-        if other.is_zero():
+        if other.is_zero() or self.is_full():
             return True
         basis, code = self._basis(), _code(self.ring, self.rank, GREVLEX)
         return not any(_reduce(dict(d), basis, code, self.ring.p) for d in other._packed())
@@ -555,12 +614,15 @@ class FreeSubmodule:
     def __eq__(self, other):
         if not isinstance(other, FreeSubmodule):
             return NotImplemented
-        return (self.ring == other.ring and self.rank == other.rank
-                and self._basis() == other._basis())
+        return self is other or (self.ring == other.ring and self.rank == other.rank
+                                 and self._basis() == other._basis())
 
     def __hash__(self):
-        """The leads of the reduced basis, which equal submodules share."""
-        return hash((self.rank, tuple(lead for _, lead in self._basis())))
+        """The leads of the reduced basis, which equal submodules share,
+        computed on the first call and kept."""
+        if self._hash is None:
+            self._hash = hash((self.rank, tuple(lead for _, lead in self._basis())))
+        return self._hash
 
     def _compat(self, other: "FreeSubmodule"):
         if self.ring != other.ring:
@@ -583,16 +645,20 @@ class FreeSubmodule:
 
     def scaled(self, g: Poly | Scalar) -> "FreeSubmodule":
         """The submodule g * self, for a polynomial g or one packed by
-        `pack_scalar`."""
+        `pack_scalar`.  Its GREVLEX basis, when first read, is g times that
+        of self, tail-reduced."""
         if isinstance(g, Poly):
             if g.ring != self.ring:
                 raise RingMismatchError(f"{g.ring} vs {self.ring}")
             g = pack_scalar(g)
         code = _code(self.ring, self.rank, GREVLEX)
         twist = (g,) * self.rank
-        return FreeSubmodule._of(self.ring, self.rank,
-                                 [v for v in (_times(d, twist, code, self.ring.p)
-                                              for d in self._packed()) if v])
+        out = FreeSubmodule._of(self.ring, self.rank,
+                                [v for v in (_times(d, twist, code, self.ring.p)
+                                             for d in self._packed()) if v])
+        if out._dicts:
+            out._scale = (self, g)
+        return out
 
     def level1_root(self, twist: Twist | None = None) -> "FreeSubmodule":
         """(U self)^{[1/p]} by its reduced basis, for U given by `twist`

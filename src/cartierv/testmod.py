@@ -180,10 +180,16 @@ def is_F_regular(M: CartierModule, c: Poly | None = None) -> bool:
 
 
 def module_test_submodule_from(M: CartierModule, cW: FreeSubmodule) -> tuple[FreeSubmodule, int]:
-    N = M.pres.N
+    """The sum of kappa^e(cW) + N over e >= 1, for cW inside W, and the
+    first step whose partial sum the next one repeats.  A partial sum that
+    is W itself is that sum: W is kappa-stable, so the next step stays in
+    it, and no kappa is taken to show it."""
+    N, W = M.pres.N, M.pres.W
     term = kappa_span(M.structure, cW)
     acc = N.add(term).minimal_gens()
     for step in range(1, MAX_MODULE_SUM_STEPS):
+        if acc == W:
+            return acc, step
         term = kappa_span(M.structure, term)
         nxt = acc.add(term).minimal_gens()
         if nxt == acc:

@@ -952,3 +952,193 @@ def test_a_sum_with_nothing_new_keeps_its_basis(monkeypatch):
     bigger = S.add(T)
     assert bigger is not S and bigger.gens == S.gens + ((x,),)
     assert S.gens == S.groebner()  # the summand keeps its own generators
+
+
+# -- the whole module ------------------------------------------------------------
+
+
+def _constant_lead_runs(rng):
+    """(code, p, packed generators) at ranks 1-3 under GREVLEX, LEX, an
+    elimination and a split order, where constants occur.  Some generators
+    are e_i plus a tail in the later components, which under a position
+    order leads with the constant of component i; the others are random
+    with constant terms, so that many modules are all of R^rank, reached at
+    an input or by a constant formed mid-run, and some are not."""
+    for p in (2, 3, 5):
+        for rank in (1, 2, 3):
+            R = Ring(p, ("x", "y"))
+            one = R.one()
+            for order in (GREVLEX, LEX, TermOrder("grevlex", {0}),
+                          TermOrder(split=rng.randint(1, rank))):
+                code = groebner._code(R, rank, order)
+                for _ in range(8):
+                    gens = []
+                    for i in range(rank):
+                        if rng.random() < 0.5:
+                            tail = [random_poly(rng, R, 2, max_terms=2) for _ in range(rank)]
+                            gens.append(tuple(tail[j] if j > i else one.scale(rng.randint(1, p - 1))
+                                              if j == i else R.zero() for j in range(rank)))
+                    for _ in range(rng.randint(1, rank + 1)):
+                        gens.append(tuple(random_poly(rng, R, 2, max_terms=2)
+                                          + one.scale(rng.randrange(p)) for _ in range(rank)))
+                    rng.shuffle(gens)
+                    yield code, p, [groebner._vec_to_dict(code, v) for v in gens]
+
+
+def test_a_run_that_reaches_the_whole_module_matches_the_reference():
+    """The engine stops once its leads hold the constant of every component
+    and returns the unit basis; the reference runs to the end.  They agree
+    where every component has a constant-led input, where a constant forms
+    only mid-run, and where the leads hold constants in only some
+    components, which must not stop the run."""
+    rng = random.Random(3)
+    seen = dict.fromkeys(("at an input", "mid-run", "some components", "proper"), 0)
+    for code, p, gens in _constant_lead_runs(rng):
+        mine = groebner._buchberger(code, p, [dict(d) for d in gens])
+        assert mine == reference_buchberger(code, p, [dict(d) for d in gens]), (code.rank, p, gens)
+        units = {code.decode(max(d))[0] for d in gens if d and max(d) in code._comps}
+        if mine == groebner._unit_basis(code):
+            seen["at an input" if len(units) == code.rank else "mid-run"] += 1
+        else:
+            seen["some components" if units else "proper"] += 1
+    assert min(seen.values()) >= 40, seen
+
+
+def test_units_in_some_components_run_on():
+    """(1, x) and (0, y) lead with the constant of component 0 only: the
+    basis is theirs, not the unit basis, and the submodule is proper.  With
+    (0, 1 + y) it is all of R^2, the constant of component 1 formed by
+    reducing 1 + y by y."""
+    R = Ring(5, ("x", "y"))
+    x, y = R.gens()
+    one, zero = R.one(), R.zero()
+    S = FreeSubmodule(R, 2, [(one, x), (zero, y)])
+    assert S.groebner() == ((one, x), (zero, y))
+    assert not S.is_full() and not S.contains(full_module(R, 2))
+    T = FreeSubmodule(R, 2, [(one, x), (zero, y), (zero, one + y)])
+    assert T.groebner() == ((one, zero), (zero, one)) and T.is_full()
+    # rank 3: constants in components 0 and 2 only
+    U = FreeSubmodule(R, 3, [(one, zero, x), (zero, x, y), (zero, zero, one)])
+    assert U.groebner() == ((one, zero, zero), (zero, x, zero), (zero, zero, one))
+    assert not U.is_full()
+
+
+def test_a_constant_found_before_a_runaway_pair_answers():
+    """Over F_5 with a = 2^62 these ideals are the unit ideal.  The engine
+    meets the constant and stops; run to the end, the first raised
+    StabilizationCapExceededError after about 2 s, and the second ran for
+    minutes."""
+    R = Ring(5, ("x", "y"))
+    x, y = R.gens()
+    M = R.monomial
+    a = 2**62
+    with budget(5):
+        assert ideal(R, M((3, 2), 2), M((a + 3, 0), 2),
+                     M((3, 1), 3) + x * y * y + R.one().scale(3)).groebner() == ((R.one(),),)
+        assert ideal(R, M((1, a + 2), 4) + x * y * y, M((2, 3), 3) + x * y + R.one().scale(2),
+                     M((3, a), 2)).groebner() == ((R.one(),),)
+
+
+def _reduces_to_zero(S: FreeSubmodule, v) -> bool:
+    """Membership by the reference basis of S: v reduces to 0."""
+    code = groebner._code(S.ring, S.rank, GREVLEX)
+    basis = reference_buchberger(code, S.ring.p, S._packed())
+    return not groebner._reduce(groebner._vec_to_dict(code, v), basis, code, S.ring.p)
+
+
+def test_containment_in_the_whole_module_reduces_nothing(monkeypatch):
+    """`contains` and `is_full_free` agree with reduction by the reference
+    basis, on W all of R^rank by redundant generators such as (1, x), and on
+    proper W; containment in all of R^rank makes no `_reduce` call, and
+    `is_full_free` builds no full module to test it."""
+    from cartierv import cartier_mod
+    from cartierv.cartier_mod import CartierModule, CartierStructure
+
+    rng = random.Random(17)
+    R = Ring(3, ("x", "y"))
+    x, y = R.gens()
+    one, zero = R.one(), R.zero()
+    cases = [[(one, x), (zero, one), (x, y)], [(one, x), (x, one + y), (zero, y)],
+             [(one, x), (zero, y)], [(x, one), (y, zero)], [(one + x, y), (y, one)]]
+    cases += [[tuple(random_poly(rng, R, 2, max_terms=2) + one.scale(rng.randrange(3))
+                     for _ in range(2)) for _ in range(rng.randint(1, 4))] for _ in range(30)]
+    calls = []
+    real = groebner._reduce
+    full = 0
+    for rows in cases:
+        W = FreeSubmodule(R, 2, rows)
+        whole = all(_reduces_to_zero(W, unit_vector(R, 2, i)) for i in range(2))
+        full += whole
+        others = [FreeSubmodule(R, 2, [tuple(random_poly(rng, R, 2, max_terms=2)
+                                             for _ in range(2))]) for _ in range(3)]
+        others += [full_module(R, 2), FreeSubmodule(R, 2, rows[:1])]
+        W._basis()
+        monkeypatch.setattr(groebner, "_reduce", lambda *a: calls.append(a) or real(*a))
+        for V in others:
+            want = all(_reduces_to_zero(W, v) for v in V.gens)
+            calls.clear()
+            assert W.contains(V) == want, (rows, V)
+            if whole:
+                assert calls == []
+        monkeypatch.undo()
+        assert W.is_full() == whole, rows
+        monkeypatch.setattr(cartier_mod, "full_module", lambda *a: pytest.fail("full module built"))
+        swap = CartierStructure(R, 2, ((zero, one), (one, zero)))
+        M = CartierModule(QuotientPresentation(W, zero_module(R, 2)), swap, check=False)
+        assert M.is_full_free() == whole, rows
+        M = CartierModule(QuotientPresentation(W, W.scaled(x)), swap, check=False)
+        assert not M.is_full_free(), rows
+    assert 5 <= full <= len(cases) - 5, full
+
+
+def test_a_hash_is_computed_once_and_a_submodule_equals_itself(monkeypatch):
+    R = Ring(5, ("x", "y"))
+    x, y = R.gens()
+    A = FreeSubmodule(R, 2, [(x, y), (y, R.zero())])
+    h = hash(A)
+    monkeypatch.setattr(FreeSubmodule, "_basis", lambda *a: pytest.fail("basis read"))
+    assert hash(A) == h and A == A and not A != A and {A: 1}[A] == 1
+
+
+def test_a_scaled_submodule_takes_its_basis_from_the_unscaled_one(monkeypatch):
+    """g times a reduced basis, made monic and tail-reduced, is the reduced
+    basis of g S: the one `_buchberger` and the reference give for the
+    products of g with the generators of S, at ranks 1-3 under GREVLEX.  It
+    takes no Buchberger run once S has its basis.  (x + y)(x, y) is a case
+    where the products are not reduced: the reduced basis is
+    {x^2 - y^2, xy + y^2}."""
+    R = Ring(5, ("x", "y"))
+    x, y = R.gens()
+    S = ideal(R, x, y).scaled(x + y)
+    assert S.groebner() == ((x * x - y * y,), (x * y + y * y,))
+    rng = random.Random(29)
+    runs = []
+    real = groebner._buchberger
+    cases = 0
+    for p in (2, 3, 5):
+        R = Ring(p, ("x", "y"))
+        for rank in (1, 2, 3):
+            code = groebner._code(R, rank, GREVLEX)
+            for _ in range(6):
+                S = FreeSubmodule(R, rank, [tuple(random_poly(rng, R, 2, max_terms=3,
+                                                              nonzero=True)
+                                                  for _ in range(rank))
+                                            for _ in range(rng.randint(1, 3))])
+                g = random_poly(rng, R, 2, max_terms=3, nonzero=True)
+                for source in (S, S.minimal_gens()):
+                    scaled = source.scaled(g)
+                    products = [dict(d) for d in scaled._packed()]
+                    want = reference_buchberger(code, p, products)
+                    assert groebner._buchberger(code, p, [dict(d) for d in products]) == want
+                    if source is not S:
+                        monkeypatch.setattr(groebner, "_buchberger",
+                                            lambda *a: runs.append(a) or real(*a))
+                    assert scaled._basis() == want, (S.gens, g)
+                    assert [list(d) for d, _ in scaled._basis()] == [list(d) for d, _ in want]
+                    monkeypatch.undo()
+                    cases += 1
+                # scaled twice, and by a packed scalar
+                twice = S.scaled(g).scaled(groebner.pack_scalar(g))
+                assert twice == FreeSubmodule(R, rank, [tuple(g * g * f for f in v)
+                                                         for v in S.gens])
+    assert runs == [] and cases == 108

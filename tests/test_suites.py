@@ -78,3 +78,41 @@ def test_check_suites_solve_each_tau_on_a_fresh_pair(monkeypatch, name):
     (result,) = run_suites([name], seed=0, cases=6)
     assert result.ok, result.failures
     assert len(asked) == len(built) == len({id(pair) for pair in asked}) >= 12
+
+
+# Buchberger runs and `_reduce` calls of each repro scenario, and of
+# kappa_span of the twisted line C o x over F_3[x, y] on an ideal whose
+# root has a constant digit: the Groebner work that stopping at the whole
+# module saves is pinned, so that it cannot come back unnoticed
+GROEBNER_WORK = {"cor79": (56, 0), "ex621": (25, 70), "ex712": (76, 91), "lemma62": (63, 212),
+                 "prop38": (47, 124), "thm75": (69, 127), "span": (1, 1)}
+
+
+def test_groebner_work_is_pinned(monkeypatch):
+    from collections import Counter
+
+    from cartierv import groebner
+    from cartierv.cartier_mod import CartierModule, kappa_span
+    from cartierv.field_poly import Ring
+    from cartierv.groebner import ideal
+
+    counts = Counter()
+    real_run, real_reduce = groebner._buchberger, groebner._reduce
+    monkeypatch.setattr(groebner, "_buchberger",
+                        lambda *a: counts.update(["runs"]) or real_run(*a))
+    monkeypatch.setattr(groebner, "_reduce",
+                        lambda *a: counts.update(["reductions"]) or real_reduce(*a))
+    work = {}
+    for name in sorted(REPROS):
+        counts.clear()
+        assert run_repro(name).ok
+        work[name] = (counts["runs"], counts["reductions"])
+    R = Ring(3, ("x", "y"))
+    x, y = R.gens()
+    counts.clear()
+    # x (x y^2 + x^4 y + y^5) has the digit 1 at x^2 y^2
+    root = kappa_span(CartierModule.over_ring(R, x).structure,
+                      ideal(R, x * y ** 2 + x ** 4 * y + y ** 5, x ** 3 * y ** 3 + x ** 2))
+    assert root.gens == ((R.one(),),)
+    work["span"] = (counts["runs"], counts["reductions"])
+    assert work == GROEBNER_WORK

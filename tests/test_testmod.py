@@ -117,6 +117,26 @@ def test_twisted_line_values():
         assert got.value == want, f"t={t}"
 
 
+def test_tau_at_zero_stops_at_the_numerator(monkeypatch):
+    """tau(0) stops at the first partial sum that is W, with the step
+    count of the sum that runs on until a partial sum repeats: on
+    C over F_3[x, y] with f = x the first sum kappa(xR) is R, and on C o x
+    over F_3[x] the second; on C o x over F_2[x, y] with f = xy the sum
+    stops at (x) below W, where the next kappa repeats it."""
+    spans = []
+    real = testmod.kappa_span
+    monkeypatch.setattr(testmod, "kappa_span", lambda S, W: spans.append(W) or real(S, W))
+    for p, names, u, f, value, steps, taken in (
+            (3, ("x", "y"), "1", "x", "1", 1, 1), (3, ("x",), "x", "x", "1", 2, 2),
+            (2, ("x", "y"), "x", "x*y", "x", 1, 2)):
+        R = Ring(p, names)
+        M = CartierModule.over_ring(R, parse_polynomial(u, R))
+        spans.clear()
+        got = tau(M, parse_polynomial(f, R), 0)
+        assert got.value == ideal(R, parse_polynomial(value, R))
+        assert (got.stabilized_at_e, got.path, len(spans)) == (steps, "fixed-sum", taken), (u, f)
+
+
 def test_fresh_tau_sweep_counts():
     # counts of the fixed-point iteration over the whole orbit of t; 1/4 and
     # 3/4 sweep twice although their cycle {1} starts at its fixed point
