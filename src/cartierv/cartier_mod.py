@@ -13,19 +13,22 @@ with U packed once per structure, serves both: `kappa_span` splits U W,
 
 Quotients are never first-class: a module supported on a closed subscheme
 is presented as a subquotient W/N of a free module over the ambient ring,
-with both W and N kappa-stable.  Both finite functors write their twist in
-closed form, from U and the coordinates of y-powers mod g, which each
-`FiniteExtension` reduces once, one step from the last, and keeps.  Its
-discriminant is computed only when read, by the etale pullback's guard and
-the trace comparison.
+with both W and N kappa-stable.  The image-stable part, nilpotence and the
+test module sum are reads of one kappa-chain V -> kappa(V) + base
+(`kappa_chain`).  Both finite functors write their twist in closed form,
+from U and the coordinates of y-powers mod g, which each `FiniteExtension`
+reduces once, one step from the last, and keeps.  Its discriminant is
+computed only when read, by the etale pullback's guard and the trace
+comparison.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import CartierError, RankMismatchError, RingMismatchError
+from .errors import (CartierError, RankMismatchError, RingMismatchError,
+                     StabilizationCapExceededError)
 from .field_poly import Poly, Ring, cartier_trace
 from .groebner import (
     FreeSubmodule,
@@ -193,17 +196,29 @@ def _stability_failure(structure: CartierStructure, sub: FreeSubmodule):
     return None
 
 
-def underline(M: CartierModule) -> tuple[FreeSubmodule, int]:
-    """Image-stable part: iterate V <- kappa(V) + N from V = W to the fixed
-    point.  Returns (fixed submodule, number of strict descents)."""
-    V = M.pres.W
-    N = M.pres.N
-    for step in range(MAX_IMAGE_ITERATIONS):
-        nxt = kappa_span(M.structure, V).add(N)
+def kappa_chain(structure: CartierStructure, start: FreeSubmodule,
+                base: FreeSubmodule) -> Iterator[FreeSubmodule]:
+    """V_0 = start, V_(e+1) = kappa(V_e) + base, each by its reduced basis,
+    up to the first repeat.  A descent from W over N stops by
+    Hartshorne-Speiser-Gabber stabilization (Blickle-Boeckle), an ascent
+    since R is noetherian; past MAX_IMAGE_ITERATIONS steps a chain raises
+    StabilizationCapExceededError."""
+    V = start.minimal_gens()
+    for _ in range(MAX_IMAGE_ITERATIONS):
+        yield V
+        nxt = kappa_span(structure, V).add(base).minimal_gens()
         if nxt == V:
-            return V.minimal_gens(), step
+            return
         V = nxt
-    raise CartierError("image iteration failed to stabilize")
+    raise StabilizationCapExceededError(
+        f"kappa chain did not stabilize within {MAX_IMAGE_ITERATIONS} steps")
+
+
+def underline(M: CartierModule) -> tuple[FreeSubmodule, int]:
+    """Image-stable part, the largest V = kappa(V) + N inside W: the last
+    element of the kappa-chain from W over N, and its number of strict descents."""
+    *descents, V = kappa_chain(M.structure, M.pres.W, M.pres.N)
+    return V, len(descents)
 
 
 def is_F_pure(M: CartierModule) -> bool:
@@ -211,19 +226,12 @@ def is_F_pure(M: CartierModule) -> bool:
 
 
 def nilpotence_order(M: CartierModule) -> int | None:
-    """Smallest e with kappa^e(M) = 0, or None when the image chain fixes at
-    a nonzero submodule.  The verdict is exact either way; a chain still
-    moving after MAX_IMAGE_ITERATIONS steps raises CartierError."""
-    Y = M.pres.W
+    """Smallest e with kappa^e(M) = 0: the index of the first element of the
+    kappa-chain from W over N that lies in N, or None when the chain fixes
+    above N.  The verdict is exact either way."""
     N = M.pres.N
-    for step in range(MAX_IMAGE_ITERATIONS):
-        if N.contains(Y):
-            return step
-        nxt = kappa_span(M.structure, Y).add(N)
-        if nxt == Y:
-            return None
-        Y = nxt
-    raise CartierError(f"image chain did not stabilize within {MAX_IMAGE_ITERATIONS} steps")
+    chain = kappa_chain(M.structure, M.pres.W, N)
+    return next((e for e, Y in enumerate(chain) if N.contains(Y)), None)
 
 
 def is_nilpotent(M: CartierModule) -> bool:

@@ -29,8 +29,8 @@ class ExponentOverflowError(CartierError):
 
 
 class StabilizationCapExceededError(CartierError):
-    """A chain did not stabilize within the level cap, or a Groebner
-    reduction ran past `groebner.MAX_REDUCTION_STEPS` steps."""
+    """A chain did not stabilize within its cap, or a Groebner reduction
+    ran past `groebner.MAX_REDUCTION_STEPS` steps."""
 
 
 class NonDegenerateError(CartierError):

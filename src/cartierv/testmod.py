@@ -12,8 +12,9 @@ shift m is the step kappa(f^(m+1) X) + N at X = cD.  Each value
 the system meets contains the seed at its point (see `Pair._step`), so one
 sweep, kappa(f^m X) + N at every point, turns the level-e summand of the
 defining series into the level-(e+1) summand and the iteration converges to
-the exact infinite sum; no stabilization heuristics are involved.  All
-exponents handled along the way stay below p, which keeps everything
+the exact infinite sum; no stabilization heuristics are involved.  The
+value at 0 is a `cartier_mod.kappa_chain` (`module_test_submodule_from`).
+All exponents handled along the way stay below p, which keeps everything
 sparse.  Orbit points are held as (numerator, denominator) int pairs in
 lowest terms; Fractions are built only for the caller.
 
@@ -57,7 +58,7 @@ from functools import cache, cached_property
 from itertools import chain
 from typing import NamedTuple
 
-from .cartier_mod import CartierModule, CartierStructure, kappa_span, underline
+from .cartier_mod import CartierModule, CartierStructure, kappa_chain, kappa_span, underline
 from .errors import (
     CartierError,
     FptDivergenceError,
@@ -74,7 +75,6 @@ from .groebner import (FreeSubmodule, Scalar, Twist, full_module, injective_on,
 CONVENTIONS = ("ceil_pe", "ceil_pe_minus_1")
 MAX_SWEEPS = 64
 MAX_ORBIT = 4096
-MAX_MODULE_SUM_STEPS = 256
 NU_BUDGET = 2 ** 14
 
 Point = tuple[int, int]  # a rational t >= 0 as (numerator, denominator), in lowest terms
@@ -159,8 +159,8 @@ def suggest_test_element(M: CartierModule, f: Poly) -> Poly:
 def module_test_submodule(M: CartierModule, c: Poly) -> tuple[FreeSubmodule, int]:
     """tau of the module itself: sum of kappa^e(c W) + N over e >= 1.
 
-    Each summand is kappa of the previous one, so the first repeat of the
-    partial sums certifies the limit exactly.
+    The partial sums are a kappa-chain (`module_test_submodule_from`), so
+    their first repeat certifies the limit exactly.
     """
     if c.ring != M.ring:
         raise RingMismatchError("test element over wrong ring")
@@ -181,21 +181,17 @@ def is_F_regular(M: CartierModule, c: Poly | None = None) -> bool:
 
 def module_test_submodule_from(M: CartierModule, cW: FreeSubmodule) -> tuple[FreeSubmodule, int]:
     """The sum of kappa^e(cW) + N over e >= 1, for cW inside W, and the
-    first step whose partial sum the next one repeats.  A partial sum that
-    is W itself is that sum: W is kappa-stable, so the next step stays in
-    it, and no kappa is taken to show it."""
-    N, W = M.pres.N, M.pres.W
-    term = kappa_span(M.structure, cW)
-    acc = N.add(term).minimal_gens()
-    for step in range(1, MAX_MODULE_SUM_STEPS):
+    first step whose partial sum the next one repeats.  The partial sums
+    are the kappa-chain from B = kappa(cW) + N over B, acc_(e+1) =
+    kappa(acc_e) + B, as kappa is additive on spans and kappa(N) lies in N.
+    A partial sum that is W itself is that sum: W is kappa-stable, so the
+    next step stays in it, and no kappa is taken to show it."""
+    W = M.pres.W
+    B = M.pres.N.add(kappa_span(M.structure, cW))
+    for step, acc in enumerate(kappa_chain(M.structure, B, B), 1):
         if acc == W:
-            return acc, step
-        term = kappa_span(M.structure, term)
-        nxt = acc.add(term).minimal_gens()
-        if nxt == acc:
-            return acc, step
-        acc = nxt
-    raise CartierError("module test submodule failed to stabilize")
+            break
+    return acc, step
 
 
 class _Solved(NamedTuple):
@@ -357,23 +353,18 @@ class Pair:
         exact, sweeps = self._value(t, below=False)
 
         if convention == "ceil_pe_minus_1":
-            # the series up to the level cap, and the last level (at least 1)
-            # it changed at; the smaller exponents need the test element
-            # deepened by f^ceil(t), otherwise the series overshoots tau for
-            # t > 1.  Level e adds kappa^e(f^B cD) with
-            # B = ceil(t(p^e - 1)) + ceil(t) >= ceil(t p^e), a summand of
-            # tau(t) itself, so once the sum reaches tau(t) nothing changes.
-            p, value, stable = self.M.ring.p, self.M.pres.N, 1
+            # the series up to the level cap, and the first level whose sum
+            # is tau(t), the last level it changed at; the smaller exponents
+            # need the test element deepened by f^ceil(t), otherwise the
+            # series overshoots tau for t > 1.  Level e adds kappa^e(f^B cD)
+            # with B = ceil(t(p^e - 1)) + ceil(t) >= ceil(t p^e), a summand
+            # of tau(t) itself, so once the sum reaches tau(t) nothing changes.
+            p, value = self.M.ring.p, self.M.pres.N
             for e in range(1, self.cap + 1):
                 B = -(-a * (p ** e - 1) // b) - (-a // b)  # ceil(t(p^e - 1)) + ceil(t)
-                nxt = value.add(self._kappa_power(e, B)).minimal_gens()
-                if e > 1 and nxt != value:
-                    stable = e
-                value = nxt
+                value = value.add(self._kappa_power(e, B)).minimal_gens()
                 if value == exact:
-                    break
-            if value == exact:
-                return TauResult(value, stable, "series+orbit")
+                    return TauResult(value, e, "series+orbit")
             raise StabilizationCapExceededError(
                 f"ceil_pe_minus_1 series not stable within level cap {self.cap}")
 

@@ -110,6 +110,47 @@ def apply_iter(structure, v, e: int):
     return v
 
 
+def stable_hull(structure: CartierStructure, V: FreeSubmodule) -> FreeSubmodule:
+    """V + kappa(V) + kappa^2(V) + ..., the smallest stable submodule over V."""
+    while True:
+        nxt = V.add(kappa_span(structure, V)).minimal_gens()
+        if nxt == V:
+            return V
+        V = nxt
+
+
+def reference_descent(M):
+    """The descent kappa^e(W) + N, each kappa taken of the image kappa^e(W)
+    alone: its limit, the first e at which it stops, and the first e with
+    kappa^e(W) inside N, or None when the limit is not N.  The reference for
+    `underline` and `nilpotence_order`, which walk V -> kappa(V) + N."""
+    W, N = M.pres.W, M.pres.N
+    image, V, e, order = W, W, 0, None
+    while True:
+        if order is None and N.contains(V):
+            order = e
+        image = kappa_span(M.structure, image)
+        nxt = image.add(N)
+        if nxt == V:
+            return V, e, order
+        V, e = nxt, e + 1
+
+
+def reference_test_sum(M, cW):
+    """The sum of kappa^e(cW) + N over e >= 1, each term kappa of the term
+    before, and the first e whose partial sum the next repeats: the reference
+    for `testmod.module_test_submodule_from`, which takes kappa of the partial
+    sums."""
+    term = kappa_span(M.structure, cW)
+    acc, e = term.add(M.pres.N), 1
+    while True:
+        term = kappa_span(M.structure, term)
+        nxt = acc.add(term)
+        if nxt == acc:
+            return acc, e
+        acc, e = nxt, e + 1
+
+
 def trace_surjective(ext) -> bool:
     """Is Tr: S -> base surjective?  True iff the trace values of the
     `FiniteExtension` generate the unit ideal."""

@@ -24,12 +24,13 @@ from cartierv.cartier_mod import (
     trace_kappa_commutes,
     underline,
 )
-from cartierv.cli import parse_polynomial
+from cartierv.cli import main, parse_polynomial
 from cartierv.errors import (
     CartierError,
     ExponentOverflowError,
     RankMismatchError,
     RingMismatchError,
+    StabilizationCapExceededError,
 )
 from cartierv.field_poly import Ring, cartier_trace
 from cartierv.groebner import (
@@ -40,6 +41,7 @@ from cartierv.groebner import (
     unit_vector,
     zero_module,
 )
+from cartierv.testmod import module_test_submodule
 
 from conftest import (
     apply_iter,
@@ -47,7 +49,10 @@ from conftest import (
     from_sympy,
     intersect_by_elimination,
     random_poly,
+    reference_descent,
+    reference_test_sum,
     semilinear_structure,
+    stable_hull,
     sympy_symbols,
     to_sympy,
     trace_surjective,
@@ -320,6 +325,60 @@ def test_morphism_check_known():
     assert rep.kernel_nilpotent
     assert not rep.cokernel_nilpotent
     assert not rep.is_nil_isomorphism
+
+
+def test_the_kappa_chain_matches_the_references():
+    """underline, nilpotence_order and module_test_submodule, the three reads
+    of one kappa-chain, against the descent kappa^e(W) + N and the sum over
+    the term chain kappa^e(cW) of tests/conftest.py, on random subquotients
+    W/N of stable hulls at ranks 1-2 over F_p[x] and F_p[x, y], p in
+    {2, 3, 5}."""
+    rng = random.Random(41)
+    seen = {"descents": set(), "order": set(), "steps": set(), "sum is W": set()}
+    for p in (2, 3, 5):
+        for names in (("x",), ("x", "y")):
+            R = Ring(p, names)
+            for rank in (1, 2):
+                for _ in range(10):
+                    structure = _random_structure(rng, R, rank)
+                    vec = lambda: tuple(random_poly(rng, R, 2, max_terms=2)  # noqa: E731
+                                        for _ in range(rank))
+                    W = full_module(R, rank)
+                    if rng.random() < 0.5:
+                        W = stable_hull(structure, FreeSubmodule(R, rank, [vec(), vec()]))
+                    N = zero_module(R, rank)
+                    if rng.random() < 0.7:
+                        g = random_poly(rng, R, 2, max_terms=2, nonzero=True)
+                        N = stable_hull(structure, W.scaled(g))
+                    M = CartierModule(QuotientPresentation(W, N), structure)
+                    c = random_poly(rng, R, 2, max_terms=2, nonzero=True)
+                    D, descents, order = reference_descent(M)
+                    assert underline(M) == (D, descents), (p, names, rank)
+                    assert nilpotence_order(M) == order, (p, names, rank)
+                    value, steps = reference_test_sum(M, W.scaled(c))
+                    assert module_test_submodule(M, c) == (value, steps), (p, names, rank)
+                    seen["descents"].add(min(descents, 2))
+                    seen["order"].add(order if order is None else min(order, 2))
+                    seen["steps"].add(min(steps, 2))
+                    seen["sum is W"].add(value == W)
+    assert seen == {"descents": {0, 1, 2}, "order": {None, 0, 1, 2}, "steps": {1, 2},
+                    "sum is W": {False, True}}
+
+
+def test_a_kappa_chain_past_the_cap_exits_4(monkeypatch, capsys):
+    """With the cap lowered to one step, each read of a kappa-chain that
+    moves raises StabilizationCapExceededError, and the CLI exits 4: on
+    C o x^3 over F_3[x] the chain from R is R, (x) and the test sum from
+    x^6 R runs (x^3), (x^2), (x); tau at 0 of C o x with f = x runs (x), R."""
+    monkeypatch.setattr(cartier_mod, "MAX_IMAGE_ITERATIONS", 1)
+    R = Ring(3, ("x",))
+    x = R.var("x")
+    M = CartierModule.over_ring(R, x ** 3)
+    for read in (underline, nilpotence_order, lambda M: module_test_submodule(M, x ** 6)):
+        with pytest.raises(StabilizationCapExceededError):
+            read(M)
+    assert main(["tau", "--p", "3", "--vars", "x", "--twist", "x", "--f", "x", "--t", "0"]) == 4
+    assert "error [stabilization-cap-exceeded]" in capsys.readouterr().err
 
 
 def test_underline_inclusion_is_nil_isomorphism():

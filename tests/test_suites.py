@@ -84,7 +84,7 @@ def test_check_suites_solve_each_tau_on_a_fresh_pair(monkeypatch, name):
 # kappa_span of the twisted line C o x over F_3[x, y] on an ideal whose
 # root has a constant digit: the Groebner work that stopping at the whole
 # module saves is pinned, so that it cannot come back unnoticed
-GROEBNER_WORK = {"cor79": (56, 0), "ex621": (25, 70), "ex712": (76, 91), "lemma62": (63, 212),
+GROEBNER_WORK = {"cor79": (56, 0), "ex621": (23, 64), "ex712": (76, 85), "lemma62": (63, 212),
                  "prop38": (47, 124), "thm75": (69, 127), "span": (1, 1)}
 
 

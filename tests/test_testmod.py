@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cartierv import groebner, testmod
+from cartierv import cartier_mod, groebner, testmod
 from cartierv.cartier_mod import (
     CartierModule,
     CartierStructure,
@@ -122,17 +122,20 @@ def test_tau_at_zero_stops_at_the_numerator(monkeypatch):
     count of the sum that runs on until a partial sum repeats: on
     C over F_3[x, y] with f = x the first sum kappa(xR) is R, and on C o x
     over F_3[x] the second; on C o x over F_2[x, y] with f = xy the sum
-    stops at (x) below W, where the next kappa repeats it."""
+    stops at (x) below W, where the next kappa repeats it.  Only the spans
+    of the sum are counted: D is read before."""
     spans = []
     real = testmod.kappa_span
-    monkeypatch.setattr(testmod, "kappa_span", lambda S, W: spans.append(W) or real(S, W))
+    for module in (testmod, cartier_mod):
+        monkeypatch.setattr(module, "kappa_span", lambda S, W: spans.append(W) or real(S, W))
     for p, names, u, f, value, steps, taken in (
             (3, ("x", "y"), "1", "x", "1", 1, 1), (3, ("x",), "x", "x", "1", 2, 2),
             (2, ("x", "y"), "x", "x*y", "x", 1, 2)):
         R = Ring(p, names)
-        M = CartierModule.over_ring(R, parse_polynomial(u, R))
+        pair = Pair(CartierModule.over_ring(R, parse_polynomial(u, R)), parse_polynomial(f, R))
+        pair.D
         spans.clear()
-        got = tau(M, parse_polynomial(f, R), 0)
+        got = pair.tau(0)
         assert got.value == ideal(R, parse_polynomial(value, R))
         assert (got.stabilized_at_e, got.path, len(spans)) == (steps, "fixed-sum", taken), (u, f)
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cartierv import vfilt
-from cartierv.cartier_mod import CartierModule, CartierMorphism, CartierStructure, kappa_span
+from cartierv.cartier_mod import CartierModule, CartierMorphism, CartierStructure
 from cartierv.errors import NonDegenerateError, NotFRegularError
 from cartierv.field_poly import Ring
 from cartierv.groebner import FreeSubmodule, QuotientPresentation, full_module, ideal
@@ -24,7 +24,7 @@ from cartierv.vfilt import (
     verify_axioms,
 )
 
-from conftest import random_poly, replace_value
+from conftest import random_poly, replace_value, stable_hull
 
 
 def twisted_line():
@@ -182,15 +182,6 @@ def test_refuses_zerodivisor():
         compute_vfiltration(M, x, 1, 4)
 
 
-def _stable_hull(structure: CartierStructure, V: FreeSubmodule) -> FreeSubmodule:
-    """V + kappa(V) + kappa^2(V) + ..., the smallest stable submodule over V."""
-    while True:
-        nxt = V.add(kappa_span(structure, V)).minimal_gens()
-        if nxt == V:
-            return V
-        V = nxt
-
-
 def _random_module(rng: random.Random, R: Ring, rank: int) -> CartierModule:
     """A free module, or W/gW for a stable W with the structure twisted by
     g^{p-1}, which keeps gW stable: kappa(g^{p-1} g w) = g kappa(w)."""
@@ -200,7 +191,7 @@ def _random_module(rng: random.Random, R: Ring, rank: int) -> CartierModule:
         return CartierModule.free(R, structure)
     W = full_module(R, rank)
     if rng.random() < 0.5:
-        W = _stable_hull(structure, FreeSubmodule(R, rank, [
+        W = stable_hull(structure, FreeSubmodule(R, rank, [
             tuple(random_poly(rng, R, 2, max_terms=2) for _ in range(rank))]))
     g = random_poly(rng, R, 2, max_terms=2, nonzero=True)
     return CartierModule(QuotientPresentation(W, W.scaled(g)),
