@@ -29,8 +29,9 @@ class ExponentOverflowError(CartierError):
 
 
 class StabilizationCapExceededError(CartierError):
-    """A chain did not stabilize within its cap, or a Groebner reduction
-    ran past `groebner.MAX_REDUCTION_STEPS` steps."""
+    """A chain did not stabilize within its cap, a Groebner reduction ran
+    past `groebner.MAX_REDUCTION_STEPS` steps, or a whole Groebner run past
+    `groebner.MAX_RUN_WORK`."""
 
 
 class NonDegenerateError(CartierError):

@@ -14,7 +14,10 @@ so a remainder comes out in descending order, and it raises past
 MAX_REDUCTION_STEPS steps rather than run on.  It reduces a coefficient
 mod p once, when its term is popped.  Its callers list the reducers by
 decreasing lead, so it cuts from the front those whose lead lies above the
-popped term, which divide no later term.
+popped term, which divide no later term.  A whole run raises past
+MAX_RUN_WORK: the steps of its reductions plus the elements each was
+offered, which grows with the square of the elements even when every
+reduction takes one step.
 
 The whole module R^rank is recognised without the long way round.  A run
 stops as soon as its leads include the constant of every component, and
@@ -40,9 +43,9 @@ only `eliminate` and `saturate_element`, whose answers are eliminations.
 Each term (component, monomial) is packed into one int for a fixed number
 of variables, rank and order (`_Code`, after Bachmann and Schoenemann,
 "Monomial representations for Groebner bases computations", ISSAC 1998),
-one code per three, which all rings share.  The low
-fields hold the exponents and the component, each with a guard bit on top;
-the high fields hold the order's key, which is linear in the exponents.  So
+one code per (number of variables, rank, order), which all rings share.
+The low fields hold the exponents and the component, each with a guard bit
+on top; the high fields hold the order's key, linear in the exponents.  So
 the term is its own sort key (a bigger int is a bigger term), a product with
 a monomial is an addition, "lead b divides t in its component" is one mask
 test, and the level-1 digit split of a term reads its exponent fields.  A
@@ -52,15 +55,22 @@ operations, so sums, products, digit splits and containment never leave it;
 tuples of Poly are made only where a caller reads them.  An exponent of
 2^63 or more, on input or formed by a product, raises
 `ExponentOverflowError` rather than wrap; so does an S-pair left to reduce
-whose signature has one.
+whose signature has one.  A reduction tests a product term for that only
+when the term is new to its work vector, which is exact: every term
+already there passed the test or came from `encode`, which refuses 2^63.
+The product adds q = t - lead, whose exponents are in range because the
+lead divides t, to a term in range, so each field sums to below 2^64: it
+never carries into the next field, and it sets its guard bit exactly when
+it overflows.  A product equal to a present term therefore cannot have
+overflowed.
 """
 
 from __future__ import annotations
 
 import bisect
-import heapq
 import struct
 from functools import cache
+from heapq import heapify, heappop, heappush
 from itertools import chain, count, islice
 from operator import itemgetter, le, mul
 from typing import Iterable, Sequence
@@ -77,6 +87,7 @@ _Field = tuple[tuple[int, ...], tuple[int, ...]]
 _FIELD = 64  # bits per exponent or component field; the top bit is a guard bit
 _LIMIT = 1 << (_FIELD - 1)  # every exponent stays below this
 MAX_REDUCTION_STEPS = 1 << 20  # per `_reduce`; the tests and benchmarks take at most 266
+MAX_RUN_WORK = 1 << 18  # per `_buchberger` run: its reductions' steps and reducers; at most 13,587
 
 
 class TermOrder:
@@ -151,10 +162,12 @@ class _Code:
     x^q times a term is the term's code plus `shift(q)`, which depends on
     neither the component nor the rank; and lead b divides t in its
     component exactly when ((t | guard) - b) & mask == guard.  Nothing is
-    memoised: a term is read back off the bits of its code.
+    memoised: a term is read back off the bits of its code.  `unit_leads` lists
+    the constants of the components by decreasing code: the leads of the
+    reduced basis of R^rank.
     """
 
-    __slots__ = ("n", "rank", "guard", "mask", "_comps", "_vars", "_low", "_words")
+    __slots__ = ("n", "rank", "guard", "mask", "unit_leads", "_comps", "_vars", "_low", "_words")
 
     def __init__(self, n: int, rank: int, order: TermOrder):
         fields = order.key_fields(n, rank)
@@ -164,6 +177,7 @@ class _Code:
                            for i in range(n))
         self._comps = tuple((c << _FIELD * n) + sum(v[c] << s for (v, _), s in zip(fields, shifts))
                             for c in range(rank))
+        self.unit_leads = tuple(sorted(self._comps, reverse=True))
         self.guard = sum(_LIMIT << _FIELD * i for i in range(n + 1))
         self.mask = self.guard | (_LIMIT - 1) << _FIELD * n
         self.n, self.rank = n, rank
@@ -282,7 +296,8 @@ def _minus_lead(e: tuple) -> int:
 
 
 def _reduce(work: dict[int, int], elems: Sequence[tuple], code: _Code, p: int,
-            sig: int | None = None, bits: int = 0) -> dict[int, int]:
+            sig: int | None = None, bits: int = 0, spent: list[int] | None = None
+            ) -> dict[int, int]:
     """Reduces `work` by the monic elements `elems`, each (dict, lead) or
     (dict, lead, off), and returns the remainder with its terms in
     descending order and its coefficients in 1..p-1; `work` is consumed.
@@ -299,16 +314,20 @@ def _reduce(work: dict[int, int], elems: Sequence[tuple], code: _Code, p: int,
     once when it is popped.  An element whose lead lies above a popped term
     divides no later term, so the elements in front of the first one at or
     below it are cut; pass `elems` by decreasing lead and every element
-    above the term is.  More than MAX_REDUCTION_STEPS steps raise
-    StabilizationCapExceededError.
+    above the term is.  A product term is tested for overflow only when it
+    is new to `work`: one equal to a present term cannot overflow (see the
+    module docstring).  More than MAX_REDUCTION_STEPS steps raise
+    StabilizationCapExceededError.  `spent`, a one-item list, is charged the
+    work of the reduction once, when it ends: its steps plus the number of
+    elements it was offered.
     """
-    guard, mask = code.guard, code.mask
+    guard, mask, offered = code.guard, code.mask, len(elems)
     heap = [-t for t in work]
-    heapq.heapify(heap)
+    heapify(heap)
     rem: dict[int, int] = {}
     steps = MAX_REDUCTION_STEPS
     while heap:
-        t = -heapq.heappop(heap)
+        t = -heappop(heap)
         c = work.pop(t) % p
         if not c:
             continue
@@ -324,18 +343,20 @@ def _reduce(work: dict[int, int], elems: Sequence[tuple], code: _Code, p: int,
         if not steps:
             raise StabilizationCapExceededError(f"reduction ran past {MAX_REDUCTION_STEPS} steps")
         steps -= 1
-        q = t - e[1]
+        q, c = t - e[1], -c
         # the reducer is monic and its lead cancels t exactly
         for m, bc in islice(e[0].items(), 1, None):
             u = m + q
-            if u & guard:
-                raise code.overflow(u)
             v = work.get(u)
             if v is None:
-                work[u] = -c * bc
-                heapq.heappush(heap, -u)
+                if u & guard:
+                    raise code.overflow(u)
+                work[u] = c * bc
+                heappush(heap, -u)
             else:
-                work[u] = v - c * bc
+                work[u] = v + c * bc
+    if spent is not None:
+        spent[0] += MAX_REDUCTION_STEPS - steps + offered
     return rem
 
 
@@ -368,6 +389,17 @@ def _buchberger(code: _Code, p: int, gens: Sequence[dict[int, int]]) -> list[_El
     either order.  The elements form a Groebner basis, which
     `_tail_reduced` minimalises and tail-reduces in one pass.
 
+    Each element keeps its lead shifted up by `bits` beside its signature,
+    so a pair's signatures are sig + (lcm << bits) - (lead << bits) with one
+    shift per pair.
+
+    Each signature reduction charges the run its steps plus the number of
+    elements it was offered, and past MAX_RUN_WORK in all the run raises
+    StabilizationCapExceededError.  The elements term is the one that
+    grows in runs that add element after element, each reduced in a step
+    or two (over F_5 with exponents near 2^62, such runs went on for
+    minutes); the tests and benchmarks take at most 13,587.
+
     The run stops as soon as the leads of its elements include the constant
     of every component, at an input or mid-run, and returns the unit basis.
     This is exact under every `TermOrder`, block orders included: a
@@ -387,8 +419,9 @@ def _buchberger(code: _Code, p: int, gens: Sequence[dict[int, int]]) -> list[_El
     shifts, comps, koszul = code._vars, code._comps, code.rank == 1
     elems: list[tuple[dict[int, int], int, int]] = []  # (monic dict, lead, off)
     by_lead: list[tuple[dict[int, int], int, int]] = []  # elems by decreasing lead
-    sigs: list[int] = []
-    heads: list[tuple[int, Monomial]] = []  # each lead as (component, exponents), for the lcms
+    # per element, for the pair loop: its signature, its lead shifted up by
+    # `bits`, and its lead as (component, exponents), for the lcms
+    heads: list[tuple[int, int, int, Monomial]] = []
     # per generator index: its elements' signatures, oldest first
     rules: list[list[int]] = [[] for _ in inputs]
     slots: list[int] = []  # where each element's signature sits in its rules list
@@ -396,17 +429,18 @@ def _buchberger(code: _Code, p: int, gens: Sequence[dict[int, int]]) -> list[_El
     queue: list[int] = []  # pending signatures
     source: dict[int, int] = {}  # pending signature -> newest element it is a multiple of
     units: set[int] = set()  # the components in which an element has a constant lead
+    spent = [0]  # the work of the run's reductions so far
     nxt = 0
     while queue or nxt < len(inputs):
         if queue and (nxt == len(inputs) or queue[0] < inputs[nxt][0] << bits | nxt):
-            sig = heapq.heappop(queue)
+            sig = heappop(queue)
             j = source.pop(sig)
             i, sg = sig & ones, sig | sguard
             newer = rules[i][slots[j] + 1:]
             if (any((sg - z) & smask == sguard for z in syz[i])
                     or any((sg - s) & smask == sguard for s in newer)):
                 continue
-            if (sig >> bits) & guard:
+            if sig & sguard:
                 # an exponent in [2^63, 2^64): the mask tests miss divisors,
                 # so test the exponents; one that survives cannot be kept
                 top = code.decode(sig >> bits)[1]
@@ -414,7 +448,7 @@ def _buchberger(code: _Code, p: int, gens: Sequence[dict[int, int]]) -> list[_El
                        for s in chain(syz[i], newer)):
                     continue
                 raise code.overflow(sig >> bits)
-            u = (sig - sigs[j]) >> bits
+            u = (sig - heads[j][0]) >> bits
             d = {}
             for m, c in elems[j][0].items():
                 m += u
@@ -426,40 +460,42 @@ def _buchberger(code: _Code, p: int, gens: Sequence[dict[int, int]]) -> list[_El
             lead, g = inputs[i]
             sig, d = lead << bits | i, dict(g)
             nxt += 1
-        r = _reduce(d, by_lead, code, p, sig, bits)
+        r = _reduce(d, by_lead, code, p, sig, bits, spent)
+        if spent[0] > MAX_RUN_WORK:
+            raise StabilizationCapExceededError(
+                f"Groebner run ran past {MAX_RUN_WORK} steps and reducers")
         if not r:
             syz[i].append(sig)
             continue
         h, lead = _monic(r, p)
-        ch, eh = head = code.decode(lead)
+        ch, eh = code.decode(lead)
         if lead == comps[ch]:
             units.add(ch)
             if len(units) == code.rank:
                 return _unit_basis(code)
-        k = len(elems)
-        for a, ((_, la, _), sa, (ca, ea)) in enumerate(zip(elems, sigs, heads)):
+        k, lh = len(elems), lead << bits
+        for a, (sa, la, ca, ea) in enumerate(heads):  # la, lh: the leads shifted up
             if ca != ch:
                 continue
             if koszul:
-                ka, kh = sa + (lead << bits), sig + (la << bits)
+                ka, kh = sa + lh, sig + la
                 z = max(ka, kh)
-                if ka != kh and not (z >> bits) & guard:
+                if ka != kh and not z & sguard:
                     syz[z & ones].append(z)
-            lcm = comps[ch] + sum(map(mul, map(max, ea, eh), shifts))
-            if koszul and lcm == la + lead:
+            lcm = comps[ch] + sum(map(mul, map(max, ea, eh), shifts)) << bits
+            if koszul and lcm == la + lh:
                 continue  # coprime leads: the pair's signature is the Koszul one
-            ta, th = sa + (lcm - la << bits), sig + (lcm - lead << bits)
+            ta, th = sa + lcm - la, sig + lcm - lh
             if ta == th:
                 continue  # both halves have one signature: a singular S-pair
             t, src = (ta, a) if ta > th else (th, k)
             if t not in source:
-                heapq.heappush(queue, t)
+                heappush(queue, t)
             source[t] = max(source.get(t, src), src)
-        elem = (h, lead, sig - (lead << bits))
+        elem = (h, lead, sig - lh)
         elems.append(elem)
         bisect.insort(by_lead, elem, key=_minus_lead)
-        sigs.append(sig)
-        heads.append(head)
+        heads.append((sig, lh, ch, eh))
         slots.append(len(rules[i]))
         rules[i].append(sig)
     return _tail_reduced(code, p, by_lead)
@@ -485,7 +521,7 @@ def _tail_reduced(code: _Code, p: int, elems: Sequence[tuple]) -> list[_Elem]:
 
 def _unit_basis(code: _Code) -> list[_Elem]:
     """The reduced basis of R^rank: the unit vectors, by decreasing lead."""
-    return [({c: 1}, c) for c in sorted(code._comps, reverse=True)]
+    return [({c: 1}, c) for c in code.unit_leads]
 
 
 # -- public wrapper ----------------------------------------------------------
@@ -598,8 +634,8 @@ class FreeSubmodule:
     def is_full(self) -> bool:
         """Whether self is all of R^rank: its reduced basis is the unit basis,
         so its leads are the constants of the components."""
-        leads = [lead for _, lead in self._basis()]
-        return leads == sorted(_code(self.ring, self.rank, GREVLEX)._comps, reverse=True)
+        return (tuple(lead for _, lead in self._basis())
+                == _code(self.ring, self.rank, GREVLEX).unit_leads)
 
     def contains(self, other: "FreeSubmodule") -> bool:
         """Whether other lies in self: every generator of other reduces to 0

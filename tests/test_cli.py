@@ -11,7 +11,7 @@ from cartierv.errors import ParseError
 from cartierv.field_poly import Ring
 from cartierv.frobenius import level_cap
 
-from conftest import random_poly, reference_parse_polynomial
+from conftest import budget, random_poly, reference_parse_polynomial
 
 
 def test_parse_polynomial_known():
@@ -345,6 +345,29 @@ def test_a_reduction_past_the_step_cap_exits_4(capsys, monkeypatch):
     assert (code, out) == (4, "")
     assert err == ("cartierv: error [stabilization-cap-exceeded] "
                    "reduction ran past 4096 steps\n")
+
+
+def test_a_groebner_run_past_its_work_budget_exits_4(capsys, monkeypatch):
+    # each Groebner run keeps adding elements whose reductions take a step or
+    # two (see test_a_run_past_its_work_budget_is_refused); the rank-2 one,
+    # the quickest to reach it, runs at the real bound, the others under a
+    # lowered one (CI runs the first at the real bound)
+    a = 2**62
+    pair = ("--f", "x", "--t", "1/2", "--c", "1", "--json")
+    cap = ("cartierv: error [stabilization-cap-exceeded] "
+           "Groebner run ran past {} steps and reducers\n")
+    rank2 = ("--twist", "1,0;0,1", "--gens", f"4*x^{a + 1}*y^3 + 4*y^2 + 1, 2*x; x^2*y^3 + 2, 2")
+    with budget(10):
+        code, out, err = run_cli(capsys, "tau", "--p", "5", "--vars", "x,y", *rank2, *pair)
+    assert (code, out, err) == (4, "", cap.format(2**18))
+    monkeypatch.setattr(groebner, "MAX_RUN_WORK", 2**12)
+    for module in (("--gens", f"x^{a}*y + x^3*y^{a + 1}; x^2*y^3 + 4; 3*x^{a + 3}*y^3"),
+                   ("--gens", f"x^{a + 1} + 3*x^3*y^{a + 2} + 2; 4*x^{a}*y^3 + 2*x*y^2; "
+                              "2*x^2*y^2 + 2"),
+                   rank2):
+        with budget(2):
+            code, out, err = run_cli(capsys, "tau", "--p", "5", "--vars", "x,y", *module, *pair)
+        assert (code, out, err) == (4, "", cap.format(2**12))
 
 
 def test_repro_verdicts(capsys):

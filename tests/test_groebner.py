@@ -352,6 +352,28 @@ def test_a_reduction_past_the_step_cap_is_refused(monkeypatch):
             ideal(R, *gens).groebner()
 
 
+def test_a_run_past_its_work_budget_is_refused(monkeypatch):
+    """Over F_5 with a = 2^62, each of these runs keeps adding elements whose
+    reductions take a step or two, so no reduction nears MAX_REDUCTION_STEPS;
+    without a budget for the whole run they ran for minutes.  The first is
+    the unit ideal: x and y are units modulo x^2 y^3 + 4.  Past
+    MAX_RUN_WORK, the steps and the reducers of the run's reductions, the
+    engine raises; the CLI tests run the third at the real bound."""
+    R = Ring(5, ("x", "y"))
+    M, one, x = R.monomial, R.one(), R.gens()[0]
+    a = 2**62
+    cases = [ideal(R, M((a, 1)) + M((3, a + 1)), M((2, 3)) + one.scale(4), M((a + 3, 3), 3)),
+             ideal(R, M((a + 1, 0)) + M((3, a + 2), 3) + one.scale(2),
+                   M((a, 3), 4) + M((1, 2), 2), M((2, 2), 2) + one.scale(2)),
+             FreeSubmodule(R, 2, [(M((a + 1, 3), 4) + M((0, 2), 4) + one, x.scale(2)),
+                                  (M((2, 3)) + one.scale(2), one.scale(2))])]
+    monkeypatch.setattr(groebner, "MAX_RUN_WORK", 2**12)
+    for S in cases:
+        with budget(2), pytest.raises(StabilizationCapExceededError,
+                                      match="run ran past 4096 steps and reducers"):
+            S.groebner()
+
+
 def test_signature_criteria_leave_few_reductions(monkeypatch):
     """Reductions run, and reductions to zero, on cyclic-5 mod 101 and on
     the four dense quadrics of the sympy test above, bounded by the counts
@@ -363,8 +385,8 @@ def test_signature_criteria_leave_few_reductions(monkeypatch):
     counts = [0, 0]
     real = groebner._reduce
 
-    def counted(work, elems, code, p, sig=None, bits=0):
-        r = real(work, elems, code, p, sig, bits)
+    def counted(work, elems, code, p, sig=None, bits=0, spent=None):
+        r = real(work, elems, code, p, sig, bits, spent)
         if sig is not None:  # the engine's reductions, not the tail reduction
             counts[0] += 1
             counts[1] += not r
@@ -391,13 +413,13 @@ def test_reductions_take_reducers_by_decreasing_lead(monkeypatch):
     seen = {"engine": 0, "tail": 0}
     real = groebner._reduce
 
-    def checked(work, elems, code, p, sig=None, bits=0):
+    def checked(work, elems, code, p, sig=None, bits=0, spent=None):
         leads = [e[1] for e in elems]
         assert leads == sorted(leads, reverse=True)
         if sig is None:
             assert all(b < max(work) for b in leads)
         seen["tail" if sig is None else "engine"] += len(elems) > 1
-        r = real(work, elems, code, p, sig, bits)
+        r = real(work, elems, code, p, sig, bits, spent)
         assert all(0 < c < p for c in r.values())
         return r
 
@@ -906,6 +928,10 @@ def test_a_product_past_the_packed_range_is_refused():
     # in an S-vector: lcm(x^2, x y^a) / x^2 = y^a times the tail y^a of x^2 - y^a
     J = ideal(R, x * x - R.monomial((0, a)), x * R.monomial((0, a)))
     with pytest.raises(ExponentOverflowError, match=f"exponent {2 * a} is above"):
+        J.groebner(LEX)
+    # two tail terms past the range: the error names the bigger one's exponent
+    J = ideal(R, x * x - R.monomial((0, a + 1)) - R.monomial((0, a)), x * R.monomial((0, a)))
+    with pytest.raises(ExponentOverflowError, match=f"exponent {2 * a + 1} is above"):
         J.groebner(LEX)
     # in a product with a polynomial: x^a (x^(a - 1) + y) fits, x^a (x^a + y) does not
     W = FreeSubmodule(R, 2, [(R.monomial((a, 0)), y)])
